@@ -20,7 +20,8 @@ Configuration uses INI files:
     format = csv
     out = exf1.csv
 
-Command line flags override file values.
+Command line flags override file values.  A config naming a scenario other
+than the one requested is refused.
 """
 
 from __future__ import annotations
@@ -61,13 +62,16 @@ def _build_config(args) -> ScenarioConfig:
         section = ini["scenario"]
         if "name" in section and section["name"] not in SCENARIOS:
             raise ConfigError("unknown scenario %r in config" % section["name"])
+        if section.get("name", args.scenario) != args.scenario:
+            raise ConfigError("config names scenario %r but %r was requested"
+                              % (section["name"], args.scenario))
         for key in _INT_KEYS + _FLOAT_KEYS:
             if key in section:
                 values[key] = section[key]
         args.ini_report = ini["report"]
     else:
         args.ini_report = {}
-    for key in _INT_KEYS:
+    for key in _INT_KEYS + _FLOAT_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -127,6 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--levels", type=int, help="number of report levels")
     runp.add_argument("--n-max", dest="n_max", type=int,
                       help="strictness candidate budget")
+    runp.add_argument("--p", type=float, help="lower lp exponent, 1 < p < 2")
+    runp.add_argument("--q", type=float, help="upper lp exponent, q > 2")
     runp.add_argument("--format", choices=("csv", "json"))
     runp.add_argument("--out", help="output path (default: stdout)")
     runp.set_defaults(func=_run)

@@ -48,21 +48,25 @@ class GradedVector:
     __slots__ = ("indices", "values")
 
     def __init__(self, indices: Iterable[int], values: Iterable[complex]):
-        idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                         dtype=np.int64)
-        val = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                         dtype=np.complex128)
+        # private copies: the caller may still write to the arrays it passed
+        idx = np.array(list(indices) if not isinstance(indices, np.ndarray) else indices,
+                       dtype=np.int64)
+        val = np.array(list(values) if not isinstance(values, np.ndarray) else values,
+                       dtype=np.complex128)
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("indices and values must be 1-d and of equal length")
         if idx.size and idx.min() < 1:
             raise ValueError("coordinates are 1-based")
-        if idx.size != np.unique(idx).size:
+        # strictly increasing input is already sorted and duplicate-free
+        unsorted = idx.size > 1 and not np.all(idx[1:] > idx[:-1])
+        if unsorted and idx.size != np.unique(idx).size:
             raise ValueError("duplicate coordinate")
         if not np.all(np.isfinite(val)):
             raise ValueError("entries must be finite")
-        order = np.argsort(idx)
-        idx = idx[order]
-        val = val[order]
+        if unsorted:
+            order = np.argsort(idx)
+            idx = idx[order]
+            val = val[order]
         idx.setflags(write=False)
         val.setflags(write=False)
         object.__setattr__(self, "indices", idx)
@@ -171,17 +175,32 @@ class GradedVector:
     __hash__ = None
 
     def allclose(self, other: "GradedVector", tol: float = 1e-12) -> bool:
-        n = max(self.max_index, other.max_index)
-        if n == 0:
-            return True
-        return bool(np.allclose(self.to_dense(n), other.to_dense(n),
-                                rtol=tol, atol=tol))
+        """np.allclose(self, other, rtol=tol, atol=tol) on the dense forms,
+        compared on the union of the two supports only."""
+        _, a, b = union_values(self.indices, self.values,
+                               other.indices, other.values)
+        return bool(np.all(np.isclose(a, b, rtol=tol, atol=tol)))
 
     def __repr__(self) -> str:
         items = ", ".join("%d: %s" % (j, format(v, "g") if v.imag == 0 else v)
                           for j, v in zip(self.indices[:6], self.values[:6]))
         more = ", ..." if self.indices.size > 6 else ""
         return "GradedVector({%s%s})" % (items, more)
+
+
+def union_values(keys_a: np.ndarray, vals_a: np.ndarray, keys_b: np.ndarray,
+                 vals_b: np.ndarray):
+    """Align two sparse value lists on the sorted union of their keys.
+
+    Keys within each list are distinct; a key missing from one list reads
+    as zero there.  Returns (keys, values of a, values of b).
+    """
+    keys = np.union1d(keys_a, keys_b)
+    a = np.zeros(keys.size, dtype=np.complex128)
+    b = np.zeros(keys.size, dtype=np.complex128)
+    a[np.searchsorted(keys, keys_a)] = vals_a
+    b[np.searchsorted(keys, keys_b)] = vals_b
+    return keys, a, b
 
 
 @dataclass(frozen=True)

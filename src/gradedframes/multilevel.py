@@ -147,7 +147,10 @@ class LevelCheck:
 @dataclass(frozen=True, eq=False)
 class PlanReport:
     passed: bool
-    first_violation: Optional[tuple]   # (level, sample position, side, lhs, rhs)
+    # (level, sample position, side, lhs, rhs) for a failing sample, or
+    # (level, witness coordinate, "lower_slack"|"upper_slack", plan constant,
+    # optimal constant) for a plan constant the optimal bound contradicts
+    first_violation: Optional[tuple]
     levels: tuple
 
 
@@ -157,7 +160,9 @@ def verify_pre_f_frame(frame: FrameSystem, x_grading: WeightGrading,
     """Check the two-sided inequality for every plan level on every sample.
 
     Also recomputes the optimal constants per level (diagonal/block forms
-    only) and reports the slack of the plan constants against them.
+    only) and reports the slack of the plan constants against them; a slack
+    below -REL_SLACK times the plan constant fails the plan even when every
+    sample satisfies it.
     """
     if plan.budget > theta_grading.levels:
         raise LevelError("plan budget %d beyond mid-norm level budget %d"
@@ -183,12 +188,18 @@ def verify_pre_f_frame(frame: FrameSystem, x_grading: WeightGrading,
         try:
             opt = frame_bounds_analytic(frame, theta_grading, k,
                                         x_grading, s_k, t_k)
-            checks.append(LevelCheck(k, a_k, b_k, opt.lower, opt.upper,
-                                     opt.lower - a_k, b_k - opt.upper,
-                                     len(samples)))
         except FrameFormError:
             checks.append(LevelCheck(k, a_k, b_k, None, None, None, None,
                                      len(samples)))
+            continue
+        slack_lower = opt.lower - a_k
+        slack_upper = b_k - opt.upper
+        checks.append(LevelCheck(k, a_k, b_k, opt.lower, opt.upper,
+                                 slack_lower, slack_upper, len(samples)))
+        if slack_lower < -REL_SLACK * a_k and first_violation is None:
+            first_violation = (k, opt.witness_lower, "lower_slack", a_k, opt.lower)
+        if slack_upper < -REL_SLACK * b_k and first_violation is None:
+            first_violation = (k, opt.witness_upper, "upper_slack", b_k, opt.upper)
     return PlanReport(first_violation is None, first_violation, tuple(checks))
 
 

@@ -39,6 +39,7 @@ from .gradings import (
     WeightGrading,
     dual_norm,
     graded_norm,
+    union_values,
 )
 from .multilevel import ContinuityData, IndexPlan
 
@@ -137,16 +138,8 @@ class SequenceOperator:
 
     @staticmethod
     def from_columns(vectors: Sequence[GradedVector], out_dim: int) -> "SequenceOperator":
-        rows, cols, vals = [], [], []
-        for i, f in enumerate(vectors):
-            if f.max_index > out_dim:
-                raise ValueError("column %d exceeds output dimension" % (i + 1))
-            rows.extend((f.indices - 1).tolist())
-            cols.extend([i] * f.indices.size)
-            vals.extend(f.values.tolist())
-        mat = sp.csr_matrix((np.asarray(vals, dtype=np.complex128),
-                             (rows, cols)), shape=(out_dim, len(vectors)))
-        return SequenceOperator("columns", len(vectors), out_dim, matrix=mat)
+        mat = _stack_columns(vectors, out_dim, "column %d exceeds output dimension")
+        return SequenceOperator("columns", len(vectors), out_dim, matrix=mat.tocsr())
 
     @staticmethod
     def dense(matrix) -> "SequenceOperator":
@@ -185,6 +178,57 @@ class SequenceOperator:
             return GradedVector.from_dense(out)
         out = self.matrix.astype(np.complex128) @ v.to_dense(self.in_dim)
         return GradedVector.from_dense(out)
+
+    def _numerator(self):
+        """Sparse numerator M and row divisor d (None for 1) of out = (M @ x) / d."""
+        if self.kind == "identity":
+            return sp.identity(self.in_dim, format="csr"), None
+        if self.kind == "zero":
+            return sp.csr_matrix((self.out_dim, self.in_dim)), None
+        if self.kind == "diagonal":
+            return sp.diags(self.mult, format="csr"), self.div
+        if self.kind in ("pair_collapse", "pair_mix"):
+            pairs = self.co_odd.size
+            block = np.stack([self.co_odd, self.co_even], axis=1)
+            if self.kind == "pair_collapse":
+                rows = np.repeat(np.arange(pairs), 2)
+                cols = np.arange(2 * pairs)
+                vals = block.ravel()
+                return sp.csr_matrix((vals, (rows, cols)),
+                                     shape=(pairs, 2 * pairs)), self.div
+            # both rows of pair j hold (a_j, c_j) on the columns of pair j
+            rows = np.repeat(np.arange(2 * pairs), 2)
+            cols = 2 * (rows // 2) + np.tile([0, 1], 2 * pairs)
+            vals = np.repeat(block, 2, axis=0).ravel()
+            return sp.csr_matrix((vals, (rows, cols)),
+                                 shape=(2 * pairs, 2 * pairs)), None
+        return sp.csr_matrix(self.matrix), None
+
+    def apply_columns(self, x) -> sp.csc_matrix:
+        """Apply to every column of a sparse matrix at once.
+
+        The numerator product is formed first and each row of it is then
+        divided by its divisor, so for x = I column j holds the values
+        apply() gives for the canonical vector e_{j+1}.  A column whose
+        support exceeds the input dimension is refused as apply() refuses it.
+        """
+        x = sp.csc_matrix(x)
+        if x.shape[0] > self.in_dim:
+            cols = np.repeat(np.arange(x.shape[1]), np.diff(x.indptr))
+            beyond = cols[x.indices >= self.in_dim]
+            if beyond.size:
+                top = x.indices[cols == beyond.min()].max() + 1
+                raise ValueError("input support %d exceeds dimension %d"
+                                 % (top, self.in_dim))
+        if x.shape[0] != self.in_dim:
+            x = sp.csc_matrix((x.data, x.indices, x.indptr),
+                              shape=(self.in_dim, x.shape[1]))
+        num, div = self._numerator()
+        out = sp.csc_matrix(num @ x, dtype=np.complex128)
+        out.sort_indices()
+        if div is not None:
+            out.data = _exact_div(out.data, div[out.indices])
+        return out
 
     def _collapse(self, v: GradedVector, div) -> GradedVector:
         pair = (v.indices + 1) // 2
@@ -266,20 +310,50 @@ class SequenceOperator:
 # dual systems and synthesis
 
 
+def _stack_columns(vectors: Sequence[GradedVector], rows: int,
+                   message: str) -> sp.csc_matrix:
+    """Sparse matrix whose column i holds vectors[i]; message names a column
+    whose support exceeds the row count."""
+    for i, f in enumerate(vectors):
+        if f.max_index > rows:
+            raise ValueError(message % (i + 1))
+    indptr = np.cumsum([0] + [f.indices.size for f in vectors])
+    indices = np.concatenate([np.zeros(0, dtype=np.int64)]
+                             + [f.indices - 1 for f in vectors])
+    data = np.concatenate([np.zeros(0, dtype=np.complex128)]
+                          + [f.values for f in vectors])
+    return sp.csc_matrix((data, indices, indptr), shape=(rows, len(vectors)))
+
+
 @dataclass(frozen=True, eq=False)
 class DualSystem:
-    """Reconstruction family f_i = V(e_i), one vector per functional index."""
+    """Reconstruction family f_i = V(e_i), stored as column i of a sparse
+    truncation x functional-count matrix."""
 
-    vectors: tuple
-    truncation: int
+    matrix: sp.csc_matrix
 
     def __post_init__(self):
-        for i, f in enumerate(self.vectors):
-            if f.max_index > self.truncation:
-                raise ValueError("dual vector %d exceeds truncation" % (i + 1))
+        mat = sp.csc_matrix(self.matrix, dtype=np.complex128)
+        mat.sort_indices()
+        object.__setattr__(self, "matrix", mat)
+
+    @staticmethod
+    def from_vectors(vectors: Sequence[GradedVector], truncation: int) -> "DualSystem":
+        return DualSystem(_stack_columns(vectors, truncation,
+                                         "dual vector %d exceeds truncation"))
+
+    @property
+    def truncation(self) -> int:
+        return self.matrix.shape[0]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self.matrix.shape[1]
+
+    def __getitem__(self, i: int) -> GradedVector:
+        """Dual vector f_{i+1}; positions count from 0 as in a sequence."""
+        i = range(len(self))[i]
+        lo, hi = self.matrix.indptr[i], self.matrix.indptr[i + 1]
+        return GradedVector(self.matrix.indices[lo:hi] + 1, self.matrix.data[lo:hi])
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,49 +371,34 @@ class SynthesisOp:
 
 def build_dual_from_V(rule: SequenceOperator) -> DualSystem:
     """Dual vectors are the images of the canonical coefficient vectors."""
-    vecs = tuple(rule.apply(GradedVector.canonical(i))
-                 for i in range(1, rule.in_dim + 1))
-    return DualSystem(vecs, rule.out_dim)
+    return DualSystem(rule.apply_columns(sp.identity(rule.in_dim, format="csc")))
 
 
 def _detect_rule(dual: DualSystem) -> SequenceOperator:
-    """Structured rule reproducing the dual as its canonical images."""
-    m = len(dual.vectors)
+    """Structured rule reproducing the dual as its canonical images.
+
+    Every nonzero dual vector f_i must be one real entry, at coordinate i for
+    a diagonal rule and at coordinate ceil(i/2) for a pair rule.
+    """
+    m = len(dual)
     n = dual.truncation
-    if m == n:
-        diag = np.zeros(n)
-        ok = True
-        for i, f in enumerate(dual.vectors):
-            t = f.trim()
-            if t.support_size == 0:
-                continue
-            if t.support_size == 1 and t.indices[0] == i + 1 and t.values[0].imag == 0:
-                diag[i] = t.values[0].real
-            else:
-                ok = False
-                break
-        if ok:
+    mat = dual.matrix.copy()
+    mat.eliminate_zeros()
+    counts = np.diff(mat.indptr)
+    if np.all(counts <= 1) and np.all(mat.data.imag == 0):
+        # one entry per nonempty column, so rows and cols align entrywise
+        cols = np.flatnonzero(counts)
+        rows = mat.indices
+        if m == n and np.array_equal(rows, cols):
+            diag = np.zeros(n)
+            diag[cols] = mat.data.real
             return SequenceOperator.diagonal(diag, np.ones(n))
-    if m == 2 * n:
-        odd = np.zeros(n)
-        even = np.zeros(n)
-        ok = True
-        for i, f in enumerate(dual.vectors):
-            t = f.trim()
-            j = i // 2 + 1
-            if t.support_size == 0:
-                continue
-            if t.support_size == 1 and t.indices[0] == j and t.values[0].imag == 0:
-                if i % 2 == 0:
-                    odd[j - 1] = t.values[0].real
-                else:
-                    even[j - 1] = t.values[0].real
-            else:
-                ok = False
-                break
-        if ok:
-            return SequenceOperator.pair_collapse(odd, even, np.ones(n))
-    return SequenceOperator.from_columns(dual.vectors, n)
+        if m == 2 * n and np.array_equal(rows, cols // 2):
+            coeff = np.zeros(m)
+            coeff[cols] = mat.data.real
+            return SequenceOperator.pair_collapse(coeff[0::2], coeff[1::2],
+                                                  np.ones(n))
+    return SequenceOperator("columns", m, n, matrix=dual.matrix.tocsr())
 
 
 def _bound_table(rule: SequenceOperator, x_grading: WeightGrading,
@@ -398,6 +457,42 @@ class ProjectionOp:
         return self.rule.apply(d)
 
 
+def _mismatched_columns(a, b, tol: float) -> np.ndarray:
+    """Sorted columns where np.isclose(a, b, rtol=tol, atol=tol) fails.
+
+    Entries are compared on the union of the two sparsity patterns; every
+    other entry is zero in both.  The row counts may differ.
+    """
+    a = sp.csc_matrix(a)
+    b = sp.csc_matrix(b)
+    rows = max(a.shape[0], b.shape[0])
+
+    def keys(mat):
+        cols = np.repeat(np.arange(mat.shape[1], dtype=np.int64), np.diff(mat.indptr))
+        return cols * rows + mat.indices
+
+    union, va, vb = union_values(keys(a), a.data, keys(b), b.data)
+    return np.unique(union[~np.isclose(va, vb, rtol=tol, atol=tol)] // rows)
+
+
+def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optional[int]:
+    """Smallest coordinate j with V(U e_j) != e_j beyond LEFT_INVERSE_TOL."""
+    back = rule.apply_columns(frame.coefficient_rows())
+    bad = _mismatched_columns(back, sp.identity(frame.truncation, format="csc"),
+                              LEFT_INVERSE_TOL)
+    return int(bad[0]) + 1 if bad.size else None
+
+
+def _column_norms(mat, grading: WeightGrading, level: int) -> np.ndarray:
+    """Level norms of the columns of a sparse matrix, as graded_norm gives
+    them up to the summation order."""
+    mat = sp.csc_matrix(mat)
+    w = grading.weights(level)
+    cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+    terms = (np.abs(mat.data) * w[mat.indices]) ** 2
+    return np.sqrt(np.bincount(cols, weights=terms, minlength=mat.shape[1]))
+
+
 def _idempotence_defect(rule: SequenceOperator) -> float:
     if rule.kind in ("identity", "zero"):
         return 0.0
@@ -420,11 +515,9 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
     map on canonical vectors.
     """
     rule = op.rule
-    for j in range(1, frame.truncation + 1):
-        e = GradedVector.canonical(j)
-        back = rule.apply(analyze(frame, e).coefficients)
-        if not back.allclose(e, LEFT_INVERSE_TOL):
-            raise ValueError("reconstruction is not a left inverse at coordinate %d" % j)
+    j = _left_inverse_failure(frame, rule)
+    if j is not None:
+        raise ValueError("reconstruction is not a left inverse at coordinate %d" % j)
     m = frame.functional_count
     if isinstance(frame, DiagonalFrame) and rule.kind == "diagonal":
         p = (frame.b * rule.mult) / rule.div
@@ -442,10 +535,7 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large to compose a dense projection")
         g = frame.dense_matrix()
-        vmat = np.zeros((frame.truncation, m))
-        for i in range(1, m + 1):
-            col = rule.apply(GradedVector.canonical(i))
-            vmat[:, i - 1] = col.to_dense(frame.truncation).real
+        vmat = rule.apply_columns(sp.identity(m, format="csc")).toarray().real
         prule = SequenceOperator.dense(g @ vmat)
     levels = theta_grading.levels
     continuity = tuple(
@@ -483,12 +573,8 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large for a dense solve")
         g = frame.dense_matrix()
-        pmat = prule.matrix if prule.kind == "dense" else None
-        if pmat is None:
-            pmat = np.zeros((m, m))
-            for i in range(1, m + 1):
-                pmat[:, i - 1] = prule.apply(GradedVector.canonical(i)) \
-                    .to_dense(m).real
+        pmat = prule.matrix if prule.kind == "dense" else \
+            prule.apply_columns(sp.identity(m, format="csc")).toarray().real
         vmat, *_ = np.linalg.lstsq(g, pmat, rcond=None)
         resid = g @ vmat - pmat
         scale = max(float(np.linalg.norm(pmat)), 1.0)
@@ -497,21 +583,20 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
                              "(relative residual %.3g)"
                              % (np.linalg.norm(resid) / scale))
         rule = SequenceOperator.dense(vmat)
-    # range check: analysis of the solution must reproduce P on canonicals
-    for i in range(1, m + 1):
-        e = GradedVector.canonical(i)
-        target = prule.apply(e)
-        got = analyze(frame, rule.apply(e)).coefficients
-        scale = max(graded_norm(target, theta_grading, 0), 1.0)
-        if graded_norm(got - target, theta_grading, 0) > RANGE_TOL * scale:
-            raise ValueError("projection output leaves the analysis range "
-                             "at coefficient %d" % i)
-    for j in range(1, frame.truncation + 1):
-        e = GradedVector.canonical(j)
-        back = rule.apply(analyze(frame, e).coefficients)
-        if not back.allclose(e, LEFT_INVERSE_TOL):
-            raise ValueError("recovered operator is not a left inverse "
-                             "at coordinate %d" % j)
+    # range check: U V must reproduce P column by column
+    eye = sp.identity(m, format="csc")
+    target = prule.apply_columns(eye)
+    got = frame.coefficient_rows() @ rule.apply_columns(eye)
+    scale = np.maximum(_column_norms(target, theta_grading, 0), 1.0)
+    bad = np.flatnonzero(_column_norms(got - target, theta_grading, 0)
+                         > RANGE_TOL * scale)
+    if bad.size:
+        raise ValueError("projection output leaves the analysis range "
+                         "at coefficient %d" % (bad[0] + 1))
+    j = _left_inverse_failure(frame, rule)
+    if j is not None:
+        raise ValueError("recovered operator is not a left inverse "
+                         "at coordinate %d" % j)
     return SynthesisOp(rule, build_dual_from_V(rule),
                        _bound_table(rule, x_grading, theta_grading, plan))
 
@@ -687,22 +772,19 @@ def verify_equivalences(frame: FrameSystem, x_grading: WeightGrading,
 
     dual0 = build_dual_from_V(op0.rule)
     op1 = build_V_from_dual(dual0, x_grading, theta_grading, plan)
-    canonical_match = all(
-        op1.rule.apply(GradedVector.canonical(i)).allclose(
-            op0.rule.apply(GradedVector.canonical(i)), 1e-12)
-        for i in range(1, frame.functional_count + 1))
+    eye = sp.identity(frame.functional_count, format="csc")
+    canonical_match = not _mismatched_columns(op1.rule.apply_columns(eye),
+                                              op0.rule.apply_columns(eye),
+                                              1e-12).size
     if not canonical_match:
         notes.append("reconstruction rebuilt from the dual differs on canonicals")
 
     proj = projection_from_V(frame, op1, theta_grading)
     op2 = V_from_projection(frame, proj, x_grading, theta_grading, plan)
-    left_inverse_ok = True
-    for j in range(1, frame.truncation + 1):
-        e = GradedVector.canonical(j)
-        if not op2.rule.apply(analyze(frame, e).coefficients).allclose(e, LEFT_INVERSE_TOL):
-            left_inverse_ok = False
-            notes.append("final reconstruction fails left inversion at %d" % j)
-            break
+    j = _left_inverse_failure(frame, op2.rule)
+    left_inverse_ok = j is None
+    if not left_inverse_ok:
+        notes.append("final reconstruction fails left inversion at %d" % j)
 
     tables = (op0.bounds.consts, op1.bounds.consts, op2.bounds.consts)
     bounds_ok = True

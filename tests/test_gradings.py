@@ -113,6 +113,31 @@ class TestGradedVector:
         with pytest.raises(ValueError):
             a.values[0] = 2.0
 
+    def test_sorted_input_kept_as_given(self):
+        idx = np.array([2, 5, 9])
+        val = np.array([1.0, -2.0, 0.0 + 3j])
+        a = GradedVector(idx, val)
+        assert a.indices.tolist() == [2, 5, 9]
+        assert a.values.tolist() == [1.0, -2.0, 3j]
+        # the vector owns its arrays: the caller's stay writable and apart
+        idx[0] = 7
+        val[0] = 8.0
+        assert a.indices[0] == 2 and a.values[0] == 1.0
+
+    def test_unsorted_input_reordered(self):
+        a = GradedVector([9, 2, 5], [3.0, 1.0, -2.0])
+        assert a.indices.tolist() == [2, 5, 9]
+        assert a.values.tolist() == [1.0, -2.0, 3.0]
+        assert a == vec((2, 1.0), (5, -2.0), (9, 3.0))
+
+    def test_bad_coordinates_rejected_in_any_order(self):
+        for idx in ([3, 3], [2, 5, 2], [5, 2, 5]):
+            with pytest.raises(ValueError, match="duplicate coordinate"):
+                GradedVector(idx, [1.0] * len(idx))
+        for idx in ([0, 1], [2, 0], [-1]):
+            with pytest.raises(ValueError, match="coordinates are 1-based"):
+                GradedVector(idx, [1.0] * len(idx))
+
 
 class TestNorms:
     def test_graded_norm_pinned(self):
@@ -223,6 +248,51 @@ def graded_vectors(draw, max_index=64, max_size=10):
                         min_size=size, max_size=size, unique=True))
     vals = draw(st.lists(finite_floats, min_size=size, max_size=size))
     return GradedVector(idx, vals)
+
+
+def dense_allclose(a, b, tol):
+    """Reference: np.allclose on dense arrays up to the larger max index."""
+    n = max(a.max_index, b.max_index)
+    if n == 0:
+        return True
+    return bool(np.allclose(a.to_dense(n), b.to_dense(n), rtol=tol, atol=tol))
+
+
+@st.composite
+def nearby_pairs(draw):
+    """A vector and a relative with perturbed, dropped, added and zeroed
+    entries, so that supports overlap, differ and hold stored zeros."""
+    a = draw(graded_vectors(max_index=16, max_size=8))
+    pairs = {}
+    for j, v in zip(a.indices.tolist(), a.values.tolist()):
+        change = draw(st.sampled_from(("keep", "nudge", "drop", "zero")))
+        if change == "keep":
+            pairs[j] = v
+        elif change == "nudge":
+            pairs[j] = v + draw(st.sampled_from((1e-13, -2e-12, 1e-9, 5e-13j)))
+        elif change == "zero":
+            pairs[j] = 0.0
+    for j in draw(st.lists(st.integers(1, 16), max_size=3, unique=True)):
+        if j not in pairs:
+            pairs[j] = draw(st.sampled_from((0.0, 1e-13, 1.0)))
+    return a, GradedVector.from_pairs(pairs)
+
+
+class TestAllclose:
+    @settings(max_examples=300, deadline=None)
+    @given(nearby_pairs(), st.sampled_from((1e-12, 1e-10)))
+    def test_matches_dense_reference(self, pair, tol):
+        a, b = pair
+        assert a.allclose(b, tol) == dense_allclose(a, b, tol)
+        assert b.allclose(a, tol) == dense_allclose(b, a, tol)
+
+    def test_disjoint_supports_and_stored_zeros(self):
+        zero_at_9 = GradedVector([9], [0.0])
+        assert zero_at_9.allclose(GradedVector.zero())
+        assert vec((2, 1e-13)).allclose(vec((7, -1e-13)))
+        assert not vec((2, 1.0)).allclose(vec((7, 1.0)))
+        assert vec((3, 1.0)).allclose(vec((3, 1.0 + 1e-12)), 1e-12)
+        assert not vec((3, 0.0)).allclose(vec((3, 3e-12)), 1e-12)
 
 
 class TestNormProperties:

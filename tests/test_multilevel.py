@@ -85,6 +85,45 @@ def test_verify_strict_plan_fails_on_even_canonical():
     assert pos == 1  # the first even canonical vector
 
 
+def spiked_diag(n, j, value):
+    b = np.ones(n)
+    b[j - 1] = value
+    return DiagonalFrame(b)
+
+
+def test_verify_fails_plan_contradicted_by_optimal_upper_bound():
+    # no sample touches coordinate 50, so only the optimal bound sees it
+    x = WeightGrading("power", 4, 64)
+    theta = WeightGrading("power", 4, 64)
+    plan = IndexPlan.shifted(2, 0)
+    report = verify_pre_f_frame(spiked_diag(64, 50, 10.0), x, theta, plan,
+                                canonicals(8))
+    assert report.levels[0].optimal_upper == 10.0
+    assert report.levels[0].slack_upper == -9.0
+    assert not report.passed
+    assert report.first_violation == (0, 50, "upper_slack", 1.0, 10.0)
+
+
+def test_verify_fails_plan_contradicted_by_optimal_lower_bound():
+    x = WeightGrading("power", 4, 64)
+    theta = WeightGrading("power", 4, 64)
+    plan = IndexPlan.shifted(2, 0)
+    report = verify_pre_f_frame(spiked_diag(64, 50, 0.5), x, theta, plan,
+                                canonicals(8))
+    assert not report.passed
+    assert report.first_violation == (0, 50, "lower_slack", 1.0, 0.5)
+
+
+def test_verify_sample_violation_reported_before_slack():
+    x = WeightGrading("power", 4, 64)
+    theta = WeightGrading("power", 4, 64)
+    plan = IndexPlan.shifted(2, 0)
+    report = verify_pre_f_frame(spiked_diag(64, 5, 10.0), x, theta, plan,
+                                canonicals(8))
+    assert not report.passed
+    assert report.first_violation[:3] == (0, 4, "upper")
+
+
 def test_verify_identity_frame_trivial_plan():
     frame = DiagonalFrame(np.ones(8))
     x = WeightGrading("power", 6, 8)

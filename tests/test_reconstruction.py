@@ -177,9 +177,9 @@ def test_dual_from_even_selection_rule():
     frame = pair_block(3, 1)
     dual = build_dual_from_V(even_pick_rule(frame))
     assert len(dual) == 6
-    assert dual.vectors[0].trim().is_zero
-    assert dual.vectors[1] == GradedVector.canonical(1)
-    assert dual.vectors[3] == GradedVector.canonical(2, 1.0 / frame.b_pair[1])
+    assert dual[0].trim().is_zero
+    assert dual[1] == GradedVector.canonical(1)
+    assert dual[3] == GradedVector.canonical(2, 1.0 / frame.b_pair[1])
 
 
 def test_build_V_from_canonical_dual_is_identity_table():
@@ -187,7 +187,8 @@ def test_build_V_from_canonical_dual_is_identity_table():
     x = power_grading(4, n)
     theta = power_grading(4, n)
     plan = IndexPlan.shifted(3, 0)
-    dual = DualSystem(tuple(GradedVector.canonical(i) for i in range(1, n + 1)), n)
+    dual = DualSystem.from_vectors(
+        tuple(GradedVector.canonical(i) for i in range(1, n + 1)), n)
     op = build_V_from_dual(dual, x, theta, plan)
     assert op.rule.kind == "diagonal"
     assert op.bounds.consts == (1.0, 1.0, 1.0, 1.0)
@@ -198,7 +199,8 @@ def test_build_V_from_doubled_dual_doubles_bounds():
     x = power_grading(4, n)
     theta = power_grading(4, n)
     plan = IndexPlan.shifted(3, 0)
-    dual = DualSystem(tuple(GradedVector.canonical(i, 2.0) for i in range(1, n + 1)), n)
+    dual = DualSystem.from_vectors(
+        tuple(GradedVector.canonical(i, 2.0) for i in range(1, n + 1)), n)
     op = build_V_from_dual(dual, x, theta, plan)
     assert op.bounds.consts == (2.0, 2.0, 2.0, 2.0)
 
@@ -211,21 +213,22 @@ def test_build_V_detects_pair_structure():
     assert op.rule.kind == "pair_collapse"
     for i in range(1, 9):
         assert op.rule.apply(GradedVector.canonical(i)) \
-            .allclose(dual.vectors[i - 1], 1e-15)
+            .allclose(dual[i - 1], 1e-15)
 
 
 def test_build_V_falls_back_to_columns():
     n = 4
     vecs = [GradedVector.canonical(i) for i in range(1, n + 1)]
     vecs[0] = GradedVector.from_pairs({1: 1.0, 2: 0.5})
-    op = build_V_from_dual(DualSystem(tuple(vecs), n), power_grading(2, n),
-                           power_grading(2, n), IndexPlan.shifted(1, 0))
+    op = build_V_from_dual(DualSystem.from_vectors(tuple(vecs), n),
+                           power_grading(2, n), power_grading(2, n),
+                           IndexPlan.shifted(1, 0))
     assert op.rule.kind == "columns"
 
 
 def test_dual_vector_beyond_truncation_rejected():
     with pytest.raises(ValueError):
-        DualSystem((GradedVector.canonical(5),), 4)
+        DualSystem.from_vectors((GradedVector.canonical(5),), 4)
 
 
 def test_synthesize_prefix_bounds():
@@ -557,8 +560,8 @@ def test_equivalences_average_projection_recovers_equal_pair_dual():
     proj = ProjectionOp(SequenceOperator.pair_mix(0.5, 0.5, n), (1.0,), 0.0)
     op = V_from_projection(frame, proj, x, theta, plan)
     for j in range(1, n + 1):
-        odd = op.dual.vectors[2 * j - 2]
-        even = op.dual.vectors[2 * j - 1]
+        odd = op.dual[2 * j - 2]
+        even = op.dual[2 * j - 1]
         assert odd == even
         assert odd == GradedVector.canonical(j, 0.5 / frame.b_pair[j - 1])
     report = verify_equivalences(frame, x, theta, plan, "projection", proj)
@@ -571,7 +574,8 @@ def test_equivalences_from_dual_identity():
     x = power_grading(3, n)
     theta = power_grading(3, n)
     plan = IndexPlan.shifted(2, 0)
-    dual = DualSystem(tuple(GradedVector.canonical(i) for i in range(1, n + 1)), n)
+    dual = DualSystem.from_vectors(
+        tuple(GradedVector.canonical(i) for i in range(1, n + 1)), n)
     report = verify_equivalences(frame, x, theta, plan, "dual", dual)
     assert report.passed
     for table in report.bound_tables:

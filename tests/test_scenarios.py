@@ -303,3 +303,36 @@ def test_cli_ini_unknown_section(tmp_path, capsys):
     ini = tmp_path / "cfg.ini"
     ini.write_text("[plotting]\nenable = yes\n")
     assert main(["run", "exf1", "--config", str(ini)]) == 2
+
+
+def test_cli_ini_scenario_name_conflict_rejected(tmp_path, capsys):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[scenario]\nname = exf2\ntruncation = 32\n")
+    assert main(["run", "exf1", "--config", str(ini)]) == 2
+    assert "exf2" in capsys.readouterr().err
+
+
+def test_cli_ini_matching_scenario_name_accepted(tmp_path, capsys):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[scenario]\nname = runo\n")
+    assert main(["run", "runo", "--config", str(ini)]) == 0
+
+
+def test_cli_p_q_flags_override_ini(tmp_path, capsys):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[scenario]\nname = runo\np = 1.75\nq = 5.0\n")
+    out = tmp_path / "runo.json"
+    assert main(["run", "runo", "--config", str(ini), "--p", "1.25",
+                 "--out", str(out), "--format", "json"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["p"] == 1.25
+    assert doc["config"]["q"] == 5.0
+    assert main(["run", "runo", "--q", "2.5", "--out", str(out),
+                 "--format", "json"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["p"] == 1.5
+    assert doc["config"]["q"] == 2.5
+
+
+def test_cli_p_flag_out_of_range_exits_2(capsys):
+    assert main(["run", "runo", "--p", "2.5"]) == 2
