@@ -332,33 +332,3 @@ def pairing(functional: GradedVector, v: GradedVector) -> complex:
     b = v.values[np.searchsorted(v.indices, common)]
     prods = a * b
     return complex(math.fsum(prods.real.tolist()), math.fsum(prods.imag.tolist()))
-
-
-def truncation_constant(samples: Sequence[GradedVector], grading: WeightGrading,
-                        level: int) -> float:
-    """Largest prefix-to-full norm ratio over the samples and all cut points.
-
-    For weighted l2 norms every prefix norm is dominated by the full norm and
-    the cut at the last support index reproduces it exactly, so the result is
-    1 up to floating error.
-    """
-    if not samples:
-        raise ValueError("empty sample list")
-    worst = 0.0
-    for v in samples:
-        vt = v.trim()
-        if not vt.indices.size:
-            raise ValueError("zero vector in samples")
-        w = grading.weight_values(level, vt.indices)
-        terms = (np.abs(vt.values) * w) ** 2
-        partial = np.cumsum(terms)
-        total = partial[-1]
-        worst = max(worst, math.sqrt(float(np.max(partial) / total)))
-    return worst
-
-
-def seminorm_tail_profile(target: GradedVector, partials: Sequence[GradedVector],
-                          grading: WeightGrading, level: int) -> list:
-    """Norms ||target - partial|| at the given level, one per partial."""
-    grading._check_level(level)
-    return [graded_norm(target - p, grading, level) for p in partials]

@@ -1,16 +1,16 @@
 """Left inverses, dual systems, synthesis and projection operators.
 
 The analysis map U sends a coordinate vector to its frame coefficients.  A
-reconstruction operator V is a concrete left inverse of U at truncation,
-represented by a structured rule (diagonal or pair form) whenever possible
-and by a matrix otherwise.  From V the module derives the dual system
-f_i = V(e_i), the synthesis operator d -> sum d_i f_i with its per-level
-bound table, and the projection P = U V onto the coefficient range of U,
-and verifies the expansion identities with their tail bounds.
+reconstruction operator V is a concrete left inverse of U at truncation.
+Every operator here is one sparse numerator M with an optional row divisor d,
+out = (M @ x) / d.  From V the module derives the dual system f_i = V(e_i),
+the synthesis operator d -> sum d_i f_i with its per-level bound table, and
+the projection P = U V onto the coefficient range of U, and verifies the
+expansion identities with their tail bounds.
 
-Structured rules apply a multiply-then-divide step per coordinate.  The
-division is deliberate: for dyadic data and integer weights the quotient is
-exact in floating point, which makes prefix reconstruction residuals reach
+A rule with a divisor sums its products first and divides once per output.
+The division is deliberate: for dyadic data and integer weights the quotient
+is exact in floating point, which makes prefix reconstruction residuals reach
 zero exactly once the support is exhausted.
 """
 
@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .frames import (
-    BlockFrame,
     DENSE_LIMIT,
-    DiagonalFrame,
     FrameFormError,
     FrameSystem,
     analyze,
@@ -48,17 +47,6 @@ RANGE_TOL = 1e-9
 IDEMPOTENCE_TOL = 1e-12
 BOUND_MATCH_TOL = 1e-9
 
-_KINDS = ("identity", "zero", "diagonal", "pair_collapse", "pair_mix",
-          "columns", "dense")
-
-
-def _vec(x, n, name):
-    out = np.asarray(x, dtype=float).copy()
-    if out.shape != (n,):
-        raise ValueError("%s must have length %d" % (name, n))
-    out.setflags(write=False)
-    return out
-
 
 def _exact_div(values: np.ndarray, div) -> np.ndarray:
     # numpy routes complex-by-real division through the complex kernel,
@@ -68,141 +56,156 @@ def _exact_div(values: np.ndarray, div) -> np.ndarray:
     return values.real / div + 1j * (values.imag / div)
 
 
+def _pattern(rows, cols, vals, shape) -> sp.csr_matrix:
+    """CSR matrix holding vals at (rows, cols), zeros included; rows sorted."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sp.csr_matrix((np.asarray(vals, dtype=float), cols, indptr), shape=shape)
+
+
+def _gather(mat, v: GradedVector, out_div, in_div) -> GradedVector:
+    """Apply a compressed matrix to v: slice j of mat lists the outputs input
+    j reaches; every product is divided by in_div of its input, the products
+    are summed per output in input order, and each sum is divided by out_div."""
+    dim = mat.indptr.size - 1
+    if v.max_index > dim:
+        raise ValueError("input support %d exceeds dimension %d" % (v.max_index, dim))
+    pos = v.indices - 1
+    lo = mat.indptr[pos]
+    counts = mat.indptr[pos + 1] - lo
+    total = int(counts.sum())
+    take = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)
+    out = mat.indices[take]
+    prods = np.repeat(v.values, counts) * mat.data[take]
+    if in_div is not None:
+        prods = _exact_div(prods, np.repeat(in_div[pos], counts))
+    if total > 1 and not np.all(out[1:] > out[:-1]):
+        out, inverse = np.unique(out, return_inverse=True)
+        prods = (np.bincount(inverse, prods.real)
+                 + 1j * np.bincount(inverse, prods.imag))
+    if out_div is not None:
+        prods = _exact_div(prods, out_div[out])
+    return GradedVector(out + 1, prods)
+
+
 @dataclass(frozen=True, eq=False)
 class SequenceOperator:
-    """Linear map between truncated coordinate spaces with structured forms.
+    """Linear map out = (M @ x) / d between truncated coordinate spaces.
 
-    diagonal:      out_j = in_j * mult_j / div_j            (n -> n)
-    pair_collapse: out_j = (a_j in_{2j-1} + c_j in_{2j})/div_j   (2n -> n)
-    pair_mix:      out_{2j-1} = out_{2j} = a_j in_{2j-1} + c_j in_{2j}
-    columns:       explicit column list (sparse), dense: explicit matrix.
+    The numerator M is a sparse out x in matrix; its stored pattern, zeros
+    included, decides which outputs an input reaches.  The row divisor d
+    marks a division-structured rule with exact zero residuals; a
+    matrix-backed map whose entries are already rounded values has none.
     """
 
-    kind: str
-    in_dim: int
-    out_dim: int
-    mult: Optional[np.ndarray] = None
-    div: Optional[np.ndarray] = None
-    co_odd: Optional[np.ndarray] = None
-    co_even: Optional[np.ndarray] = None
-    matrix: Optional[object] = None
+    numerator: sp.csr_matrix
+    divisor: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError("unknown operator kind %r" % (self.kind,))
-        if self.in_dim < 1 or self.out_dim < 1:
+        num = sp.csr_matrix(self.numerator, copy=True)
+        num.sum_duplicates()
+        if 0 in num.shape:
             raise ValueError("dimensions must be positive")
-        if self.div is not None and np.any(np.asarray(self.div) == 0):
-            raise ValueError("zero divisor")
+        d = self.divisor
+        if d is not None:
+            d = np.array(d, dtype=float)
+            if d.shape != (num.shape[0],):
+                raise ValueError("divisor must have length %d" % num.shape[0])
+            if np.any(d == 0):
+                raise ValueError("zero divisor")
+            d.setflags(write=False)
+        for arr in (num.data, num.indices, num.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "divisor", d)
+
+    @cached_property
+    def _csc(self) -> sp.csc_matrix:
+        """Column slices for apply()."""
+        return self.numerator.tocsc()
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Row of every stored entry."""
+        num = self.numerator
+        return np.repeat(np.arange(num.shape[0]), np.diff(num.indptr))
+
+    @cached_property
+    def _values(self) -> sp.csr_matrix:
+        """Entries of the operator: the numerator with every row divided."""
+        num = self.numerator
+        data = num.data if self.divisor is None else num.data / self.divisor[self._rows]
+        return sp.csr_matrix((data, num.indices, num.indptr), shape=num.shape)
+
+    @cached_property
+    def _orthogonal_rows(self) -> Optional[np.ndarray]:
+        """Start of every nonempty row when no input feeds two outputs, so
+        that the rows are orthogonal; None otherwise."""
+        num = self.numerator
+        if np.any(np.bincount(num.indices, minlength=self.in_dim) > 1):
+            return None
+        return num.indptr[:-1][np.diff(num.indptr) > 0]
+
+    @property
+    def in_dim(self) -> int:
+        return self.numerator.shape[1]
+
+    @property
+    def out_dim(self) -> int:
+        return self.numerator.shape[0]
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "SequenceOperator":
-        return SequenceOperator("identity", n, n)
+        return SequenceOperator(sp.identity(n, format="csr"), np.ones(n))
 
     @staticmethod
     def zero_map(in_dim: int, out_dim: int) -> "SequenceOperator":
-        return SequenceOperator("zero", in_dim, out_dim)
+        return SequenceOperator(sp.csr_matrix((out_dim, in_dim)), np.ones(out_dim))
 
     @staticmethod
     def diagonal(mult, div) -> "SequenceOperator":
-        m = np.atleast_1d(np.asarray(mult, dtype=float))
-        d = np.atleast_1d(np.asarray(div, dtype=float))
-        n = max(m.size, d.size)
-        if m.size == 1:
-            m = np.full(n, m[0])
-        if d.size == 1:
-            d = np.full(n, d[0])
-        return SequenceOperator("diagonal", n, n,
-                                mult=_vec(m, n, "mult"), div=_vec(d, n, "div"))
+        """out_j = in_j * mult_j / div_j."""
+        n = max(np.size(mult), np.size(div))
+        m = np.broadcast_to(np.asarray(mult, dtype=float), (n,))
+        d = np.broadcast_to(np.asarray(div, dtype=float), (n,))
+        return SequenceOperator(_pattern(np.arange(n), np.arange(n), m, (n, n)), d)
 
     @staticmethod
     def pair_collapse(co_odd, co_even, div) -> "SequenceOperator":
+        """out_j = (co_odd_j in_{2j-1} + co_even_j in_{2j}) / div_j."""
         d = np.asarray(div, dtype=float)
         n = d.size
         o = np.broadcast_to(np.asarray(co_odd, dtype=float), (n,))
         e = np.broadcast_to(np.asarray(co_even, dtype=float), (n,))
-        return SequenceOperator("pair_collapse", 2 * n, n,
-                                co_odd=_vec(o, n, "co_odd"),
-                                co_even=_vec(e, n, "co_even"),
-                                div=_vec(d, n, "div"))
+        return SequenceOperator(
+            _pattern(np.repeat(np.arange(n), 2), np.arange(2 * n),
+                     np.stack([o, e], axis=1).ravel(), (n, 2 * n)), d)
 
     @staticmethod
     def pair_mix(co_odd, co_even, pairs: int) -> "SequenceOperator":
-        o = np.broadcast_to(np.asarray(co_odd, dtype=float), (pairs,))
-        e = np.broadcast_to(np.asarray(co_even, dtype=float), (pairs,))
-        return SequenceOperator("pair_mix", 2 * pairs, 2 * pairs,
-                                co_odd=_vec(o, pairs, "co_odd"),
-                                co_even=_vec(e, pairs, "co_even"))
+        """out_{2j-1} = out_{2j} = co_odd_j in_{2j-1} + co_even_j in_{2j}."""
+        collapse = SequenceOperator.pair_collapse(co_odd, co_even, np.ones(pairs))
+        return SequenceOperator(collapse.numerator[np.repeat(np.arange(pairs), 2)],
+                                np.ones(2 * pairs))
 
     @staticmethod
     def from_columns(vectors: Sequence[GradedVector], out_dim: int) -> "SequenceOperator":
-        mat = _stack_columns(vectors, out_dim, "column %d exceeds output dimension")
-        return SequenceOperator("columns", len(vectors), out_dim, matrix=mat.tocsr())
+        return SequenceOperator(_stack_columns(vectors, out_dim,
+                                               "column %d exceeds output dimension"))
 
     @staticmethod
     def dense(matrix) -> "SequenceOperator":
-        m = np.asarray(matrix, dtype=float).copy()
+        m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or 0 in m.shape:
             raise ValueError("matrix must be 2-d and nonempty")
-        m.setflags(write=False)
-        return SequenceOperator("dense", m.shape[1], m.shape[0], matrix=m)
+        rows, cols = np.indices(m.shape)
+        return SequenceOperator(_pattern(rows.ravel(), cols.ravel(), m.ravel(), m.shape))
 
     # -- application -------------------------------------------------------
 
     def apply(self, v: GradedVector) -> GradedVector:
-        if v.max_index > self.in_dim:
-            raise ValueError("input support %d exceeds dimension %d"
-                             % (v.max_index, self.in_dim))
-        if self.kind == "identity":
-            return v
-        if self.kind == "zero":
-            return GradedVector.zero()
-        if not v.indices.size:
-            return GradedVector.zero()
-        if self.kind == "diagonal":
-            idx = v.indices
-            return GradedVector(idx, _exact_div(v.values * self.mult[idx - 1],
-                                                self.div[idx - 1]))
-        if self.kind == "pair_collapse":
-            return self._collapse(v, self.div)
-        if self.kind == "pair_mix":
-            combined = self._collapse(v, None)
-            out_idx = np.empty(2 * combined.indices.size, dtype=np.int64)
-            out_idx[0::2] = 2 * combined.indices - 1
-            out_idx[1::2] = 2 * combined.indices
-            return GradedVector(out_idx, np.repeat(combined.values, 2))
-        if self.kind == "columns":
-            out = self.matrix @ v.to_dense(self.in_dim)
-            return GradedVector.from_dense(out)
-        out = self.matrix.astype(np.complex128) @ v.to_dense(self.in_dim)
-        return GradedVector.from_dense(out)
-
-    def _numerator(self):
-        """Sparse numerator M and row divisor d (None for 1) of out = (M @ x) / d."""
-        if self.kind == "identity":
-            return sp.identity(self.in_dim, format="csr"), None
-        if self.kind == "zero":
-            return sp.csr_matrix((self.out_dim, self.in_dim)), None
-        if self.kind == "diagonal":
-            return sp.diags(self.mult, format="csr"), self.div
-        if self.kind in ("pair_collapse", "pair_mix"):
-            pairs = self.co_odd.size
-            block = np.stack([self.co_odd, self.co_even], axis=1)
-            if self.kind == "pair_collapse":
-                rows = np.repeat(np.arange(pairs), 2)
-                cols = np.arange(2 * pairs)
-                vals = block.ravel()
-                return sp.csr_matrix((vals, (rows, cols)),
-                                     shape=(pairs, 2 * pairs)), self.div
-            # both rows of pair j hold (a_j, c_j) on the columns of pair j
-            rows = np.repeat(np.arange(2 * pairs), 2)
-            cols = 2 * (rows // 2) + np.tile([0, 1], 2 * pairs)
-            vals = np.repeat(block, 2, axis=0).ravel()
-            return sp.csr_matrix((vals, (rows, cols)),
-                                 shape=(2 * pairs, 2 * pairs)), None
-        return sp.csr_matrix(self.matrix), None
+        return _gather(self._csc, v, self.divisor, None)
 
     def apply_columns(self, x) -> sp.csc_matrix:
         """Apply to every column of a sparse matrix at once.
@@ -223,57 +226,16 @@ class SequenceOperator:
         if x.shape[0] != self.in_dim:
             x = sp.csc_matrix((x.data, x.indices, x.indptr),
                               shape=(self.in_dim, x.shape[1]))
-        num, div = self._numerator()
-        out = sp.csc_matrix(num @ x, dtype=np.complex128)
+        out = sp.csc_matrix(self.numerator @ x, dtype=np.complex128)
         out.sort_indices()
-        if div is not None:
-            out.data = _exact_div(out.data, div[out.indices])
+        if self.divisor is not None:
+            out.data = _exact_div(out.data, self.divisor[out.indices])
         return out
 
-    def _collapse(self, v: GradedVector, div) -> GradedVector:
-        pair = (v.indices + 1) // 2
-        coeff = np.where(v.indices % 2 == 1,
-                         self.co_odd[pair - 1], self.co_even[pair - 1])
-        uniq, inverse = np.unique(pair, return_inverse=True)
-        vals = np.zeros(uniq.size, dtype=np.complex128)
-        np.add.at(vals, inverse, v.values * coeff)
-        if div is not None:
-            vals = _exact_div(vals, div[uniq - 1])
-        return GradedVector(uniq, vals)
-
     def transpose_apply(self, g: GradedVector) -> GradedVector:
-        """Apply the transpose; used for coefficient functionals."""
-        if g.max_index > self.out_dim:
-            raise ValueError("input support %d exceeds dimension %d"
-                             % (g.max_index, self.out_dim))
-        if self.kind == "identity":
-            return g
-        if self.kind == "zero":
-            return GradedVector.zero()
-        if not g.indices.size:
-            return GradedVector.zero()
-        if self.kind == "diagonal":
-            idx = g.indices
-            return GradedVector(idx, _exact_div(g.values * self.mult[idx - 1],
-                                                self.div[idx - 1]))
-        if self.kind == "pair_collapse":
-            idx = g.indices
-            out_idx = np.empty(2 * idx.size, dtype=np.int64)
-            out_idx[0::2] = 2 * idx - 1
-            out_idx[1::2] = 2 * idx
-            out_val = np.empty(2 * idx.size, dtype=np.complex128)
-            out_val[0::2] = _exact_div(g.values * self.co_odd[idx - 1],
-                                       self.div[idx - 1])
-            out_val[1::2] = _exact_div(g.values * self.co_even[idx - 1],
-                                       self.div[idx - 1])
-            return GradedVector(out_idx, out_val)
-        if self.kind == "columns":
-            out = self.matrix.T @ g.to_dense(self.out_dim)
-            return GradedVector.from_dense(out)
-        if self.kind == "dense":
-            out = self.matrix.T.astype(np.complex128) @ g.to_dense(self.out_dim)
-            return GradedVector.from_dense(out)
-        raise ValueError("transpose not available for kind %r" % (self.kind,))
+        """Apply the transpose, (M_ij g_i) / d_i entry by entry, for
+        coefficient functionals."""
+        return _gather(self.numerator, g, None, self.divisor)
 
     # -- norms ---------------------------------------------------------------
 
@@ -283,26 +245,16 @@ class SequenceOperator:
         iw = np.asarray(in_weights, dtype=float)
         if ow.size < self.out_dim or iw.size < self.in_dim:
             raise ValueError("weight tables shorter than the operator dimensions")
-        ow = ow[:self.out_dim]
-        iw = iw[:self.in_dim]
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "identity":
-            return float(np.max(ow / iw))
-        if self.kind == "diagonal":
-            return float(np.max(np.abs(self.mult) / self.div * ow / iw))
-        if self.kind == "pair_collapse":
-            rows = (ow / self.div) * np.hypot(self.co_odd / iw[0::2],
-                                              self.co_even / iw[1::2])
-            return float(np.max(rows))
-        if self.kind == "pair_mix":
-            blocks = np.hypot(ow[0::2], ow[1::2]) * np.hypot(
-                self.co_odd / iw[0::2], self.co_even / iw[1::2])
-            return float(np.max(blocks))
+        ow, iw = ow[:self.out_dim], iw[:self.in_dim]
+        starts = self._orthogonal_rows
+        if starts is not None:
+            # orthogonal rows: the norm is the largest weighted row norm
+            cols = self.numerator.indices
+            terms = (np.abs(self._values.data) * ow[self._rows]) / iw[cols]
+            return float(np.max(np.hypot.reduceat(terms, starts), initial=0.0))
         if max(self.in_dim, self.out_dim) > DENSE_LIMIT:
             raise ValueError("operator too large for dense norm computation")
-        mat = self.matrix.toarray() if sp.issparse(self.matrix) else self.matrix
-        weighted = (ow[:, None] * mat) / iw[None, :]
+        weighted = (ow[:, None] * self._values.toarray()) / iw[None, :]
         return float(np.linalg.svd(weighted, compute_uv=False)[0])
 
 
@@ -385,20 +337,16 @@ def _detect_rule(dual: DualSystem) -> SequenceOperator:
     mat = dual.matrix.copy()
     mat.eliminate_zeros()
     counts = np.diff(mat.indptr)
-    if np.all(counts <= 1) and np.all(mat.data.imag == 0):
+    if m in (n, 2 * n) and np.all(counts <= 1) and np.all(mat.data.imag == 0):
         # one entry per nonempty column, so rows and cols align entrywise
+        owner = np.arange(m) // (m // n)
         cols = np.flatnonzero(counts)
-        rows = mat.indices
-        if m == n and np.array_equal(rows, cols):
-            diag = np.zeros(n)
-            diag[cols] = mat.data.real
-            return SequenceOperator.diagonal(diag, np.ones(n))
-        if m == 2 * n and np.array_equal(rows, cols // 2):
+        if np.array_equal(mat.indices, owner[cols]):
             coeff = np.zeros(m)
             coeff[cols] = mat.data.real
-            return SequenceOperator.pair_collapse(coeff[0::2], coeff[1::2],
-                                                  np.ones(n))
-    return SequenceOperator("columns", m, n, matrix=dual.matrix.tocsr())
+            return SequenceOperator(_pattern(owner, np.arange(m), coeff, (n, m)),
+                                    np.ones(n))
+    return SequenceOperator(dual.matrix)
 
 
 def _bound_table(rule: SequenceOperator, x_grading: WeightGrading,
@@ -494,17 +442,22 @@ def _column_norms(mat, grading: WeightGrading, level: int) -> np.ndarray:
 
 
 def _idempotence_defect(rule: SequenceOperator) -> float:
-    if rule.kind in ("identity", "zero"):
-        return 0.0
-    if rule.kind == "diagonal":
-        p = rule.mult / rule.div
-        return float(np.max(np.abs(p * p - p)))
-    if rule.kind == "pair_mix":
-        drift = np.abs(rule.co_odd + rule.co_even - 1.0)
-        return float(np.max(np.maximum(np.abs(rule.co_odd), np.abs(rule.co_even))
-                            * drift))
-    mat = rule.matrix.toarray() if sp.issparse(rule.matrix) else rule.matrix
-    return float(np.max(np.abs(mat @ mat - mat)))
+    p = rule._values
+    drift = p @ p - p
+    return float(np.max(np.abs(drift.data))) if drift.nnz else 0.0
+
+
+def _coordinate_reads(frame: FrameSystem):
+    """(coordinate each functional reads, weight of each coordinate) when
+    every functional reads one coordinate with a weight that depends on the
+    coordinate only, as in the diagonal and block forms; None otherwise."""
+    u = frame.coefficient_rows()
+    weight = np.zeros(u.shape[1], dtype=u.dtype)
+    weight[u.indices] = u.data
+    if (np.all(np.diff(u.indptr) == 1) and np.all(weight[u.indices] == u.data)
+            and np.all(weight != 0)):
+        return u.indices, weight
+    return None
 
 
 def projection_from_V(frame: FrameSystem, op: SynthesisOp,
@@ -515,33 +468,56 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
     map on canonical vectors.
     """
     rule = op.rule
+    m, n = frame.functional_count, frame.truncation
+    if (rule.in_dim, rule.out_dim) != (m, n):
+        raise ValueError("reconstruction maps %d coefficients to %d coordinates, "
+                         "the frame has %d functionals on %d coordinates"
+                         % (rule.in_dim, rule.out_dim, m, n))
     j = _left_inverse_failure(frame, rule)
     if j is not None:
         raise ValueError("reconstruction is not a left inverse at coordinate %d" % j)
-    m = frame.functional_count
-    if isinstance(frame, DiagonalFrame) and rule.kind == "diagonal":
-        p = (frame.b * rule.mult) / rule.div
-        if np.all(p == 1.0):
-            prule = SequenceOperator.identity(m)
-        else:
-            prule = SequenceOperator.diagonal(p, np.ones(m))
-    elif isinstance(frame, BlockFrame) and rule.kind == "pair_collapse":
-        a = (frame.b_pair * rule.co_odd) / rule.div
-        c = (frame.b_pair * rule.co_even) / rule.div
-        prule = SequenceOperator.pair_mix(a, c, frame.truncation)
-    elif rule.kind == "zero":
-        prule = SequenceOperator.zero_map(m, m)
+    reads = _coordinate_reads(frame)
+    weights = [theta_grading.weights(k)[:m] for k in range(theta_grading.levels + 1)]
+    if reads is not None and rule.divisor is not None:
+        # every functional reading coordinate j sees the row (b_j M_j) / d_j
+        # of P = U V; the norm of P is that of one row per coordinate with
+        # the hypot of the readers' weights as its output weight
+        coord, b = reads
+        once = rule.numerator.copy()
+        once.data = (b[rule._rows] * once.data) / rule.divisor[rule._rows]
+        prule = SequenceOperator(once[coord], np.ones(m))
+        norm_rule = SequenceOperator(once, np.ones(n))
+        order = np.argsort(coord, kind="stable")
+        starts = np.searchsorted(coord[order], np.arange(n))
+        out_weights = [np.hypot.reduceat(w[order], starts) for w in weights]
     else:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large to compose a dense projection")
         g = frame.dense_matrix()
         vmat = rule.apply_columns(sp.identity(m, format="csc")).toarray().real
-        prule = SequenceOperator.dense(g @ vmat)
-    levels = theta_grading.levels
-    continuity = tuple(
-        prule.weighted_norm(theta_grading.weights(k), theta_grading.weights(k))
-        for k in range(levels + 1))
+        prule = norm_rule = SequenceOperator.dense(g @ vmat)
+        out_weights = weights
+    continuity = tuple(norm_rule.weighted_norm(o, w)
+                       for o, w in zip(out_weights, weights))
     return ProjectionOp(prule, continuity, _idempotence_defect(prule))
+
+
+def _rows_per_coordinate(prule: SequenceOperator, reads,
+                         n: int) -> Optional[sp.csr_matrix]:
+    """Row j of P when every functional reading coordinate j sees that same
+    row, supported on the functionals reading j; None otherwise."""
+    if reads is None or prule.divisor is None or prule.in_dim != reads[0].size:
+        return None
+    coord = reads[0]
+    p = prule._values
+    reader = np.empty(n, dtype=np.int64)
+    reader[coord] = np.arange(coord.size)
+    once = p[reader]
+    seen = once[coord]
+    same = all(np.array_equal(getattr(seen, a), getattr(p, a))
+               for a in ("indptr", "indices", "data"))
+    own = np.all(coord[once.indices] == np.repeat(np.arange(n), np.diff(once.indptr)))
+    return once if same and own else None
 
 
 def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
@@ -555,26 +531,15 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
     """
     prule = proj.rule
     m = frame.functional_count
-    if isinstance(frame, DiagonalFrame) and prule.kind in ("identity", "diagonal", "zero"):
-        if prule.kind == "identity":
-            rule = SequenceOperator.diagonal(np.ones(m), frame.b)
-        elif prule.kind == "zero":
-            rule = SequenceOperator.diagonal(np.zeros(m), frame.b)
-        else:
-            rule = SequenceOperator.diagonal(prule.mult / prule.div, frame.b)
-    elif isinstance(frame, BlockFrame) and prule.kind in ("pair_mix", "zero"):
-        n = frame.truncation
-        if prule.kind == "zero":
-            rule = SequenceOperator.pair_collapse(np.zeros(n), np.zeros(n), frame.b_pair)
-        else:
-            rule = SequenceOperator.pair_collapse(prule.co_odd, prule.co_even,
-                                                  frame.b_pair)
+    reads = _coordinate_reads(frame)
+    rows = _rows_per_coordinate(prule, reads, frame.truncation)
+    if rows is not None:
+        rule = SequenceOperator(rows, reads[1])
     else:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large for a dense solve")
         g = frame.dense_matrix()
-        pmat = prule.matrix if prule.kind == "dense" else \
-            prule.apply_columns(sp.identity(m, format="csc")).toarray().real
+        pmat = prule.apply_columns(sp.identity(m, format="csc")).toarray().real
         vmat, *_ = np.linalg.lstsq(g, pmat, rcond=None)
         resid = g @ vmat - pmat
         scale = max(float(np.linalg.norm(pmat)), 1.0)
@@ -633,6 +598,18 @@ def _default_grid(support: int, limit: int) -> tuple:
     return tuple(range(0, min(support + 8, limit) + 1))
 
 
+def _expansion_row(pos: int, level: int, grid: tuple, profile: tuple,
+                   bounds: tuple, support: int, floor: float) -> ExpansionRow:
+    """Judge one tail profile: within its bounds everywhere, and at most
+    floor from the first grid point covering the support on."""
+    ok = all(r <= max(b * (1 + 1e-12), floor) for r, b in zip(profile, bounds))
+    zero_from = next((n for n, r in zip(grid, profile)
+                      if n >= support and r <= floor), None)
+    tail_ok = all(r <= floor for n, r in zip(grid, profile) if n >= support)
+    ok = ok and tail_ok and (zero_from is not None or support > max(grid))
+    return ExpansionRow(pos, level, grid, profile, bounds, support, zero_from, ok)
+
+
 def verify_expansion(frame: FrameSystem, op: SynthesisOp,
                      x_grading: WeightGrading, theta_grading: WeightGrading,
                      plan: IndexPlan, samples: Sequence[GradedVector],
@@ -646,37 +623,24 @@ def verify_expansion(frame: FrameSystem, op: SynthesisOp,
     division-structured rules, within a relative floor for matrix-backed
     ones whose solves round.
     """
-    exact = op.rule.kind not in ("columns", "dense")
+    exact = op.rule.divisor is not None
     rows = []
-    passed = True
     for pos, f in enumerate(samples):
         coeff = analyze(frame, f).coefficients
         support = coeff.trim().max_index
         grid = tuple(n_grid) if n_grid is not None \
             else _default_grid(support, op.rule.in_dim)
-        partials = [synthesize(op, coeff, n) for n in grid]
+        residuals = [f - synthesize(op, coeff, n) for n in grid]
+        tails = [coeff.tail(n) for n in grid]
         for k in range(plan.budget + 1):
             s_k = plan.lower_levels[k]
             b_k = plan.upper_consts[k]
             floor = 0.0 if exact \
                 else 1e-12 * max(graded_norm(f, x_grading, s_k), 1.0)
-            profile = tuple(graded_norm(f - p, x_grading, s_k) for p in partials)
-            bounds = tuple(b_k * graded_norm(coeff.tail(n), theta_grading, k)
-                           for n in grid)
-            ok = all(r <= max(b * (1 + 1e-12), floor)
-                     for r, b in zip(profile, bounds))
-            zero_from = None
-            for n, r in zip(grid, profile):
-                if n >= support and r <= floor:
-                    zero_from = n
-                    break
-            tail_ok = all(r <= floor for n, r in zip(grid, profile)
-                          if n >= support)
-            ok = ok and tail_ok and (zero_from is not None or support > max(grid))
-            passed = passed and ok
-            rows.append(ExpansionRow(pos, k, grid, profile, bounds,
-                                     support, zero_from, ok))
-    return ExpansionReport(passed, tuple(rows))
+            profile = tuple(graded_norm(r, x_grading, s_k) for r in residuals)
+            bounds = tuple(b_k * graded_norm(t, theta_grading, k) for t in tails)
+            rows.append(_expansion_row(pos, k, grid, profile, bounds, support, floor))
+    return ExpansionReport(all(r.ok for r in rows), tuple(rows))
 
 
 def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
@@ -699,40 +663,24 @@ def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
         except FrameFormError:
             tilde.append(frame_bounds_numeric(frame, theta_grading, k,
                                               x_grading, t_k, t_k).upper)
-    exact = op.rule.kind not in ("columns", "dense")
+    exact = op.rule.divisor is not None
     rows = []
-    passed = True
     for pos, g in enumerate(dual_samples):
         c = op.rule.transpose_apply(g)
         support = c.trim().max_index
         grid = tuple(n_grid) if n_grid is not None \
             else _default_grid(support, frame.functional_count)
+        residuals = [g - coanalyze(frame, c.prefix(n)) for n in grid]
+        tails = [c.tail(n) for n in grid]
         for k in range(plan.budget + 1):
             t_k = plan.upper_levels[k]
             floor = 0.0 if exact \
                 else 1e-12 * max(dual_norm(g, x_grading.dual(), t_k), 1.0)
-            profile = []
-            bounds = []
-            for n in grid:
-                partial = coanalyze(frame, c.prefix(n))
-                profile.append(dual_norm(g - partial, x_grading.dual(), t_k))
-                bounds.append(tilde[k] * dual_norm(c.tail(n), theta_grading.dual(), k))
-            profile = tuple(profile)
-            bounds = tuple(bounds)
-            ok = all(r <= max(b * (1 + 1e-12), floor)
-                     for r, b in zip(profile, bounds))
-            zero_from = None
-            for n, r in zip(grid, profile):
-                if n >= support and r <= floor:
-                    zero_from = n
-                    break
-            tail_ok = all(r <= floor for n, r in zip(grid, profile)
-                          if n >= support)
-            ok = ok and tail_ok and (zero_from is not None or support > max(grid))
-            passed = passed and ok
-            rows.append(ExpansionRow(pos, k, grid, profile, bounds,
-                                     support, zero_from, ok))
-    return ExpansionReport(passed, tuple(rows))
+            profile = tuple(dual_norm(r, x_grading.dual(), t_k) for r in residuals)
+            bounds = tuple(tilde[k] * dual_norm(t, theta_grading.dual(), k)
+                           for t in tails)
+            rows.append(_expansion_row(pos, k, grid, profile, bounds, support, floor))
+    return ExpansionReport(all(r.ok for r in rows), tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from gradedframes.gradings import (
     graded_norm,
     lp_norm,
     pairing,
-    seminorm_tail_profile,
-    truncation_constant,
 )
 
 POWER = WeightGrading("power", levels=12, truncation=64)
@@ -171,37 +169,11 @@ class TestNorms:
         assert dual_norm(GradedVector.zero(), DualWeighting(POWER), 3) == 0.0
 
 
-class TestTruncationConstant:
-    def test_single_sample_ratio(self):
-        # cut after coordinate 1 of e1+e2 at level 0 gives ratio 1/sqrt(2),
-        # the full cut restores 1, so the constant is exactly 1
-        f = vec((1, 1.0), (2, 1.0))
-        lam = truncation_constant([f], POWER, 0)
-        assert lam == 1.0
-
-    def test_many_samples_stay_at_one(self):
-        rng = np.random.default_rng(7)
-        samples = []
-        for _ in range(50):
-            size = rng.integers(1, 12)
-            idx = rng.choice(np.arange(1, 64), size=size, replace=False)
-            samples.append(GradedVector(idx, rng.normal(size=size)))
-        for level in (0, 2, 5):
-            lam = truncation_constant(samples, POWER, level)
-            assert abs(lam - 1.0) <= 1e-12
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            truncation_constant([], POWER, 0)
-        with pytest.raises(ValueError):
-            truncation_constant([GradedVector.zero()], POWER, 0)
-
-
 class TestTailProfile:
     def test_prefix_sum_profile_pinned(self):
         target = vec((1, 1.0), (2, 1.0))
         partials = [GradedVector.zero(), target.prefix(1), target.prefix(2)]
-        prof = seminorm_tail_profile(target, partials, POWER, 1)
+        prof = [graded_norm(target - p, POWER, 1) for p in partials]
         assert prof[0] == pytest.approx(math.sqrt(5), abs=1e-15)
         assert prof[1] == pytest.approx(2.0, abs=1e-15)
         assert prof[2] == 0.0
@@ -211,7 +183,7 @@ class TestTailProfile:
         idx = np.sort(rng.choice(np.arange(1, 40), size=9, replace=False))
         target = GradedVector(idx, rng.normal(size=9))
         partials = [target.prefix(n) for n in range(0, 45)]
-        prof = seminorm_tail_profile(target, partials, POWER, 2)
+        prof = [graded_norm(target - p, POWER, 2) for p in partials]
         assert all(p == 0.0 for p in prof[target.max_index:])
         assert all(p > 0.0 for p in prof[:int(idx[-2]) + 1])
 

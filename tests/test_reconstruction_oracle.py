@@ -3,7 +3,8 @@
 The reference functions below apply operators one canonical vector at a
 time, as the checks were first written.  Every matrix-based routine must give
 the same values bit for bit, the same verdicts and notes, and the same error
-messages, for every operator kind and every frame form at a small size.
+messages, for operators from every constructor and every frame form at a
+small size.
 """
 
 import numpy as np
@@ -96,65 +97,98 @@ def ref_V_from_dual(vectors, n, x, theta, plan):
                        _bound_table(rule, x, theta, plan))
 
 
+def ref_reads(frame):
+    """Coordinate each functional reads and the weight of each coordinate,
+    for the diagonal and block forms; None for any other frame."""
+    if isinstance(frame, DiagonalFrame):
+        return np.arange(frame.truncation), frame.b
+    if isinstance(frame, BlockFrame):
+        return np.repeat(np.arange(frame.truncation), 2), frame.b_pair
+    return None
+
+
+def ref_images(rule):
+    """Canonical images of a rule as dense values and as a stored pattern."""
+    values = np.zeros((rule.out_dim, rule.in_dim), dtype=complex)
+    pattern = np.zeros((rule.out_dim, rule.in_dim), dtype=bool)
+    for i in range(1, rule.in_dim + 1):
+        col = rule.apply(GradedVector.canonical(i))
+        values[col.indices - 1, i - 1] = col.values
+        pattern[col.indices - 1, i - 1] = True
+    return values, pattern
+
+
 def ref_projection_from_V(frame, op, theta):
     rule = op.rule
-    for j in range(1, frame.truncation + 1):
+    m, n = frame.functional_count, frame.truncation
+    if (rule.in_dim, rule.out_dim) != (m, n):
+        raise ValueError("reconstruction maps %d coefficients to %d coordinates, "
+                         "the frame has %d functionals on %d coordinates"
+                         % (rule.in_dim, rule.out_dim, m, n))
+    for j in range(1, n + 1):
         e = GradedVector.canonical(j)
         back = rule.apply(analyze(frame, e).coefficients)
         if not back.allclose(e, LEFT_INVERSE_TOL):
             raise ValueError("reconstruction is not a left inverse at coordinate %d" % j)
-    m = frame.functional_count
-    if isinstance(frame, DiagonalFrame) and rule.kind == "diagonal":
-        p = (frame.b * rule.mult) / rule.div
-        if np.all(p == 1.0):
-            prule = SequenceOperator.identity(m)
+    reads = ref_reads(frame)
+    weights = [theta.weights(k)[:m] for k in range(theta.levels + 1)]
+    if reads is not None and rule.divisor is not None:
+        coord, b = reads
+        once = (b[:, None] * rule.numerator.toarray()) / rule.divisor[:, None]
+        prule = SequenceOperator(once[coord], np.ones(m))
+        norm_rule = SequenceOperator(once, np.ones(n))
+        if isinstance(frame, DiagonalFrame):
+            out_weights = weights
         else:
-            prule = SequenceOperator.diagonal(p, np.ones(m))
-    elif isinstance(frame, BlockFrame) and rule.kind == "pair_collapse":
-        a = (frame.b_pair * rule.co_odd) / rule.div
-        c = (frame.b_pair * rule.co_even) / rule.div
-        prule = SequenceOperator.pair_mix(a, c, frame.truncation)
-    elif rule.kind == "zero":
-        prule = SequenceOperator.zero_map(m, m)
+            out_weights = [np.hypot(w[0::2], w[1::2]) for w in weights]
     else:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large to compose a dense projection")
         g = frame.dense_matrix()
-        vmat = np.zeros((frame.truncation, m))
+        vmat = np.zeros((n, m))
         for i in range(1, m + 1):
             col = rule.apply(GradedVector.canonical(i))
-            vmat[:, i - 1] = col.to_dense(frame.truncation).real
-        prule = SequenceOperator.dense(g @ vmat)
-    continuity = tuple(
-        prule.weighted_norm(theta.weights(k), theta.weights(k))
-        for k in range(theta.levels + 1))
+            vmat[:, i - 1] = col.to_dense(n).real
+        prule = norm_rule = SequenceOperator.dense(g @ vmat)
+        out_weights = weights
+    continuity = tuple(norm_rule.weighted_norm(o, w) for o, w in zip(out_weights, weights))
     return ProjectionOp(prule, continuity, _idempotence_defect(prule))
+
+
+def ref_coordinate_rows(frame, prule):
+    """Dense row j of P when all functionals reading coordinate j see that
+    same row, stored on those functionals only; None otherwise."""
+    reads = ref_reads(frame)
+    m = frame.functional_count
+    if reads is None or prule.divisor is None or prule.in_dim != m:
+        return None
+    coord, _ = reads
+    values, pattern = ref_images(prule)
+    rows = []
+    for j in range(frame.truncation):
+        readers = np.flatnonzero(coord == j)
+        first = readers[0]
+        for i in readers:
+            if not (np.array_equal(values[i], values[first])
+                    and np.array_equal(pattern[i], pattern[first])):
+                return None
+        if np.any(coord[np.flatnonzero(pattern[first])] != j):
+            return None
+        rows.append(values[first].real)
+    return np.array(rows)
 
 
 def ref_V_from_projection(frame, proj, x, theta, plan):
     prule = proj.rule
     m = frame.functional_count
-    if isinstance(frame, DiagonalFrame) and prule.kind in ("identity", "diagonal", "zero"):
-        if prule.kind == "identity":
-            rule = SequenceOperator.diagonal(np.ones(m), frame.b)
-        elif prule.kind == "zero":
-            rule = SequenceOperator.diagonal(np.zeros(m), frame.b)
-        else:
-            rule = SequenceOperator.diagonal(prule.mult / prule.div, frame.b)
-    elif isinstance(frame, BlockFrame) and prule.kind in ("pair_mix", "zero"):
-        n = frame.truncation
-        if prule.kind == "zero":
-            rule = SequenceOperator.pair_collapse(np.zeros(n), np.zeros(n), frame.b_pair)
-        else:
-            rule = SequenceOperator.pair_collapse(prule.co_odd, prule.co_even,
-                                                  frame.b_pair)
+    rows = ref_coordinate_rows(frame, prule)
+    if rows is not None:
+        rule = SequenceOperator(rows, ref_reads(frame)[1])
     else:
         g = frame.dense_matrix()
-        pmat = prule.matrix if prule.kind == "dense" else None
-        if pmat is None:
-            pmat = np.zeros((m, m))
-            for i in range(1, m + 1):
-                pmat[:, i - 1] = prule.apply(GradedVector.canonical(i)).to_dense(m).real
+        pmat = np.zeros((m, m))
+        for i in range(1, m + 1):
+            pmat[:, i - 1] = prule.apply(GradedVector.canonical(i)).to_dense(m).real
         vmat, *_ = np.linalg.lstsq(g, pmat, rcond=None)
         resid = g @ vmat - pmat
         scale = max(float(np.linalg.norm(pmat)), 1.0)
@@ -236,8 +270,7 @@ def dense_columns(vectors, n):
 
 
 def rule_sig(rule):
-    return (rule.kind, rule.in_dim, rule.out_dim, bits(rule.mult), bits(rule.div),
-            bits(rule.co_odd), bits(rule.co_even), bits(rule.matrix))
+    return (rule.in_dim, rule.out_dim, bits(rule.numerator), bits(rule.divisor))
 
 
 def synthesis_sig(op):
@@ -308,7 +341,7 @@ def columns_of(matrix):
 
 
 def rules_for(name, frame):
-    """Reconstruction candidates of every operator kind for one frame."""
+    """Reconstruction candidates from every constructor for one frame."""
     n, m = frame.truncation, frame.functional_count
     g = frame.dense_matrix()
     pinv = np.linalg.pinv(g)
@@ -347,7 +380,7 @@ def rules_for(name, frame):
 
 
 def projections_for(name, frame):
-    """Projection candidates of every operator kind for one frame."""
+    """Projection candidates from every constructor for one frame."""
     m = frame.functional_count
     g = frame.dense_matrix()
     range_proj = g @ np.linalg.pinv(g)
