@@ -174,11 +174,16 @@ class AnalysisResult:
             raise ValueError("coefficient index beyond functional count")
 
 
-def analyze(frame: FrameSystem, f: GradedVector) -> AnalysisResult:
-    """Apply every frame functional to f."""
+def check_support(frame: FrameSystem, f: GradedVector):
+    """Refuse a sample reaching beyond the frame truncation."""
     if f.max_index > frame.truncation:
         raise ValueError("sample support %d exceeds frame truncation %d"
                          % (f.max_index, frame.truncation))
+
+
+def analyze(frame: FrameSystem, f: GradedVector) -> AnalysisResult:
+    """Apply every frame functional to f."""
+    check_support(frame, f)
     if isinstance(frame, DiagonalFrame):
         vals = frame.b[f.indices - 1] * f.values
         coeff = GradedVector(f.indices, vals)
@@ -277,20 +282,37 @@ def _parity_classes(count: int):
     return [j[0::2], j[1::2]]
 
 
-def _ratio_sequences(frame: FrameSystem, theta: WeightGrading, theta_level: int,
-                     x: WeightGrading, x_level: int) -> np.ndarray:
-    """Per-coordinate quotient of Θ-weighted functional size by the X weight."""
-    n = frame.truncation
-    j = np.arange(1, n + 1)
-    v = x.weight_values(x_level, j)
+def _functional_sizes(frame: FrameSystem, theta: WeightGrading,
+                      theta_level: int) -> np.ndarray:
+    """Per-coordinate Θ-weighted size of the functionals acting on it; the
+    ratio sequence against an X level is this divided by the X weights."""
+    j = np.arange(1, frame.truncation + 1)
     if isinstance(frame, DiagonalFrame):
-        w = theta.weight_values(theta_level, j)
-        return frame.b * w / v
+        return frame.b * theta.weight_values(theta_level, j)
     if isinstance(frame, BlockFrame):
         w_odd = theta.weight_values(theta_level, 2 * j - 1)
         w_even = theta.weight_values(theta_level, 2 * j)
-        return frame.b_pair * np.hypot(w_odd, w_even) / v
+        return frame.b_pair * np.hypot(w_odd, w_even)
     raise FrameFormError("analytic bounds need a diagonal or block frame")
+
+
+def _ratios(size: np.ndarray, x: WeightGrading, x_level: int) -> np.ndarray:
+    """Ratio sequence of functional sizes against the X weights at x_level."""
+    return size / x.weight_values(x_level, np.arange(1, size.size + 1))
+
+
+def _smallest_ratio(ratios: np.ndarray) -> tuple:
+    """(min, 1-based coordinate); coordinates whose ratios agree up to
+    rounding count as tied, so the witness is the smallest such index, not
+    an argmin artifact."""
+    lo = float(np.min(ratios))
+    return lo, int(np.flatnonzero(ratios <= lo * (1 + 1e-13))[0]) + 1
+
+
+def _largest_ratio(ratios: np.ndarray) -> tuple:
+    """(max, 1-based coordinate), ties resolved as in _smallest_ratio."""
+    hi = float(np.max(ratios))
+    return hi, int(np.flatnonzero(ratios >= hi * (1 - 1e-13))[0]) + 1
 
 
 def _tail_flags(ratios: np.ndarray):
@@ -326,18 +348,14 @@ def frame_bounds_analytic(frame: FrameSystem, theta: WeightGrading,
     v_hi = x_upper.weight_values(upper_level, j)
     if np.any(v_lo > v_hi):
         raise ValueError("lower X weight must be dominated by the upper one")
-    ratios_lo = _ratio_sequences(frame, theta, theta_level, x_lower, lower_level)
-    ratios_hi = _ratio_sequences(frame, theta, theta_level, x_upper, upper_level)
-    lo = float(np.min(ratios_lo))
-    hi = float(np.max(ratios_hi))
-    # coordinates whose ratios agree up to rounding count as tied, so the
-    # reported witness is the smallest such index, not an argmin artifact
-    i_lo = int(np.flatnonzero(ratios_lo <= lo * (1 + 1e-13))[0])
-    i_hi = int(np.flatnonzero(ratios_hi >= hi * (1 - 1e-13))[0])
+    size = _functional_sizes(frame, theta, theta_level)
+    ratios_lo = size / v_lo
+    ratios_hi = size / v_hi
+    lo, i_lo = _smallest_ratio(ratios_lo)
+    hi, i_hi = _largest_ratio(ratios_hi)
     lo_ok, _ = _tail_flags(ratios_lo)
     _, hi_ok = _tail_flags(ratios_hi)
-    return FrameBounds(lo, hi,
-                       witness_lower=i_lo + 1, witness_upper=i_hi + 1,
+    return FrameBounds(lo, hi, witness_lower=i_lo, witness_upper=i_hi,
                        lower_certified=lo_ok, upper_certified=hi_ok)
 
 

@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 KINDS = ("power", "shifted_power", "exponential")
 
@@ -301,6 +302,39 @@ def graded_norm(v: GradedVector, grading: WeightGrading, level: int) -> float:
     w = grading.weight_values(level, v.indices)
     terms = (np.abs(v.values) * w) ** 2
     return math.sqrt(_fsum(terms))
+
+
+def stack_columns(vectors: Sequence[GradedVector], rows: int) -> sp.csc_matrix:
+    """Sparse rows x len(vectors) matrix whose column i holds vectors[i],
+    stored zeros included; every support must lie within rows."""
+    indptr = np.cumsum([0] + [f.indices.size for f in vectors])
+    indices = np.concatenate([np.zeros(0, dtype=np.int64)]
+                             + [f.indices - 1 for f in vectors])
+    data = np.concatenate([np.zeros(0, dtype=np.complex128)]
+                          + [f.values for f in vectors])
+    return sp.csc_matrix((data, indices, indptr), shape=(rows, len(vectors)))
+
+
+def column_norms(mat: sp.csc_matrix, grading: WeightGrading, level: int) -> np.ndarray:
+    """graded_norm of every column of a CSC matrix without duplicate entries,
+    row r holding coordinate r + 1.
+
+    Each column sums its own terms with math.fsum, so every value is bit for
+    bit what graded_norm gives for that column, and a column beyond the
+    truncation raises graded_norm's TruncationError.
+    """
+    grading._check_level(level)
+    beyond = np.flatnonzero(mat.indices >= grading.truncation)
+    if beyond.size:
+        col = int(np.searchsorted(mat.indptr, beyond[0], side="right")) - 1
+        rows = mat.indices[mat.indptr[col]:mat.indptr[col + 1]]
+        raise TruncationError("coordinate %d beyond truncation %d"
+                              % (int(rows.max()) + 1, grading.truncation))
+    w = grading.weight_values(level, mat.indices + 1)
+    terms = ((np.abs(mat.data) * w) ** 2).tolist()
+    ptr = mat.indptr.tolist()
+    return np.array([math.sqrt(math.fsum(terms[a:b]))
+                     for a, b in zip(ptr, ptr[1:])], dtype=float)
 
 
 def dual_norm(v: GradedVector, weighting: DualWeighting, level: int) -> float:

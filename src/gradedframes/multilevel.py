@@ -17,17 +17,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .frames import (
     FrameFormError,
     FrameSystem,
     SLOPE_FLAT,
+    _functional_sizes,
+    _largest_ratio,
     _parity_classes,
-    _ratio_sequences,
-    analysis_norm,
+    _ratios,
+    _smallest_ratio,
     certified_power_profile,
+    check_support,
     frame_bounds_analytic,
 )
-from .gradings import GradedVector, LevelError, WeightGrading, graded_norm
+from .gradings import (
+    GradedVector,
+    LevelError,
+    WeightGrading,
+    column_norms,
+    stack_columns,
+)
 
 REL_SLACK = 1e-12
 
@@ -154,6 +165,56 @@ class PlanReport:
     levels: tuple
 
 
+def _verify_entries(frame: FrameSystem, x_grading: WeightGrading,
+                    theta_grading: WeightGrading, entries: Sequence[tuple],
+                    samples: Sequence[GradedVector], optimal) -> PlanReport:
+    """Check lower * |f|_s <= ||| analyze(f) |||_m <= upper * |f|_t for every
+    entry (m, s, t, lower, upper) on every sample, then gate on the optimal
+    constants optimal(m, s, t) gives as (lower, witness, upper, witness), or
+    None when the frame form has no analytic route.
+
+    The samples form the columns of one sparse matrix S and their analysis
+    coefficients one product, so each level costs one column_norms call.
+    Within an entry a failing sample is reported before a slack violation.
+    """
+    for f in samples:
+        check_support(frame, f)
+    stacked = stack_columns(samples, frame.truncation)
+    coefficients = (frame.coefficient_rows() @ stacked).tocsc()
+    mids = [column_norms(coefficients, theta_grading, m) for m, *_ in entries]
+    x_levels = dict.fromkeys(level for _, s, t, _, _ in entries for level in (s, t))
+    outer = {level: column_norms(stacked, x_grading, level) for level in x_levels}
+    tol = 1 + REL_SLACK
+    first_violation = None
+    checks = []
+    for (m, s, t, a, b), mid in zip(entries, mids):
+        lo = a * outer[s]
+        hi = b * outer[t]
+        low = lo > mid * tol
+        high = mid > hi * tol
+        failing = np.flatnonzero(low | high)
+        if failing.size and first_violation is None:
+            pos = int(failing[0])
+            if low[pos]:
+                first_violation = (m, pos, "lower", float(lo[pos]), float(mid[pos]))
+            else:
+                first_violation = (m, pos, "upper", float(mid[pos]), float(hi[pos]))
+        opt = optimal(m, s, t)
+        if opt is None:
+            checks.append(LevelCheck(m, a, b, None, None, None, None, len(samples)))
+            continue
+        opt_lower, witness_lower, opt_upper, witness_upper = opt
+        slack_lower = opt_lower - a
+        slack_upper = b - opt_upper
+        checks.append(LevelCheck(m, a, b, opt_lower, opt_upper,
+                                 slack_lower, slack_upper, len(samples)))
+        if slack_lower < -REL_SLACK * a and first_violation is None:
+            first_violation = (m, witness_lower, "lower_slack", a, opt_lower)
+        if slack_upper < -REL_SLACK * b and first_violation is None:
+            first_violation = (m, witness_upper, "upper_slack", b, opt_upper)
+    return PlanReport(first_violation is None, first_violation, tuple(checks))
+
+
 def verify_pre_f_frame(frame: FrameSystem, x_grading: WeightGrading,
                        theta_grading: WeightGrading, plan: IndexPlan,
                        samples: Sequence[GradedVector]) -> PlanReport:
@@ -170,37 +231,19 @@ def verify_pre_f_frame(frame: FrameSystem, x_grading: WeightGrading,
     if max(plan.upper_levels) > x_grading.levels:
         raise LevelError("plan upper level %d beyond X level budget %d"
                          % (max(plan.upper_levels), x_grading.levels))
-    first_violation = None
-    checks = []
-    for k in range(plan.budget + 1):
-        s_k = plan.lower_levels[k]
-        t_k = plan.upper_levels[k]
-        a_k = plan.lower_consts[k]
-        b_k = plan.upper_consts[k]
-        for pos, f in enumerate(samples):
-            mid = analysis_norm(frame, f, theta_grading, k)
-            lo = a_k * graded_norm(f, x_grading, s_k)
-            hi = b_k * graded_norm(f, x_grading, t_k)
-            if lo > mid * (1 + REL_SLACK) and first_violation is None:
-                first_violation = (k, pos, "lower", lo, mid)
-            if mid > hi * (1 + REL_SLACK) and first_violation is None:
-                first_violation = (k, pos, "upper", mid, hi)
+
+    def optimal(k, s_k, t_k):
         try:
-            opt = frame_bounds_analytic(frame, theta_grading, k,
-                                        x_grading, s_k, t_k)
+            opt = frame_bounds_analytic(frame, theta_grading, k, x_grading,
+                                        s_k, t_k)
         except FrameFormError:
-            checks.append(LevelCheck(k, a_k, b_k, None, None, None, None,
-                                     len(samples)))
-            continue
-        slack_lower = opt.lower - a_k
-        slack_upper = b_k - opt.upper
-        checks.append(LevelCheck(k, a_k, b_k, opt.lower, opt.upper,
-                                 slack_lower, slack_upper, len(samples)))
-        if slack_lower < -REL_SLACK * a_k and first_violation is None:
-            first_violation = (k, opt.witness_lower, "lower_slack", a_k, opt.lower)
-        if slack_upper < -REL_SLACK * b_k and first_violation is None:
-            first_violation = (k, opt.witness_upper, "upper_slack", b_k, opt.upper)
-    return PlanReport(first_violation is None, first_violation, tuple(checks))
+            return None
+        return opt.lower, opt.witness_lower, opt.upper, opt.witness_upper
+
+    entries = tuple(zip(range(plan.budget + 1), plan.lower_levels,
+                        plan.upper_levels, plan.lower_consts, plan.upper_consts))
+    return _verify_entries(frame, x_grading, theta_grading, entries, samples,
+                           optimal)
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +297,15 @@ class StrictnessVerdict:
                 raise ValueError("witnesses must cover every candidate up to n_max")
 
 
-def _certified_class_slopes(frame: FrameSystem, theta: WeightGrading, s: int,
-                            x: WeightGrading, n: int):
-    """Per-parity-class certified slopes of the ratio sequence, or None."""
-    ratios = _ratio_sequences(frame, theta, s, x, n)
+def _certified_class_slopes(ratios: np.ndarray):
+    """Per-parity-class certified slopes of a ratio sequence, or None."""
     out = []
     for cls in _parity_classes(ratios.size):
         certified, slope = certified_power_profile(cls, ratios[cls - 1])
         if not certified:
-            return None, ratios
+            return None
         out.append((cls, slope))
-    return out, ratios
+    return out
 
 
 def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
@@ -287,9 +328,10 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
     certificates = []
     for s in range(budget + 1):
         admissible = None
+        size = _functional_sizes(frame, theta_grading, s)
         for n in range(n_max + 1):
-            slopes, ratios = _certified_class_slopes(frame, theta_grading, s,
-                                                     x_grading, n)
+            ratios = _ratios(size, x_grading, n)
+            slopes = _certified_class_slopes(ratios)
             if slopes is None:
                 return StrictnessVerdict(
                     "Undetermined", n_max=n_max,
@@ -302,7 +344,7 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
                                               float(ratios.max()))
                 break
         if admissible is None:
-            witnesses = _witness_family(frame, theta_grading, s, x_grading, n_max)
+            witnesses = _witness_family(size, s, x_grading, n_max)
             if witnesses is None:
                 return StrictnessVerdict(
                     "Undetermined", n_max=n_max,
@@ -313,12 +355,13 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
                              n_max=n_max)
 
 
-def _witness_family(frame: FrameSystem, theta: WeightGrading, s: int,
-                    x: WeightGrading, n_max: int):
-    """One breaking canonical family per candidate level at mid level s."""
+def _witness_family(size: np.ndarray, s: int, x: WeightGrading, n_max: int):
+    """One breaking canonical family per candidate level at mid level s,
+    size being the functional sizes at that level."""
     witnesses = []
     for n in range(n_max + 1):
-        slopes, ratios = _certified_class_slopes(frame, theta, s, x, n)
+        ratios = _ratios(size, x, n)
+        slopes = _certified_class_slopes(ratios)
         if slopes is None:
             return None
         grow = [(sl, cls) for cls, sl in slopes if sl > SLOPE_FLAT]
@@ -372,27 +415,27 @@ def verify_selected_chain(frame: FrameSystem, x_grading: WeightGrading,
                           theta_grading: WeightGrading,
                           selection: SelectionResult,
                           samples: Sequence[GradedVector]) -> PlanReport:
-    """Re-verify the re-indexed inequality chain on the samples.
+    """Re-verify the re-indexed inequality chain on the samples and against
+    the optimal constants.
 
     For each selected entry the mid norm is taken at the inflated level and
-    the outer norms at the transported lower/upper levels.
+    the outer norms at the transported lower/upper levels.  For diagonal and
+    block frames the lower side's optimal constant is the smallest ratio
+    against the lower X level and the upper side's the largest against the
+    upper X level, each computed on its own: a chain entry may have an
+    optimal lower constant above the optimal upper one, which FrameBounds
+    refuses.
     """
-    first_violation = None
-    checks = []
-    for j in range(len(selection.mid_levels)):
-        s_j = selection.lower_levels[j]
-        n_j = selection.mid_levels[j]
-        t_j = selection.upper_levels[j]
-        a_j = selection.lower_consts[j]
-        b_j = selection.upper_consts[j]
-        for pos, f in enumerate(samples):
-            mid = analysis_norm(frame, f, theta_grading, n_j)
-            lo = a_j * graded_norm(f, x_grading, s_j)
-            hi = b_j * graded_norm(f, x_grading, t_j)
-            if lo > mid * (1 + REL_SLACK) and first_violation is None:
-                first_violation = (n_j, pos, "lower", lo, mid)
-            if mid > hi * (1 + REL_SLACK) and first_violation is None:
-                first_violation = (n_j, pos, "upper", mid, hi)
-        checks.append(LevelCheck(n_j, a_j, b_j, None, None, None, None,
-                                 len(samples)))
-    return PlanReport(first_violation is None, first_violation, tuple(checks))
+    def optimal(n_j, s_j, t_j):
+        try:
+            size = _functional_sizes(frame, theta_grading, n_j)
+        except FrameFormError:
+            return None
+        return (_smallest_ratio(_ratios(size, x_grading, s_j))
+                + _largest_ratio(_ratios(size, x_grading, t_j)))
+
+    entries = tuple(zip(selection.mid_levels, selection.lower_levels,
+                        selection.upper_levels, selection.lower_consts,
+                        selection.upper_consts))
+    return _verify_entries(frame, x_grading, theta_grading, entries, samples,
+                           optimal)

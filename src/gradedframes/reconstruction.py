@@ -38,6 +38,7 @@ from .gradings import (
     WeightGrading,
     dual_norm,
     graded_norm,
+    stack_columns,
     union_values,
 )
 from .multilevel import ContinuityData, IndexPlan
@@ -269,12 +270,7 @@ def _stack_columns(vectors: Sequence[GradedVector], rows: int,
     for i, f in enumerate(vectors):
         if f.max_index > rows:
             raise ValueError(message % (i + 1))
-    indptr = np.cumsum([0] + [f.indices.size for f in vectors])
-    indices = np.concatenate([np.zeros(0, dtype=np.int64)]
-                             + [f.indices - 1 for f in vectors])
-    data = np.concatenate([np.zeros(0, dtype=np.complex128)]
-                          + [f.values for f in vectors])
-    return sp.csc_matrix((data, indices, indptr), shape=(rows, len(vectors)))
+    return stack_columns(vectors, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,7 +429,9 @@ def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optiona
 
 def _column_norms(mat, grading: WeightGrading, level: int) -> np.ndarray:
     """Level norms of the columns of a sparse matrix, as graded_norm gives
-    them up to the summation order."""
+    them up to the summation order.  The range check compares these against
+    a tolerance over every coordinate, so it takes one bincount sum rather
+    than gradings.column_norms' exact sum per column."""
     mat = sp.csc_matrix(mat)
     w = grading.weights(level)
     cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradedframes.gradings import (
     DualWeighting,
@@ -12,10 +12,12 @@ from gradedframes.gradings import (
     LevelError,
     TruncationError,
     WeightGrading,
+    column_norms,
     dual_norm,
     graded_norm,
     lp_norm,
     pairing,
+    stack_columns,
 )
 
 POWER = WeightGrading("power", levels=12, truncation=64)
@@ -299,3 +301,44 @@ class TestNormProperties:
         # on the level-0 power grading the dual and primal norms coincide
         assert dual_norm(v, DualWeighting(POWER), 0) == pytest.approx(
             graded_norm(v, POWER, 0), rel=1e-12, abs=1e-300)
+
+
+@st.composite
+def complex_vectors(draw, max_index=64, max_size=6):
+    v = draw(graded_vectors(max_index=max_index, max_size=max_size))
+    imag = draw(st.lists(finite_floats, min_size=v.support_size,
+                         max_size=v.support_size))
+    return GradedVector(v.indices, v.values + 1j * np.array(imag, dtype=float))
+
+
+EXP = WeightGrading("exponential", levels=5, truncation=64,
+                    alphas=tuple(0.3 * math.log(j) for j in range(1, 65)))
+
+
+class TestColumnNorms:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(complex_vectors(), max_size=5),
+           st.sampled_from((POWER, EXP)), st.integers(0, 5))
+    @example([GradedVector.zero(), vec((3, 1.5 - 2j), (64, 0.25j)),
+              vec((2, 0.0), (7, math.ldexp(1.0, -540)), (9, -3.0))], POWER, 4)
+    def test_matches_graded_norm_bit_for_bit(self, vectors, grading, level):
+        got = column_norms(stack_columns(vectors, 64), grading, level)
+        assert got.shape == (len(vectors),)
+        for value, v in zip(got.tolist(), vectors):
+            assert value == graded_norm(v, grading, level)
+
+    def test_refuses_like_graded_norm(self):
+        short = WeightGrading("power", levels=3, truncation=8)
+        vectors = [vec((2, 1.0)), vec((5, 1.0), (9, 2.0), (12, 1.0)),
+                   vec((20, 1.0))]
+        mat = stack_columns(vectors, 32)
+        with pytest.raises(TruncationError) as want:
+            graded_norm(vectors[1], short, 1)
+        with pytest.raises(TruncationError) as got:
+            column_norms(mat, short, 1)
+        assert str(got.value) == str(want.value)
+        for level in (-1, 4, 1.5):
+            with pytest.raises(LevelError):
+                graded_norm(GradedVector.zero(), short, level)
+            with pytest.raises(LevelError):
+                column_norms(stack_columns([], 8), short, level)
