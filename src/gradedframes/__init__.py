@@ -17,6 +17,7 @@ from .gradings import (
 )
 from .frames import (
     BlockFrame,
+    CoordinateFrame,
     DenseFrame,
     DiagonalFrame,
     FrameBounds,
@@ -62,7 +63,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DualWeighting", "GradedVector", "WeightGrading", "dual_norm",
     "graded_norm", "lp_norm", "pairing",
-    "BlockFrame", "DenseFrame", "DiagonalFrame", "FrameBounds", "FrameSystem",
+    "BlockFrame", "CoordinateFrame", "DenseFrame", "DiagonalFrame",
+    "FrameBounds", "FrameSystem",
     "analyze", "coanalyze", "bessel_bound", "dense_subset_extension_check",
     "frame_bounds_analytic", "frame_bounds_numeric", "runo_demo",
     "ContinuityData", "IndexPlan", "SelectionResult", "StrictnessVerdict",

@@ -1,23 +1,26 @@
 """Functional families acting on truncated sequences and their frame bounds.
 
-Three frame forms are supported.  Diagonal: functional i scales coordinate i
-by b_i.  Block: functionals 2j-1 and 2j both scale coordinate j by a common
-positive weight.  Dense: an explicit M x N matrix of functional values.
+Two frame forms are supported.  Coordinate: functional i reads the single
+coordinate reads[i] and scales it by that coordinate's positive weight b_j.
+The diagonal frame (one reader per coordinate) and the paired block frame
+(two readers) only build reads; other reader counts are given as data.
+Dense: an explicit M x N matrix of functional values.
 
 Frame bounds sandwich the analysis coefficients between two graded norms,
 
     lower * |f|_{s1}  <=  ||| analyze(f) |||_k  <=  upper * |f|_{s2},
 
 and are computed two ways: analytically from per-coordinate ratio sequences
-(diagonal and block forms), and numerically from extremal singular values of
-the weighted coefficient matrix.  The two routes are kept independent so one
-can serve as an oracle for the other.
+(coordinate frames), and numerically from extremal singular values of the
+weighted coefficient matrix.  The two routes are kept independent so one can
+serve as an oracle for the other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -30,6 +33,7 @@ from .gradings import (
     WeightGrading,
     graded_norm,
     lp_norm,
+    stack_columns,
 )
 
 # Numeric bounds build a dense weighted matrix; refuse beyond this many columns.
@@ -37,12 +41,6 @@ DENSE_LIMIT = 2048
 # Dense SVD is used when the smaller matrix dimension is at most this,
 # otherwise a sparse Lanczos iteration with a fixed start vector.
 SPARSE_CUTOVER = 1200
-
-# Log-log slope tolerances for certifying power-like ratio tails.  Integer
-# weight exponents are at least 1 apart, while the bounded block factor
-# contributes at most ~0.15 of apparent slope at small truncations.
-SLOPE_AGREE = 0.25
-SLOPE_FLAT = 0.5
 
 
 class FrameFormError(ValueError):
@@ -53,6 +51,11 @@ def _readonly(arr, dtype=float) -> np.ndarray:
     out = np.asarray(arr, dtype=dtype).copy()
     out.setflags(write=False)
     return out
+
+
+def _runs(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions lo_k, lo_k + 1, ..., lo_k + counts_k - 1 for every k, in turn."""
+    return np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 class FrameSystem:
@@ -69,9 +72,15 @@ class FrameSystem:
 
 
 @dataclass(frozen=True, eq=False)
-class DiagonalFrame(FrameSystem):
-    """Functional i acts on coordinate i with positive weight b_i."""
+class CoordinateFrame(FrameSystem):
+    """Functional i reads the 0-based coordinate reads[i], scaled by the
+    positive weight b of that coordinate.
 
+    reads is nondecreasing and covers every coordinate, so the readers of
+    coordinate j are the functionals reader_starts[j] .. reader_starts[j+1]-1.
+    """
+
+    reads: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
@@ -79,55 +88,60 @@ class DiagonalFrame(FrameSystem):
         if b.ndim != 1 or b.size < 1:
             raise ValueError("b must be a nonempty vector")
         if not np.all(b > 0) or not np.all(np.isfinite(b)):
-            raise ValueError("diagonal weights must be positive and finite")
+            raise ValueError("coordinate weights must be positive and finite")
+        reads = np.asarray(self.reads)
+        if reads.ndim != 1 or reads.size < 1 or reads.dtype.kind not in "iu":
+            raise ValueError("reads must be a nonempty integer vector")
+        if np.any(np.diff(reads) < 0):
+            raise ValueError("reads must be nondecreasing")
+        if reads[0] < 0 or reads[-1] >= b.size:
+            raise ValueError("reads must lie in [0, %d)" % b.size)
+        counts = np.bincount(reads, minlength=b.size)
+        if np.any(counts == 0):
+            raise ValueError("coordinate %d has no reader" % np.argmin(counts))
+        object.__setattr__(self, "reads", _readonly(reads, np.int64))
         object.__setattr__(self, "b", b)
 
+    @cached_property
+    def reader_starts(self) -> np.ndarray:
+        """First reader of every coordinate, then the functional count."""
+        return np.searchsorted(self.reads, np.arange(self.b.size + 1))
+
     @property
     def truncation(self) -> int:
         return int(self.b.size)
 
     @property
     def functional_count(self) -> int:
-        return int(self.b.size)
+        return int(self.reads.size)
 
     def coefficient_rows(self) -> sp.csr_matrix:
-        return sp.diags(self.b, format="csr")
+        m = self.functional_count
+        return sp.csr_matrix((self.b[self.reads], self.reads, np.arange(m + 1)),
+                             shape=(m, self.truncation))
 
-    def scaled(self, c: float) -> "DiagonalFrame":
-        return DiagonalFrame(self.b * c)
+    def scaled(self, c: float) -> "CoordinateFrame":
+        out = object.__new__(type(self))
+        CoordinateFrame.__init__(out, self.reads, self.b * c)
+        return out
 
 
-@dataclass(frozen=True, eq=False)
-class BlockFrame(FrameSystem):
-    """Functionals 2j-1 and 2j both act on coordinate j with weight b_pair(j)."""
+class DiagonalFrame(CoordinateFrame):
+    """Functional i reads coordinate i with positive weight b_i."""
 
-    b_pair: np.ndarray
+    def __init__(self, b):
+        super().__init__(np.arange(np.size(b)), b)
 
-    def __post_init__(self):
-        b = _readonly(self.b_pair)
-        if b.ndim != 1 or b.size < 1:
-            raise ValueError("b_pair must be a nonempty vector")
-        if not np.all(b > 0) or not np.all(np.isfinite(b)):
-            raise ValueError("pair weights must be positive and finite")
-        object.__setattr__(self, "b_pair", b)
+
+class BlockFrame(CoordinateFrame):
+    """Functionals 2j-1 and 2j both read coordinate j with weight b_pair(j)."""
+
+    def __init__(self, b_pair):
+        super().__init__(np.repeat(np.arange(np.size(b_pair)), 2), b_pair)
 
     @property
-    def truncation(self) -> int:
-        return int(self.b_pair.size)
-
-    @property
-    def functional_count(self) -> int:
-        return 2 * int(self.b_pair.size)
-
-    def coefficient_rows(self) -> sp.csr_matrix:
-        n = self.truncation
-        rows = np.arange(2 * n)
-        cols = np.repeat(np.arange(n), 2)
-        vals = np.repeat(self.b_pair, 2)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, n))
-
-    def scaled(self, c: float) -> "BlockFrame":
-        return BlockFrame(self.b_pair * c)
+    def b_pair(self) -> np.ndarray:
+        return self.b
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,20 +198,15 @@ def check_support(frame: FrameSystem, f: GradedVector):
 def analyze(frame: FrameSystem, f: GradedVector) -> AnalysisResult:
     """Apply every frame functional to f."""
     check_support(frame, f)
-    if isinstance(frame, DiagonalFrame):
-        vals = frame.b[f.indices - 1] * f.values
-        coeff = GradedVector(f.indices, vals)
-    elif isinstance(frame, BlockFrame):
-        idx = np.empty(2 * f.indices.size, dtype=np.int64)
-        idx[0::2] = 2 * f.indices - 1
-        idx[1::2] = 2 * f.indices
-        vals = np.repeat(frame.b_pair[f.indices - 1] * f.values, 2)
-        coeff = GradedVector(idx, vals)
-    elif isinstance(frame, DenseFrame):
-        out = frame.matrix.astype(np.complex128) @ f.to_dense(frame.truncation)
-        coeff = GradedVector.from_dense(out).trim()
+    if isinstance(frame, CoordinateFrame):
+        pos = f.indices - 1
+        lo = frame.reader_starts[pos]
+        counts = frame.reader_starts[pos + 1] - lo
+        coeff = GradedVector(_runs(lo, counts) + 1,
+                             np.repeat(frame.b[pos] * f.values, counts))
     else:
-        raise FrameFormError("unknown frame form %r" % type(frame).__name__)
+        out = frame.dense_matrix().astype(np.complex128) @ f.to_dense(frame.truncation)
+        coeff = GradedVector.from_dense(out).trim()
     return AnalysisResult(coeff, frame.functional_count)
 
 
@@ -208,22 +217,22 @@ def analysis_norm(frame: FrameSystem, f: GradedVector, theta: WeightGrading,
 
 def coanalyze(frame: FrameSystem, c: GradedVector) -> GradedVector:
     """Apply the transposed coefficient matrix: coordinate j of the result
-    collects sum_i c_i * g_i(e_j).  Structured forms stay exact."""
+    collects sum_i c_i * g_i(e_j).  Coordinate frames stay exact."""
     if c.max_index > frame.functional_count:
         raise ValueError("coefficient support %d exceeds functional count %d"
                          % (c.max_index, frame.functional_count))
-    if isinstance(frame, DiagonalFrame):
-        return GradedVector(c.indices, frame.b[c.indices - 1] * c.values)
-    if isinstance(frame, BlockFrame):
-        pair = (c.indices + 1) // 2
-        uniq, inverse = np.unique(pair, return_inverse=True)
-        vals = np.zeros(uniq.size, dtype=np.complex128)
-        np.add.at(vals, inverse, c.values)
-        return GradedVector(uniq, frame.b_pair[uniq - 1] * vals)
-    if isinstance(frame, DenseFrame):
-        out = frame.matrix.T.astype(np.complex128) @ c.to_dense(frame.functional_count)
-        return GradedVector.from_dense(out).trim()
-    raise FrameFormError("unknown frame form %r" % type(frame).__name__)
+    if isinstance(frame, CoordinateFrame):
+        coord = frame.reads[c.indices - 1]
+        first = np.flatnonzero(np.diff(coord, prepend=-1))
+        coord = coord[first]
+        sums = np.add.reduceat(c.values, first)
+        # a coordinate with several readers sums them from zero, 0 + c_1 + ...,
+        # so a -0.0 sum comes out +0.0; a single reader passes c_i through
+        shared = frame.reader_starts[coord + 1] - frame.reader_starts[coord] > 1
+        sums = np.where(shared, 0.0 + sums, sums)
+        return GradedVector(coord + 1, frame.b[coord] * sums)
+    g = frame.dense_matrix().T.astype(np.complex128)
+    return GradedVector.from_dense(g @ c.to_dense(frame.functional_count)).trim()
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +244,13 @@ class FrameBounds:
     """Optimal two-sided constants at truncation with attaining witnesses.
 
     Witnesses are coordinate indices for the analytic route and unit vectors
-    for the numeric route.  The certified flags report whether the ratio
-    tails were certified eventually monotone, in which case the truncated
-    extremum is trusted as the global one.
+    for the numeric route.
     """
 
     lower: float
     upper: float
     witness_lower: Union[int, GradedVector]
     witness_upper: Union[int, GradedVector]
-    lower_certified: bool = False
-    upper_certified: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper * (1 + 1e-9)):
@@ -253,47 +258,15 @@ class FrameBounds:
                              % (self.lower, self.upper))
 
 
-def certified_power_profile(indices: np.ndarray, values: np.ndarray):
-    """Certify that values ~ C * indices**slope on the tail of one class.
-
-    Returns (certified, slope).  Three tail points are compared pairwise in
-    log-log coordinates; agreement within SLOPE_AGREE certifies the profile.
-    """
-    n = indices.size
-    if n < 3:
-        return False, 0.0
-    pos = sorted({n // 2, (3 * n) // 4, n - 1})
-    if len(pos) < 3:
-        pos = [n - 3, n - 2, n - 1]
-    js = indices[pos].astype(float)
-    vs = values[pos]
-    if np.any(vs <= 0):
-        return False, 0.0
-    s01 = math.log(vs[1] / vs[0]) / math.log(js[1] / js[0])
-    s12 = math.log(vs[2] / vs[1]) / math.log(js[2] / js[1])
-    s02 = math.log(vs[2] / vs[0]) / math.log(js[2] / js[0])
-    if max(s01, s12, s02) - min(s01, s12, s02) > SLOPE_AGREE:
-        return False, 0.0
-    return True, s02
-
-
-def _parity_classes(count: int):
-    j = np.arange(1, count + 1)
-    return [j[0::2], j[1::2]]
-
-
 def _functional_sizes(frame: FrameSystem, theta: WeightGrading,
                       theta_level: int) -> np.ndarray:
-    """Per-coordinate Θ-weighted size of the functionals acting on it; the
-    ratio sequence against an X level is this divided by the X weights."""
-    j = np.arange(1, frame.truncation + 1)
-    if isinstance(frame, DiagonalFrame):
-        return frame.b * theta.weight_values(theta_level, j)
-    if isinstance(frame, BlockFrame):
-        w_odd = theta.weight_values(theta_level, 2 * j - 1)
-        w_even = theta.weight_values(theta_level, 2 * j)
-        return frame.b_pair * np.hypot(w_odd, w_even)
-    raise FrameFormError("analytic bounds need a diagonal or block frame")
+    """Per-coordinate Θ-weighted size of the functionals acting on it: b_j
+    times the hypot of its readers' Θ weights.  The ratio sequence against
+    an X level is this divided by the X weights."""
+    if not isinstance(frame, CoordinateFrame):
+        raise FrameFormError("analytic bounds need a coordinate frame")
+    w = theta.weight_values(theta_level, np.arange(1, frame.functional_count + 1))
+    return frame.b * np.hypot.reduceat(w, frame.reader_starts[:-1])
 
 
 def _ratios(size: np.ndarray, x: WeightGrading, x_level: int) -> np.ndarray:
@@ -315,26 +288,11 @@ def _largest_ratio(ratios: np.ndarray) -> tuple:
     return hi, int(np.flatnonzero(ratios >= hi * (1 - 1e-13))[0]) + 1
 
 
-def _tail_flags(ratios: np.ndarray):
-    """Certify each parity class; return (lower_ok, upper_ok)."""
-    lower_ok = True
-    upper_ok = True
-    for cls in _parity_classes(ratios.size):
-        certified, slope = certified_power_profile(cls, ratios[cls - 1])
-        if not certified:
-            return False, False
-        if slope < -SLOPE_FLAT:
-            lower_ok = False
-        if slope > SLOPE_FLAT:
-            upper_ok = False
-    return lower_ok, upper_ok
-
-
 def frame_bounds_analytic(frame: FrameSystem, theta: WeightGrading,
                           theta_level: int, x_lower: WeightGrading,
                           lower_level: int, upper_level: int,
                           x_upper: Optional[WeightGrading] = None) -> FrameBounds:
-    """Optimal bounds for diagonal/block frames from per-coordinate ratios.
+    """Optimal bounds for coordinate frames from per-coordinate ratios.
 
     The lower constant is the smallest ratio against the x_lower weights, the
     upper constant the largest against the x_upper weights; ties resolve to
@@ -349,14 +307,9 @@ def frame_bounds_analytic(frame: FrameSystem, theta: WeightGrading,
     if np.any(v_lo > v_hi):
         raise ValueError("lower X weight must be dominated by the upper one")
     size = _functional_sizes(frame, theta, theta_level)
-    ratios_lo = size / v_lo
-    ratios_hi = size / v_hi
-    lo, i_lo = _smallest_ratio(ratios_lo)
-    hi, i_hi = _largest_ratio(ratios_hi)
-    lo_ok, _ = _tail_flags(ratios_lo)
-    _, hi_ok = _tail_flags(ratios_hi)
-    return FrameBounds(lo, hi, witness_lower=i_lo, witness_upper=i_hi,
-                       lower_certified=lo_ok, upper_certified=hi_ok)
+    lo, i_lo = _smallest_ratio(size / v_lo)
+    hi, i_hi = _largest_ratio(size / v_hi)
+    return FrameBounds(lo, hi, witness_lower=i_lo, witness_upper=i_hi)
 
 
 def _weighted_matrix(frame: FrameSystem, theta: WeightGrading, theta_level: int,
@@ -435,18 +388,11 @@ def bessel_bound(dual_candidates: Sequence[GradedVector],
     w = theta_dual.base.weight_values(theta_level, np.arange(1, m + 1))
     v = x_dual.base.weight_values(x_level, np.arange(1, n + 1))
 
-    rows, cols, vals = [], [], []
-    for i, f in enumerate(dual_candidates):
-        if f.indices.size:
-            rows.extend([i] * f.indices.size)
-            cols.extend((f.indices - 1).tolist())
-            vals.extend(f.values.tolist())
-    if not vals:
+    mat = stack_columns(dual_candidates, n).T
+    if not mat.nnz:
         return 0.0
-    data = np.asarray(vals, dtype=np.complex128)
-    if np.all(data.imag == 0):
-        data = data.real
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(m, n))
+    if np.all(mat.data.imag == 0):
+        mat = mat.real
     mat = sp.diags(1.0 / w) @ mat @ sp.diags(v)
     if min(m, n) <= SPARSE_CUTOVER:
         return float(np.linalg.svd(mat.toarray(), compute_uv=False)[0])

@@ -14,6 +14,7 @@ the re-indexed plan is again valid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,13 +23,10 @@ import numpy as np
 from .frames import (
     FrameFormError,
     FrameSystem,
-    SLOPE_FLAT,
     _functional_sizes,
     _largest_ratio,
-    _parity_classes,
     _ratios,
     _smallest_ratio,
-    certified_power_profile,
     check_support,
     frame_bounds_analytic,
 )
@@ -41,6 +39,12 @@ from .gradings import (
 )
 
 REL_SLACK = 1e-12
+
+# Log-log slope tolerances for certifying power-like ratio tails.  Integer
+# weight exponents are at least 1 apart, while the bounded block factor
+# contributes at most ~0.15 of apparent slope at small truncations.
+SLOPE_AGREE = 0.25
+SLOPE_FLAT = 0.5
 
 
 def _int_tuple(xs) -> tuple:
@@ -220,7 +224,7 @@ def verify_pre_f_frame(frame: FrameSystem, x_grading: WeightGrading,
                        samples: Sequence[GradedVector]) -> PlanReport:
     """Check the two-sided inequality for every plan level on every sample.
 
-    Also recomputes the optimal constants per level (diagonal/block forms
+    Also recomputes the optimal constants per level (coordinate frames
     only) and reports the slack of the plan constants against them; a slack
     below -REL_SLACK times the plan constant fails the plan even when every
     sample satisfies it.
@@ -297,6 +301,35 @@ class StrictnessVerdict:
                 raise ValueError("witnesses must cover every candidate up to n_max")
 
 
+def certified_power_profile(indices: np.ndarray, values: np.ndarray):
+    """Certify that values ~ C * indices**slope on the tail of one class.
+
+    Returns (certified, slope).  Three tail points are compared pairwise in
+    log-log coordinates; agreement within SLOPE_AGREE certifies the profile.
+    """
+    n = indices.size
+    if n < 3:
+        return False, 0.0
+    pos = sorted({n // 2, (3 * n) // 4, n - 1})
+    if len(pos) < 3:
+        pos = [n - 3, n - 2, n - 1]
+    js = indices[pos].astype(float)
+    vs = values[pos]
+    if np.any(vs <= 0):
+        return False, 0.0
+    s01 = math.log(vs[1] / vs[0]) / math.log(js[1] / js[0])
+    s12 = math.log(vs[2] / vs[1]) / math.log(js[2] / js[1])
+    s02 = math.log(vs[2] / vs[0]) / math.log(js[2] / js[0])
+    if max(s01, s12, s02) - min(s01, s12, s02) > SLOPE_AGREE:
+        return False, 0.0
+    return True, s02
+
+
+def _parity_classes(count: int):
+    j = np.arange(1, count + 1)
+    return [j[0::2], j[1::2]]
+
+
 def _certified_class_slopes(ratios: np.ndarray):
     """Per-parity-class certified slopes of a ratio sequence, or None."""
     out = []
@@ -327,8 +360,8 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
                          % (n_max, x_grading.levels))
     certificates = []
     for s in range(budget + 1):
-        admissible = None
         size = _functional_sizes(frame, theta_grading, s)
+        witnesses = []
         for n in range(n_max + 1):
             ratios = _ratios(size, x_grading, n)
             slopes = _certified_class_slopes(ratios)
@@ -337,48 +370,26 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
                     "Undetermined", n_max=n_max,
                     detail="ratio tail not certifiable at level %d, candidate %d"
                            % (s, n))
-            unbounded = any(sl > SLOPE_FLAT for _, sl in slopes)
-            vanishing = any(sl < -SLOPE_FLAT for _, sl in slopes)
-            if not unbounded and not vanishing:
-                admissible = LevelCertificate(s, n, float(ratios.min()),
-                                              float(ratios.max()))
+            grow = [(sl, cls) for cls, sl in slopes if sl > SLOPE_FLAT]
+            fall = [(sl, cls) for cls, sl in slopes if sl < -SLOPE_FLAT]
+            if not grow and not fall:
+                certificates.append(LevelCertificate(s, n, float(ratios.min()),
+                                                     float(ratios.max())))
                 break
-        if admissible is None:
-            witnesses = _witness_family(size, s, x_grading, n_max)
-            if witnesses is None:
-                return StrictnessVerdict(
-                    "Undetermined", n_max=n_max,
-                    detail="ratio tail not certifiable at level %d" % s)
-            return StrictnessVerdict("NotStrict", witnesses=witnesses, n_max=n_max)
-        certificates.append(admissible)
+            # the breaking family of this candidate, should no candidate admit
+            if fall and not (n <= s and grow):
+                mode, (slope, cls) = "lower_vanishing", min(fall, key=lambda t: t[0])
+            else:
+                mode, (slope, cls) = "upper_unbounded", max(grow, key=lambda t: t[0])
+            head = cls[:4]
+            witnesses.append(RatioWitness(s, n, mode, tuple(int(j) for j in head),
+                                          tuple(float(ratios[j - 1]) for j in head),
+                                          float(slope)))
+        else:
+            return StrictnessVerdict("NotStrict", witnesses=tuple(witnesses),
+                                     n_max=n_max)
     return StrictnessVerdict("Strict", certificates=tuple(certificates),
                              n_max=n_max)
-
-
-def _witness_family(size: np.ndarray, s: int, x: WeightGrading, n_max: int):
-    """One breaking canonical family per candidate level at mid level s,
-    size being the functional sizes at that level."""
-    witnesses = []
-    for n in range(n_max + 1):
-        ratios = _ratios(size, x, n)
-        slopes = _certified_class_slopes(ratios)
-        if slopes is None:
-            return None
-        grow = [(sl, cls) for cls, sl in slopes if sl > SLOPE_FLAT]
-        fall = [(sl, cls) for cls, sl in slopes if sl < -SLOPE_FLAT]
-        if n <= s and grow:
-            mode, (slope, cls) = "upper_unbounded", max(grow, key=lambda t: t[0])
-        elif fall:
-            mode, (slope, cls) = "lower_vanishing", min(fall, key=lambda t: t[0])
-        elif grow:
-            mode, (slope, cls) = "upper_unbounded", max(grow, key=lambda t: t[0])
-        else:
-            return None
-        head = cls[:4]
-        witnesses.append(RatioWitness(s, n, mode, tuple(int(j) for j in head),
-                                      tuple(float(ratios[j - 1]) for j in head),
-                                      float(slope)))
-    return tuple(witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +430,8 @@ def verify_selected_chain(frame: FrameSystem, x_grading: WeightGrading,
     the optimal constants.
 
     For each selected entry the mid norm is taken at the inflated level and
-    the outer norms at the transported lower/upper levels.  For diagonal and
-    block frames the lower side's optimal constant is the smallest ratio
+    the outer norms at the transported lower/upper levels.  For coordinate
+    frames the lower side's optimal constant is the smallest ratio
     against the lower X level and the upper side's the largest against the
     upper X level, each computed on its own: a chain entry may have an
     optimal lower constant above the optimal upper one, which FrameBounds

@@ -26,12 +26,14 @@ import scipy.sparse as sp
 
 from .frames import (
     DENSE_LIMIT,
+    CoordinateFrame,
     FrameFormError,
     FrameSystem,
     analyze,
     coanalyze,
     frame_bounds_analytic,
     frame_bounds_numeric,
+    _runs,
 )
 from .gradings import (
     GradedVector,
@@ -73,13 +75,12 @@ def _gather(mat, v: GradedVector, out_div, in_div) -> GradedVector:
     pos = v.indices - 1
     lo = mat.indptr[pos]
     counts = mat.indptr[pos + 1] - lo
-    total = int(counts.sum())
-    take = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(total)
+    take = _runs(lo, counts)
     out = mat.indices[take]
     prods = np.repeat(v.values, counts) * mat.data[take]
     if in_div is not None:
         prods = _exact_div(prods, np.repeat(in_div[pos], counts))
-    if total > 1 and not np.all(out[1:] > out[:-1]):
+    if take.size > 1 and not np.all(out[1:] > out[:-1]):
         out, inverse = np.unique(out, return_inverse=True)
         prods = (np.bincount(inverse, prods.real)
                  + 1j * np.bincount(inverse, prods.imag))
@@ -445,22 +446,9 @@ def _idempotence_defect(rule: SequenceOperator) -> float:
     return float(np.max(np.abs(drift.data))) if drift.nnz else 0.0
 
 
-def _coordinate_reads(frame: FrameSystem):
-    """(coordinate each functional reads, weight of each coordinate) when
-    every functional reads one coordinate with a weight that depends on the
-    coordinate only, as in the diagonal and block forms; None otherwise."""
-    u = frame.coefficient_rows()
-    weight = np.zeros(u.shape[1], dtype=u.dtype)
-    weight[u.indices] = u.data
-    if (np.all(np.diff(u.indptr) == 1) and np.all(weight[u.indices] == u.data)
-            and np.all(weight != 0)):
-        return u.indices, weight
-    return None
-
-
 def projection_from_V(frame: FrameSystem, op: SynthesisOp,
                       theta_grading: WeightGrading) -> ProjectionOp:
-    """Compose analysis with reconstruction, folding structured forms.
+    """Compose analysis with reconstruction, folding coordinate frames.
 
     Requires the reconstruction rule to be a left inverse of the analysis
     map on canonical vectors.
@@ -474,20 +462,17 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
     j = _left_inverse_failure(frame, rule)
     if j is not None:
         raise ValueError("reconstruction is not a left inverse at coordinate %d" % j)
-    reads = _coordinate_reads(frame)
     weights = [theta_grading.weights(k)[:m] for k in range(theta_grading.levels + 1)]
-    if reads is not None and rule.divisor is not None:
+    if isinstance(frame, CoordinateFrame) and rule.divisor is not None:
         # every functional reading coordinate j sees the row (b_j M_j) / d_j
         # of P = U V; the norm of P is that of one row per coordinate with
         # the hypot of the readers' weights as its output weight
-        coord, b = reads
         once = rule.numerator.copy()
-        once.data = (b[rule._rows] * once.data) / rule.divisor[rule._rows]
-        prule = SequenceOperator(once[coord], np.ones(m))
+        once.data = (frame.b[rule._rows] * once.data) / rule.divisor[rule._rows]
+        prule = SequenceOperator(once[frame.reads], np.ones(m))
         norm_rule = SequenceOperator(once, np.ones(n))
-        order = np.argsort(coord, kind="stable")
-        starts = np.searchsorted(coord[order], np.arange(n))
-        out_weights = [np.hypot.reduceat(w[order], starts) for w in weights]
+        starts = frame.reader_starts[:-1]
+        out_weights = [np.hypot.reduceat(w, starts) for w in weights]
     else:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large to compose a dense projection")
@@ -500,22 +485,20 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
     return ProjectionOp(prule, continuity, _idempotence_defect(prule))
 
 
-def _rows_per_coordinate(prule: SequenceOperator, reads,
-                         n: int) -> Optional[sp.csr_matrix]:
+def _rows_per_coordinate(frame: FrameSystem,
+                         prule: SequenceOperator) -> Optional[sp.csr_matrix]:
     """Row j of P when every functional reading coordinate j sees that same
     row, supported on the functionals reading j; None otherwise."""
-    if reads is None or prule.divisor is None or prule.in_dim != reads[0].size:
+    if (not isinstance(frame, CoordinateFrame) or prule.divisor is None
+            or prule.in_dim != frame.functional_count):
         return None
-    coord = reads[0]
     p = prule._values
-    reader = np.empty(n, dtype=np.int64)
-    reader[coord] = np.arange(coord.size)
-    once = p[reader]
-    seen = once[coord]
+    once = p[frame.reader_starts[:-1]]
+    seen = once[frame.reads]
     same = all(np.array_equal(getattr(seen, a), getattr(p, a))
                for a in ("indptr", "indices", "data"))
-    own = np.all(coord[once.indices] == np.repeat(np.arange(n), np.diff(once.indptr)))
-    return once if same and own else None
+    rows = np.repeat(np.arange(frame.truncation), np.diff(once.indptr))
+    return once if same and np.all(frame.reads[once.indices] == rows) else None
 
 
 def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
@@ -523,16 +506,16 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
                       plan: IndexPlan) -> SynthesisOp:
     """Solve analysis(x) = P(d) for x, coordinate by coordinate.
 
-    Structured frame/projection pairs are solved in closed form; otherwise a
-    least-squares solve with a residual check is used.  The recovered rule
-    must be a left inverse of the analysis map.
+    A coordinate frame whose projection gives all readers of a coordinate
+    one row is solved in closed form; otherwise a least-squares solve with a
+    residual check is used.  The recovered rule must be a left inverse of
+    the analysis map.
     """
     prule = proj.rule
     m = frame.functional_count
-    reads = _coordinate_reads(frame)
-    rows = _rows_per_coordinate(prule, reads, frame.truncation)
+    rows = _rows_per_coordinate(frame, prule)
     if rows is not None:
-        rule = SequenceOperator(rows, reads[1])
+        rule = SequenceOperator(rows, frame.b)
     else:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large for a dense solve")
@@ -716,7 +699,9 @@ def verify_equivalences(frame: FrameSystem, x_grading: WeightGrading,
     else:
         raise ValueError("unknown source kind %r" % (source_kind,))
 
-    dual0 = build_dual_from_V(op0.rule)
+    # op0.dual already holds the canonical images of op0.rule, except for a
+    # dual source, where it is the given dual and would rebuild op0.rule itself
+    dual0 = build_dual_from_V(op0.rule) if source_kind == "dual" else op0.dual
     op1 = build_V_from_dual(dual0, x_grading, theta_grading, plan)
     eye = sp.identity(frame.functional_count, format="csc")
     canonical_match = not _mismatched_columns(op1.rule.apply_columns(eye),

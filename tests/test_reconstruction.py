@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gradedframes.frames import (
+    DENSE_LIMIT,
     BlockFrame,
+    CoordinateFrame,
     DenseFrame,
     DiagonalFrame,
     analyze,
@@ -372,6 +375,32 @@ def test_projection_unequal_reader_weights_is_not_folded():
     proj = projection_from_V(frame, op, power_grading(1, 2))
     assert np.allclose(proj.rule.apply_columns(np.eye(2)).toarray().real,
                        [[0.2, 0.4], [0.4, 0.8]], rtol=0.0, atol=1e-15)
+
+
+def reader_average_rule(frame):
+    """Reconstruct each coordinate from the mean of its readers."""
+    starts = frame.reader_starts
+    m = frame.functional_count
+    numerator = sp.csr_matrix((np.ones(m), np.arange(m), starts),
+                              shape=(frame.truncation, m))
+    return SequenceOperator(numerator, np.diff(starts) * frame.b)
+
+
+@pytest.mark.parametrize("reads", [np.repeat(np.arange(700), 3),
+                                   np.repeat(np.arange(1100), 1 + np.arange(1100) % 3)])
+def test_projection_folds_every_coordinate_frame(reads):
+    # more functionals than DENSE_LIMIT, where the dense composition and the
+    # dense solve refuse: both directions must fold
+    n = int(reads[-1]) + 1
+    frame = CoordinateFrame(reads, 1.0 + np.arange(n) % 5)
+    m = frame.functional_count
+    assert m > DENSE_LIMIT
+    x, theta, plan = power_grading(2, n), power_grading(2, m), IndexPlan.shifted(1, 0)
+    op = synthesis_from_rule(reader_average_rule(frame), x, theta, plan)
+    proj = projection_from_V(frame, op, theta)
+    assert np.array_equal(proj.rule.divisor, np.ones(m))
+    back = V_from_projection(frame, proj, x, theta, plan)
+    assert np.array_equal(back.rule.divisor, frame.b)
 
 
 def test_projection_op_validation():
