@@ -222,17 +222,29 @@ def coanalyze(frame: FrameSystem, c: GradedVector) -> GradedVector:
         raise ValueError("coefficient support %d exceeds functional count %d"
                          % (c.max_index, frame.functional_count))
     if isinstance(frame, CoordinateFrame):
-        coord = frame.reads[c.indices - 1]
-        first = np.flatnonzero(np.diff(coord, prepend=-1))
-        coord = coord[first]
-        sums = np.add.reduceat(c.values, first)
-        # a coordinate with several readers sums them from zero, 0 + c_1 + ...,
-        # so a -0.0 sum comes out +0.0; a single reader passes c_i through
-        shared = frame.reader_starts[coord + 1] - frame.reader_starts[coord] > 1
-        sums = np.where(shared, 0.0 + sums, sums)
-        return GradedVector(coord + 1, frame.b[coord] * sums)
+        _, coord, values = _reader_sums(frame, np.zeros(c.indices.size, np.int64),
+                                        c.indices - 1, c.values)
+        return GradedVector(coord + 1, values)
     g = frame.dense_matrix().T.astype(np.complex128)
     return GradedVector.from_dense(g @ c.to_dense(frame.functional_count)).trim()
+
+
+def _reader_sums(frame: CoordinateFrame, col: np.ndarray, funcs: np.ndarray,
+                 values: np.ndarray) -> tuple:
+    """coanalyze of several coefficient columns given entry by entry: values[e]
+    is the coefficient of the 0-based functional funcs[e] in column col[e],
+    ordered by column and then functional.  Returns (column, 0-based
+    coordinate, value) for every coordinate a stored entry reads, zeros
+    included, ordered by column and then coordinate."""
+    key = col * frame.truncation + frame.reads[funcs]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    col, coord = np.divmod(key[first], frame.truncation)
+    sums = np.add.reduceat(values, first)
+    # a coordinate with several readers sums them from zero, 0 + c_1 + ...,
+    # so a -0.0 sum comes out +0.0; a single reader passes c_i through
+    shared = frame.reader_starts[coord + 1] - frame.reader_starts[coord] > 1
+    sums = np.where(shared, 0.0 + sums, sums)
+    return col, coord, frame.b[coord] * sums
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +256,25 @@ class FrameBounds:
     """Optimal two-sided constants at truncation with attaining witnesses.
 
     Witnesses are coordinate indices for the analytic route and unit vectors
-    for the numeric route.
+    for the numeric route.  Both constants are nonnegative.  When the two
+    sides measure f in the same X norm the lower one cannot exceed the upper
+    one; across two X norms, say a lower level s below the upper level t, it
+    may.
     """
 
     lower: float
     upper: float
     witness_lower: Union[int, GradedVector]
     witness_upper: Union[int, GradedVector]
+    same_x_norm: bool = True
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper * (1 + 1e-9)):
-            raise ValueError("bounds must satisfy 0 <= lower <= upper, got (%r, %r)"
+        if not (0.0 <= self.lower and 0.0 <= self.upper):
+            raise ValueError("bounds must be nonnegative, got (%r, %r)"
                              % (self.lower, self.upper))
+        if self.same_x_norm and not self.lower <= self.upper * (1 + 1e-9):
+            raise ValueError("bounds on one X norm must satisfy lower <= upper, "
+                             "got (%r, %r)" % (self.lower, self.upper))
 
 
 def _functional_sizes(frame: FrameSystem, theta: WeightGrading,
@@ -309,7 +328,8 @@ def frame_bounds_analytic(frame: FrameSystem, theta: WeightGrading,
     size = _functional_sizes(frame, theta, theta_level)
     lo, i_lo = _smallest_ratio(size / v_lo)
     hi, i_hi = _largest_ratio(size / v_hi)
-    return FrameBounds(lo, hi, witness_lower=i_lo, witness_upper=i_hi)
+    return FrameBounds(lo, hi, witness_lower=i_lo, witness_upper=i_hi,
+                       same_x_norm=bool(np.array_equal(v_lo, v_hi)))
 
 
 def _weighted_matrix(frame: FrameSystem, theta: WeightGrading, theta_level: int,
@@ -365,7 +385,8 @@ def frame_bounds_numeric(frame: FrameSystem, theta: WeightGrading,
     _, s_hi, vh_hi = np.linalg.svd(a_hi, full_matrices=False)
     upper = float(s_hi[0])
     wit_hi = _unit_witness(vh_hi[0], v_hi)
-    return FrameBounds(lower, upper, witness_lower=wit_lo, witness_upper=wit_hi)
+    return FrameBounds(lower, upper, witness_lower=wit_lo, witness_upper=wit_hi,
+                       same_x_norm=bool(np.array_equal(v_lo, v_hi)))
 
 
 def bessel_bound(dual_candidates: Sequence[GradedVector],

@@ -315,23 +315,26 @@ def stack_columns(vectors: Sequence[GradedVector], rows: int) -> sp.csc_matrix:
     return sp.csc_matrix((data, indices, indptr), shape=(rows, len(vectors)))
 
 
-def column_norms(mat: sp.csc_matrix, grading: WeightGrading, level: int) -> np.ndarray:
+def column_norms(mat: sp.csc_matrix, grading, level: int) -> np.ndarray:
     """graded_norm of every column of a CSC matrix without duplicate entries,
-    row r holding coordinate r + 1.
+    row r holding coordinate r + 1; dual_norm when grading is a
+    DualWeighting.
 
     Each column sums its own terms with math.fsum, so every value is bit for
-    bit what graded_norm gives for that column, and a column beyond the
-    truncation raises graded_norm's TruncationError.
+    bit what graded_norm (dual_norm) gives for that column, and a column
+    beyond the truncation raises its TruncationError.
     """
-    grading._check_level(level)
-    beyond = np.flatnonzero(mat.indices >= grading.truncation)
+    dual = isinstance(grading, DualWeighting)
+    base = grading.base if dual else grading
+    base._check_level(level)
+    beyond = np.flatnonzero(mat.indices >= base.truncation)
     if beyond.size:
         col = int(np.searchsorted(mat.indptr, beyond[0], side="right")) - 1
         rows = mat.indices[mat.indptr[col]:mat.indptr[col + 1]]
         raise TruncationError("coordinate %d beyond truncation %d"
-                              % (int(rows.max()) + 1, grading.truncation))
-    w = grading.weight_values(level, mat.indices + 1)
-    terms = ((np.abs(mat.data) * w) ** 2).tolist()
+                              % (int(rows.max()) + 1, base.truncation))
+    w = base.weight_values(level, mat.indices + 1)
+    terms = (((np.abs(mat.data) / w) if dual else (np.abs(mat.data) * w)) ** 2).tolist()
     ptr = mat.indptr.tolist()
     return np.array([math.sqrt(math.fsum(terms[a:b]))
                      for a, b in zip(ptr, ptr[1:])], dtype=float)

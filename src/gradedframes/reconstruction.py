@@ -30,14 +30,15 @@ from .frames import (
     FrameFormError,
     FrameSystem,
     analyze,
-    coanalyze,
     frame_bounds_analytic,
     frame_bounds_numeric,
+    _reader_sums,
     _runs,
 )
 from .gradings import (
     GradedVector,
     WeightGrading,
+    column_norms,
     dual_norm,
     graded_norm,
     stack_columns,
@@ -65,28 +66,40 @@ def _pattern(rows, cols, vals, shape) -> sp.csr_matrix:
     return sp.csr_matrix((np.asarray(vals, dtype=float), cols, indptr), shape=shape)
 
 
-def _gather(mat, v: GradedVector, out_div, in_div) -> GradedVector:
-    """Apply a compressed matrix to v: slice j of mat lists the outputs input
-    j reaches; every product is divided by in_div of its input, the products
-    are summed per output in input order, and each sum is divided by out_div."""
+def _gather(mat, pos, values, out_div, in_div, col=None) -> tuple:
+    """Apply a compressed matrix to sparse columns given entry by entry:
+    values[e] sits at the 0-based input pos[e] of column col[e] (of the one
+    column when col is None), ordered by column and then input.
+
+    Slice j of mat lists the outputs input j reaches; every product is
+    divided by in_div of its input, the products are summed per column and
+    output in input order, and each sum is divided by out_div.  Returns
+    (column, 0-based output, value) for every output an entry reaches, zero
+    sums included, ordered by column and then output.
+    """
     dim = mat.indptr.size - 1
-    if v.max_index > dim:
-        raise ValueError("input support %d exceeds dimension %d" % (v.max_index, dim))
-    pos = v.indices - 1
+    if pos.size and pos.max() >= dim:
+        raise ValueError("input support %d exceeds dimension %d" % (pos.max() + 1, dim))
     lo = mat.indptr[pos]
     counts = mat.indptr[pos + 1] - lo
     take = _runs(lo, counts)
     out = mat.indices[take]
-    prods = np.repeat(v.values, counts) * mat.data[take]
+    prods = np.repeat(values, counts) * mat.data[take]
     if in_div is not None:
         prods = _exact_div(prods, np.repeat(in_div[pos], counts))
-    if take.size > 1 and not np.all(out[1:] > out[:-1]):
-        out, inverse = np.unique(out, return_inverse=True)
+    key = out
+    if col is not None:
+        width = int(out.max()) + 1 if out.size else 1
+        key = np.repeat(col, counts) * width + out
+    if key.size > 1 and not np.all(key[1:] > key[:-1]):
+        key, inverse = np.unique(key, return_inverse=True)
         prods = (np.bincount(inverse, prods.real)
                  + 1j * np.bincount(inverse, prods.imag))
+    if col is not None:
+        col, key = np.divmod(key, width)
     if out_div is not None:
-        prods = _exact_div(prods, out_div[out])
-    return GradedVector(out + 1, prods)
+        prods = _exact_div(prods, out_div[key])
+    return col, key, prods
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +220,8 @@ class SequenceOperator:
     # -- application -------------------------------------------------------
 
     def apply(self, v: GradedVector) -> GradedVector:
-        return _gather(self._csc, v, self.divisor, None)
+        _, out, values = _gather(self._csc, v.indices - 1, v.values, self.divisor, None)
+        return GradedVector(out + 1, values)
 
     def apply_columns(self, x) -> sp.csc_matrix:
         """Apply to every column of a sparse matrix at once.
@@ -237,7 +251,9 @@ class SequenceOperator:
     def transpose_apply(self, g: GradedVector) -> GradedVector:
         """Apply the transpose, (M_ij g_i) / d_i entry by entry, for
         coefficient functionals."""
-        return _gather(self.numerator, g, None, self.divisor)
+        _, out, values = _gather(self.numerator, g.indices - 1, g.values, None,
+                                 self.divisor)
+        return GradedVector(out + 1, values)
 
     # -- norms ---------------------------------------------------------------
 
@@ -326,15 +342,16 @@ def build_dual_from_V(rule: SequenceOperator) -> DualSystem:
 def _detect_rule(dual: DualSystem) -> SequenceOperator:
     """Structured rule reproducing the dual as its canonical images.
 
-    Every nonzero dual vector f_i must be one real entry, at coordinate i for
-    a diagonal rule and at coordinate ceil(i/2) for a pair rule.
+    For m = k n functionals every nonzero dual vector f_i must be one real
+    entry at coordinate ceil(i/k): the rule of a frame whose coordinates all
+    have k readers, such as the diagonal (k = 1) and block (k = 2) frames.
     """
     m = len(dual)
     n = dual.truncation
     mat = dual.matrix.copy()
     mat.eliminate_zeros()
     counts = np.diff(mat.indptr)
-    if m in (n, 2 * n) and np.all(counts <= 1) and np.all(mat.data.imag == 0):
+    if m % n == 0 and np.all(counts <= 1) and np.all(mat.data.imag == 0):
         # one entry per nonempty column, so rows and cols align entrywise
         owner = np.arange(m) // (m // n)
         cols = np.flatnonzero(counts)
@@ -591,6 +608,63 @@ def _expansion_row(pos: int, level: int, grid: tuple, profile: tuple,
     return ExpansionRow(pos, level, grid, profile, bounds, support, zero_from, ok)
 
 
+def _prefixes_and_tails(v: GradedVector, grid: tuple) -> tuple:
+    """v.prefix(n) for every n in grid as entries (column, 0-based
+    coordinate, value) ordered by column, and v.tail(n) as the columns of a
+    CSC matrix; stored zeros included."""
+    stop = np.searchsorted(v.indices, grid, side="right")
+    cols = np.arange(stop.size)
+    head = _runs(np.zeros_like(stop), stop)
+    rest = _runs(stop, v.support_size - stop)
+    tails = _csc(np.repeat(cols, v.support_size - stop), v.indices[rest] - 1,
+                 v.values[rest], stop.size)
+    return (np.repeat(cols, stop), v.indices[head] - 1, v.values[head]), tails
+
+
+def _csc(col, row, data, count: int) -> sp.csc_matrix:
+    """Matrix of count columns from entries ordered by column and then row."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=count))))
+    rows = int(row.max()) + 1 if row.size else 1
+    return sp.csc_matrix((data, row, indptr), shape=(rows, count))
+
+
+def _residuals(v: GradedVector, col, row, data, count: int) -> sp.csc_matrix:
+    """Column q holds v minus column q of the entries (col, row, data), stored
+    on the union of the two supports as GradedVector subtraction stores it;
+    non-finite entries are refused as a GradedVector refuses them."""
+    width = max(v.max_index, int(row.max()) + 1 if row.size else 1)
+    own = (np.arange(count)[:, None] * width + (v.indices - 1)).ravel()
+    keys, a, b = union_values(own, np.tile(v.values, count), col * width + row, data)
+    diff = a - b
+    if not (np.all(np.isfinite(data)) and np.all(np.isfinite(diff))):
+        raise ValueError("entries must be finite")
+    col, row = np.divmod(keys, width)
+    return _csc(col, row, diff, count)
+
+
+def _coanalyze_columns(frame: FrameSystem, col, funcs, values, count: int) -> tuple:
+    """coanalyze of every column of the coefficient entries (col, funcs,
+    values), as (column, 0-based coordinate, value) ordered by column.
+
+    Coordinate frames give coanalyze's values and stored entries bit for bit.
+    A dense frame takes one matrix product, whose sums may round differently
+    from coanalyze's matrix-vector product, and keeps its nonzero entries.
+    """
+    m = frame.functional_count
+    beyond = np.flatnonzero(funcs >= m)
+    if beyond.size:
+        first = funcs[col == col[beyond[0]]]
+        raise ValueError("coefficient support %d exceeds functional count %d"
+                         % (first.max() + 1, m))
+    if isinstance(frame, CoordinateFrame):
+        return _reader_sums(frame, col, funcs, values)
+    coeff = np.zeros((m, count), dtype=np.complex128)
+    coeff[funcs, col] = values
+    out = frame.dense_matrix().T.astype(np.complex128) @ coeff
+    col, coord = np.nonzero(out.T)
+    return col, coord, out[coord, col]
+
+
 def verify_expansion(frame: FrameSystem, op: SynthesisOp,
                      x_grading: WeightGrading, theta_grading: WeightGrading,
                      plan: IndexPlan, samples: Sequence[GradedVector],
@@ -603,23 +677,35 @@ def verify_expansion(frame: FrameSystem, op: SynthesisOp,
     the coefficient support the residual must vanish: exactly for the
     division-structured rules, within a relative floor for matrix-backed
     ones whose solves round.
+
+    Each sample's whole grid is checked at once: column q of one matrix
+    holds the coefficient prefix of length grid[q], the rule is gathered
+    over all of its columns, and every level takes one column_norms call on
+    the residuals and one on the tails.  The values are bit for bit those of
+    synthesize and graded_norm point by point.
     """
-    exact = op.rule.divisor is not None
+    rule = op.rule
+    exact = rule.divisor is not None
     rows = []
     for pos, f in enumerate(samples):
         coeff = analyze(frame, f).coefficients
         support = coeff.trim().max_index
         grid = tuple(n_grid) if n_grid is not None \
-            else _default_grid(support, op.rule.in_dim)
-        residuals = [f - synthesize(op, coeff, n) for n in grid]
-        tails = [coeff.tail(n) for n in grid]
+            else _default_grid(support, rule.in_dim)
+        bad = [n for n in grid if n < 0 or n > rule.in_dim]
+        if bad:
+            raise ValueError("prefix length %d out of range [0, %d]"
+                             % (bad[0], rule.in_dim))
+        (col, inputs, values), tails = _prefixes_and_tails(coeff, grid)
+        col, out, values = _gather(rule._csc, inputs, values, rule.divisor, None, col)
+        residuals = _residuals(f, col, out, values, len(grid))
         for k in range(plan.budget + 1):
             s_k = plan.lower_levels[k]
             b_k = plan.upper_consts[k]
             floor = 0.0 if exact \
                 else 1e-12 * max(graded_norm(f, x_grading, s_k), 1.0)
-            profile = tuple(graded_norm(r, x_grading, s_k) for r in residuals)
-            bounds = tuple(b_k * graded_norm(t, theta_grading, k) for t in tails)
+            profile = tuple(column_norms(residuals, x_grading, s_k).tolist())
+            bounds = tuple((b_k * column_norms(tails, theta_grading, k)).tolist())
             rows.append(_expansion_row(pos, k, grid, profile, bounds, support, floor))
     return ExpansionReport(all(r.ok for r in rows), tuple(rows))
 
@@ -634,6 +720,11 @@ def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
     c_i = g(f_i).  The residual after n terms is measured in the dual norm
     at the plan's upper level and compared with the synthesis-transpose
     bound times the dual-coefficient tail norm.
+
+    As in verify_expansion, each sample co-analyzes the prefixes of its
+    whole grid at once and every level takes one column_norms call per
+    matrix.  Coordinate frames give coanalyze and dual_norm's values point
+    by point bit for bit; dense frames may differ in the last bits.
     """
     tilde = []
     for k in range(plan.budget + 1):
@@ -651,15 +742,16 @@ def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
         support = c.trim().max_index
         grid = tuple(n_grid) if n_grid is not None \
             else _default_grid(support, frame.functional_count)
-        residuals = [g - coanalyze(frame, c.prefix(n)) for n in grid]
-        tails = [c.tail(n) for n in grid]
+        (col, funcs, values), tails = _prefixes_and_tails(c, grid)
+        residuals = _residuals(g, *_coanalyze_columns(frame, col, funcs, values,
+                                                      len(grid)), len(grid))
         for k in range(plan.budget + 1):
             t_k = plan.upper_levels[k]
             floor = 0.0 if exact \
                 else 1e-12 * max(dual_norm(g, x_grading.dual(), t_k), 1.0)
-            profile = tuple(dual_norm(r, x_grading.dual(), t_k) for r in residuals)
-            bounds = tuple(tilde[k] * dual_norm(t, theta_grading.dual(), k)
-                           for t in tails)
+            profile = tuple(column_norms(residuals, x_grading.dual(), t_k).tolist())
+            bounds = tuple((tilde[k] * column_norms(tails, theta_grading.dual(),
+                                                    k)).tolist())
             rows.append(_expansion_row(pos, k, grid, profile, bounds, support, floor))
     return ExpansionReport(all(r.ok for r in rows), tuple(rows))
 

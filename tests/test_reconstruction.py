@@ -403,6 +403,20 @@ def test_projection_folds_every_coordinate_frame(reads):
     assert np.array_equal(back.rule.divisor, frame.b)
 
 
+def test_equivalences_keep_the_rule_of_a_uniform_threefold_frame():
+    # 2,100 functionals exceed DENSE_LIMIT: the rule rebuilt from the dual
+    # must keep its divisor so that the projection folds
+    n = 700
+    frame = CoordinateFrame(np.repeat(np.arange(n), 3), 1.0 + np.arange(n) % 5)
+    x, theta, plan = power_grading(2, n), power_grading(2, 3 * n), IndexPlan.shifted(1, 0)
+    rule = reader_average_rule(frame)
+    op = synthesis_from_rule(rule, x, theta, plan)
+    rebuilt = build_V_from_dual(op.dual, x, theta, plan)
+    assert rebuilt.rule.divisor is not None
+    report = verify_equivalences(frame, x, theta, plan, "V", rule)
+    assert report.passed, report.notes
+
+
 def test_projection_op_validation():
     with pytest.raises(ValueError):
         ProjectionOp(SequenceOperator.zero_map(2, 3), (1.0,), 0.0)
