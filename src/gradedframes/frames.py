@@ -256,25 +256,18 @@ class FrameBounds:
     """Optimal two-sided constants at truncation with attaining witnesses.
 
     Witnesses are coordinate indices for the analytic route and unit vectors
-    for the numeric route.  Both constants are nonnegative.  When the two
-    sides measure f in the same X norm the lower one cannot exceed the upper
-    one; across two X norms, say a lower level s below the upper level t, it
-    may.
+    for the numeric route.
     """
 
     lower: float
     upper: float
     witness_lower: Union[int, GradedVector]
     witness_upper: Union[int, GradedVector]
-    same_x_norm: bool = True
 
     def __post_init__(self):
-        if not (0.0 <= self.lower and 0.0 <= self.upper):
-            raise ValueError("bounds must be nonnegative, got (%r, %r)"
+        if not (0.0 <= self.lower <= self.upper * (1 + 1e-9)):
+            raise ValueError("bounds must satisfy 0 <= lower <= upper, got (%r, %r)"
                              % (self.lower, self.upper))
-        if self.same_x_norm and not self.lower <= self.upper * (1 + 1e-9):
-            raise ValueError("bounds on one X norm must satisfy lower <= upper, "
-                             "got (%r, %r)" % (self.lower, self.upper))
 
 
 def _functional_sizes(frame: FrameSystem, theta: WeightGrading,
@@ -328,8 +321,7 @@ def frame_bounds_analytic(frame: FrameSystem, theta: WeightGrading,
     size = _functional_sizes(frame, theta, theta_level)
     lo, i_lo = _smallest_ratio(size / v_lo)
     hi, i_hi = _largest_ratio(size / v_hi)
-    return FrameBounds(lo, hi, witness_lower=i_lo, witness_upper=i_hi,
-                       same_x_norm=bool(np.array_equal(v_lo, v_hi)))
+    return FrameBounds(lo, hi, witness_lower=i_lo, witness_upper=i_hi)
 
 
 def _weighted_matrix(frame: FrameSystem, theta: WeightGrading, theta_level: int,
@@ -385,8 +377,7 @@ def frame_bounds_numeric(frame: FrameSystem, theta: WeightGrading,
     _, s_hi, vh_hi = np.linalg.svd(a_hi, full_matrices=False)
     upper = float(s_hi[0])
     wit_hi = _unit_witness(vh_hi[0], v_hi)
-    return FrameBounds(lower, upper, witness_lower=wit_lo, witness_upper=wit_hi,
-                       same_x_norm=bool(np.array_equal(v_lo, v_hi)))
+    return FrameBounds(lower, upper, witness_lower=wit_lo, witness_upper=wit_hi)
 
 
 def bessel_bound(dual_candidates: Sequence[GradedVector],

@@ -434,7 +434,8 @@ def verify_selected_chain(frame: FrameSystem, x_grading: WeightGrading,
     frames the lower side's optimal constant is the smallest ratio
     against the lower X level and the upper side's the largest against the
     upper X level, each computed on its own: a chain entry may have an
-    optimal lower constant above the optimal upper one.
+    optimal lower constant above the optimal upper one, which FrameBounds
+    refuses.
     """
     def optimal(n_j, s_j, t_j):
         try:

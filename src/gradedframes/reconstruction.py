@@ -61,9 +61,11 @@ def _exact_div(values: np.ndarray, div) -> np.ndarray:
 
 
 def _pattern(rows, cols, vals, shape) -> sp.csr_matrix:
-    """CSR matrix holding vals at (rows, cols), zeros included; rows sorted."""
+    """CSR matrix holding vals at (rows, cols), zeros included, in the dtype
+    of vals; entries ordered by row and then column.  Its transpose is the
+    CSC matrix of the same entries with rows and columns swapped."""
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
-    return sp.csr_matrix((np.asarray(vals, dtype=float), cols, indptr), shape=shape)
+    return sp.csr_matrix((np.asarray(vals), cols, indptr), shape=shape)
 
 
 def _gather(mat, pos, values, out_div, in_div, col=None) -> tuple:
@@ -388,11 +390,14 @@ def build_V_from_dual(dual: DualSystem, x_grading: WeightGrading,
     return SynthesisOp(rule, dual, _bound_table(rule, x_grading, theta_grading, plan))
 
 
+def _check_prefix(n: int, dim: int) -> None:
+    if n < 0 or n > dim:
+        raise ValueError("prefix length %d out of range [0, %d]" % (n, dim))
+
+
 def synthesize(op: SynthesisOp, d: GradedVector, n: int) -> GradedVector:
     """Partial reconstruction sum over the first n coefficients."""
-    if n < 0 or n > op.rule.in_dim:
-        raise ValueError("prefix length %d out of range [0, %d]"
-                         % (n, op.rule.in_dim))
+    _check_prefix(n, op.rule.in_dim)
     return op.rule.apply(d.prefix(n))
 
 
@@ -616,16 +621,9 @@ def _prefixes_and_tails(v: GradedVector, grid: tuple) -> tuple:
     cols = np.arange(stop.size)
     head = _runs(np.zeros_like(stop), stop)
     rest = _runs(stop, v.support_size - stop)
-    tails = _csc(np.repeat(cols, v.support_size - stop), v.indices[rest] - 1,
-                 v.values[rest], stop.size)
+    tails = _pattern(np.repeat(cols, v.support_size - stop), v.indices[rest] - 1,
+                     v.values[rest], (stop.size, max(v.max_index, 1))).T
     return (np.repeat(cols, stop), v.indices[head] - 1, v.values[head]), tails
-
-
-def _csc(col, row, data, count: int) -> sp.csc_matrix:
-    """Matrix of count columns from entries ordered by column and then row."""
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=count))))
-    rows = int(row.max()) + 1 if row.size else 1
-    return sp.csc_matrix((data, row, indptr), shape=(rows, count))
 
 
 def _residuals(v: GradedVector, col, row, data, count: int) -> sp.csc_matrix:
@@ -639,7 +637,7 @@ def _residuals(v: GradedVector, col, row, data, count: int) -> sp.csc_matrix:
     if not (np.all(np.isfinite(data)) and np.all(np.isfinite(diff))):
         raise ValueError("entries must be finite")
     col, row = np.divmod(keys, width)
-    return _csc(col, row, diff, count)
+    return _pattern(col, row, diff, (count, width)).T
 
 
 def _coanalyze_columns(frame: FrameSystem, col, funcs, values, count: int) -> tuple:
@@ -692,10 +690,8 @@ def verify_expansion(frame: FrameSystem, op: SynthesisOp,
         support = coeff.trim().max_index
         grid = tuple(n_grid) if n_grid is not None \
             else _default_grid(support, rule.in_dim)
-        bad = [n for n in grid if n < 0 or n > rule.in_dim]
-        if bad:
-            raise ValueError("prefix length %d out of range [0, %d]"
-                             % (bad[0], rule.in_dim))
+        for n in grid:
+            _check_prefix(n, rule.in_dim)
         (col, inputs, values), tails = _prefixes_and_tails(coeff, grid)
         col, out, values = _gather(rule._csc, inputs, values, rule.divisor, None, col)
         residuals = _residuals(f, col, out, values, len(grid))

@@ -231,7 +231,7 @@ def test_plan_matches_reference_bit_for_bit(name):
         for samples in (_samples(1), _samples(2)[::-1], []):
             try:
                 want = reference_plan(frame, x, theta, variant, samples)
-            except ValueError as exc:   # a refusal must be the same refusal
+            except ValueError as exc:   # FrameBounds refuses reversed bounds
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
                     verify_pre_f_frame(frame, x, theta, variant, samples)
                 continue
@@ -250,20 +250,18 @@ def test_plan_matches_reference_on_dense_frames(name):
 
 
 def test_plan_outcomes_cover_every_verdict():
-    """The cases above see passes, sample failures, slack failures and
-    refusals."""
+    """The cases above see passes, sample failures and slack failures."""
     kinds = set()
     for make in STRUCTURED.values():
         frame, x, theta, plan = make()
         for variant in _tight_plans(plan):
-            for samples in (_samples(1), [GradedVector.canonical(N + 1)]):
-                try:
-                    report = verify_pre_f_frame(frame, x, theta, variant, samples)
-                except ValueError:
-                    kinds.add("refused")
-                    continue
-                kinds.add(report.first_violation[2] if report.first_violation
-                          else "pass")
+            try:
+                report = verify_pre_f_frame(frame, x, theta, variant, _samples(1))
+            except ValueError:
+                kinds.add("refused")
+                continue
+            kinds.add(report.first_violation[2] if report.first_violation
+                      else "pass")
     assert {"pass", "lower", "upper", "upper_slack", "lower_slack",
             "refused"} <= kinds
 
