@@ -25,7 +25,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .gradings import (
     DualWeighting,
@@ -408,6 +407,9 @@ def bessel_bound(dual_candidates: Sequence[GradedVector],
     mat = sp.diags(1.0 / w) @ mat @ sp.diags(v)
     if min(m, n) <= SPARSE_CUTOVER:
         return float(np.linalg.svd(mat.toarray(), compute_uv=False)[0])
+    # scipy.sparse.linalg loads all of scipy.linalg; only this branch uses it
+    import scipy.sparse.linalg as spla
+
     v0 = np.ones(min(m, n))
     sigma = spla.svds(mat, k=1, which="LM", v0=v0, return_singular_vectors=False)
     return float(sigma[0])

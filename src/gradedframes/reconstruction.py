@@ -601,6 +601,19 @@ def _default_grid(support: int, limit: int) -> tuple:
     return tuple(range(0, min(support + 8, limit) + 1))
 
 
+def _given_grid(n_grid: Optional[Sequence[int]], limit: int) -> Optional[tuple]:
+    """The caller's grid as a tuple, or None for the default grid; an empty
+    grid or a prefix length outside [0, limit] is refused."""
+    if n_grid is None:
+        return None
+    grid = tuple(n_grid)
+    if not grid:
+        raise ValueError("n_grid is empty: give at least one prefix length")
+    for n in grid:
+        _check_prefix(n, limit)
+    return grid
+
+
 def _expansion_row(pos: int, level: int, grid: tuple, profile: tuple,
                    bounds: tuple, support: int, floor: float) -> ExpansionRow:
     """Judge one tail profile: within its bounds everywhere, and at most
@@ -648,15 +661,9 @@ def _coanalyze_columns(frame: FrameSystem, col, funcs, values, count: int) -> tu
     A dense frame takes one matrix product, whose sums may round differently
     from coanalyze's matrix-vector product, and keeps its nonzero entries.
     """
-    m = frame.functional_count
-    beyond = np.flatnonzero(funcs >= m)
-    if beyond.size:
-        first = funcs[col == col[beyond[0]]]
-        raise ValueError("coefficient support %d exceeds functional count %d"
-                         % (first.max() + 1, m))
     if isinstance(frame, CoordinateFrame):
         return _reader_sums(frame, col, funcs, values)
-    coeff = np.zeros((m, count), dtype=np.complex128)
+    coeff = np.zeros((frame.functional_count, count), dtype=np.complex128)
     coeff[funcs, col] = values
     out = frame.dense_matrix().T.astype(np.complex128) @ coeff
     col, coord = np.nonzero(out.T)
@@ -680,18 +687,17 @@ def verify_expansion(frame: FrameSystem, op: SynthesisOp,
     holds the coefficient prefix of length grid[q], the rule is gathered
     over all of its columns, and every level takes one column_norms call on
     the residuals and one on the tails.  The values are bit for bit those of
-    synthesize and graded_norm point by point.
+    synthesize and graded_norm point by point.  A given grid is refused when
+    it is empty or reaches outside [0, rule inputs].
     """
     rule = op.rule
     exact = rule.divisor is not None
+    given = _given_grid(n_grid, rule.in_dim)
     rows = []
     for pos, f in enumerate(samples):
         coeff = analyze(frame, f).coefficients
         support = coeff.trim().max_index
-        grid = tuple(n_grid) if n_grid is not None \
-            else _default_grid(support, rule.in_dim)
-        for n in grid:
-            _check_prefix(n, rule.in_dim)
+        grid = given or _default_grid(support, rule.in_dim)
         (col, inputs, values), tails = _prefixes_and_tails(coeff, grid)
         col, out, values = _gather(rule._csc, inputs, values, rule.divisor, None, col)
         residuals = _residuals(f, col, out, values, len(grid))
@@ -720,8 +726,11 @@ def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
     As in verify_expansion, each sample co-analyzes the prefixes of its
     whole grid at once and every level takes one column_norms call per
     matrix.  Coordinate frames give coanalyze and dual_norm's values point
-    by point bit for bit; dense frames may differ in the last bits.
+    by point bit for bit; dense frames may differ in the last bits.  A given
+    grid is refused when it is empty or reaches outside [0, functional
+    count].
     """
+    given = _given_grid(n_grid, frame.functional_count)
     tilde = []
     for k in range(plan.budget + 1):
         t_k = plan.upper_levels[k]
@@ -736,8 +745,7 @@ def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
     for pos, g in enumerate(dual_samples):
         c = op.rule.transpose_apply(g)
         support = c.trim().max_index
-        grid = tuple(n_grid) if n_grid is not None \
-            else _default_grid(support, frame.functional_count)
+        grid = given or _default_grid(support, frame.functional_count)
         (col, funcs, values), tails = _prefixes_and_tails(c, grid)
         residuals = _residuals(g, *_coanalyze_columns(frame, col, funcs, values,
                                                       len(grid)), len(grid))

@@ -36,6 +36,7 @@ from gradedframes.multilevel import IndexPlan
 from gradedframes.reconstruction import (
     ExpansionReport,
     SequenceOperator,
+    _check_prefix,
     _default_grid,
     _expansion_row,
     synthesis_from_rule,
@@ -71,6 +72,8 @@ def ref_verify_expansion(frame, op, x, theta, plan, samples, n_grid=None):
 
 
 def ref_verify_dual_expansion(frame, op, x, theta, plan, dual_samples, n_grid=None):
+    for n in n_grid or ():
+        _check_prefix(n, frame.functional_count)
     tilde = []
     for k in range(plan.budget + 1):
         t_k = plan.upper_levels[k]
@@ -201,7 +204,7 @@ def grids(m):
 
 
 def dual_grids(m):
-    # the dual verifier takes prefixes of any length
+    # refused: prefixes outside [0, m]
     return grids(m) + ((-2, 0, 3, m + 5),)
 
 
@@ -305,7 +308,7 @@ def _both(fn_got, fn_want):
     return got
 
 
-def test_primal_refuses_grid_points_outside_the_coefficients_dual_accepts():
+def test_both_refuse_grid_points_outside_the_coefficients():
     frame = FRAMES["block-dyadic"]
     x, theta = setting(frame)
     plan = PLANS["loose"]
@@ -321,7 +324,18 @@ def test_primal_refuses_grid_points_outside_the_coefficients_dual_accepts():
                                                   samples(), grid),
                     lambda: ref_verify_dual_expansion(frame, op, x, theta, plan,
                                                       samples(), grid))
-        assert got[0] == "ok"
+        assert got == ("error", "ValueError",
+                       "prefix length %d out of range [0, %d]" % (bad, m))
+
+
+@pytest.mark.parametrize("verify", [verify_expansion, verify_dual_expansion])
+def test_empty_grid_is_refused(verify):
+    frame = FRAMES["diag-dyadic"]
+    x, theta = setting(frame)
+    plan = PLANS["loose"]
+    op = synthesis_from_rule(rules_for(frame)["average"], x, theta, plan)
+    with pytest.raises(ValueError, match="^n_grid is empty"):
+        verify(frame, op, x, theta, plan, samples(), ())
 
 
 def test_samples_beyond_the_frame_are_refused_as_before():
@@ -395,7 +409,7 @@ def test_dual_refuses_prefixes_beyond_the_functionals_as_before():
                 lambda: ref_verify_dual_expansion(frame, op, x, theta, plan, chosen,
                                                   (0, 4, 2 * N, N + 3)))
     assert got == ("error", "ValueError",
-                   "coefficient support 18 exceeds functional count %d" % N)
+                   "prefix length %d out of range [0, %d]" % (2 * N, N))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -12,6 +12,7 @@ from gradedframes.frames import (
     ExtensionReport,
     FrameBounds,
     FrameFormError,
+    SPARSE_CUTOVER,
     analyze,
     analysis_norm,
     coanalyze,
@@ -312,6 +313,26 @@ def test_bessel_all_zero_candidates():
     w = power_grading(1, 4)
     cands = [GradedVector.zero(), GradedVector.zero()]
     assert bessel_bound(cands, w.dual(), 0, w.dual(), 0) == 0.0
+
+
+def test_bessel_sparse_branch_matches_dense_svd():
+    # the svds branch, the one use of scipy.sparse.linalg
+    m = n = 1300
+    assert min(m, n) > SPARSE_CUTOVER
+    rng = np.random.default_rng(8)
+    dense = np.zeros((m, n))
+    cands = []
+    for i in range(m):
+        idx = np.sort(rng.choice(n, size=4, replace=False)) + 1
+        vals = rng.standard_normal(4) / math.sqrt(i + 1)
+        dense[i, idx - 1] = vals
+        cands.append(GradedVector(idx, vals))
+    w = power_grading(3, n)
+    got = bessel_bound(cands, w.dual(), 1, w.dual(), 2)
+    left = w.weight_values(1, np.arange(1, m + 1))
+    right = w.weight_values(2, np.arange(1, n + 1))
+    want = np.linalg.svd(dense / left[:, None] * right, compute_uv=False)[0]
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 # -- dense subset extension --------------------------------------------------------

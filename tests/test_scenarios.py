@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -336,3 +340,29 @@ def test_cli_p_q_flags_override_ini(tmp_path, capsys):
 
 def test_cli_p_flag_out_of_range_exits_2(capsys):
     assert main(["run", "runo", "--p", "2.5"]) == 2
+
+
+_COLD_RUN = """
+import json, sys
+import gradedframes
+from gradedframes.cli import main
+out = sys.argv[1]
+codes = [main(["run", name, "--truncation", "256", "--format", "csv", "--out", out])
+         for name in ("exf1", "exf2", "custom", "runo")]
+codes.append(main(["report", out]))
+print(json.dumps([codes, sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg")
+                                if m in sys.modules)]))
+"""
+
+
+def test_cli_runs_load_no_dense_or_sparse_solvers(tmp_path):
+    # a fresh interpreter: this one may already hold the modules
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _COLD_RUN, str(tmp_path / "r.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * 5
+    assert loaded == []

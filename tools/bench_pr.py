@@ -1,7 +1,7 @@
-"""Run every gfbench workload at the given seeds and tier-1 once; write
-BENCH_<label>.json.
+"""Run every gfbench workload at the given seeds, time cold starts and run
+tier-1 once; write BENCH_<label>.json.
 
-    python3 tools/bench_pr.py --label 7 --seeds 11 12 13 --seconds 32
+    python3 tools/bench_pr.py --label 8 --seeds 11 12 13 --seconds 32
 
 Run from anywhere; paths resolve from the repository root.  Each workload
 runs once per seed as `python3 gfbench/run.py ... --trace 0`, a separate
@@ -11,6 +11,14 @@ seeds, attempted/failed/correct per seed, the src/ line count and the tier-1
 wall time; the label names the measured change.  git_head is the commit
 checked out at the start and dirty says whether tracked files differed from
 it, so that the numbers are not that commit's.  Standard library only.
+
+cold_start holds the median wall time of COLD_RUNS fresh
+`python -m gradedframes.cli run <scenario> --truncation <t> --format csv`
+processes per scenario and truncation (the process's whole life: interpreter
+start, imports, run, report write), and the median time a fresh interpreter
+takes for `import gradedframes` beside the same for its third-party
+dependencies.  Like gfbench's set-up timing these processes run with
+PYTHONDONTWRITEBYTECODE=1, so each compiles the package afresh.
 """
 
 import argparse
@@ -19,11 +27,16 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scenarios", "levels", "expansion")
+SCENARIOS = ("exf1", "exf2", "custom", "runo")
+TRUNCATIONS = (256, 1024, 4096, 16384)
+COLD_RUNS = 5
+DEPS_IMPORT = "import numpy, scipy.sparse, scipy.sparse.linalg"
 
 
 def git(*args):
@@ -38,12 +51,56 @@ def gfbench(workload, seed, seconds):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def tier1():
-    env = dict(os.environ)
+def src_env(**extra):
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_import(statement):
+    code = ("import sys, time; t = time.perf_counter(); %s; "
+            "sys.stdout.write(repr(time.perf_counter() - t))" % statement)
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                         env=src_env(PYTHONDONTWRITEBYTECODE="1"),
+                         capture_output=True, text=True, check=True)
+    return float(out.stdout)
+
+
+def cold_run(scenario, truncation, out):
+    cmd = [sys.executable, "-m", "gradedframes.cli", "run", scenario, "--truncation",
+           str(truncation), "--format", "csv", "--out", out]
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=ROOT, env=src_env(PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True)
+    if done.returncode not in (0, 1):
+        raise RuntimeError("%s failed: %s" % (" ".join(cmd[1:]), done.stderr))
+    return time.perf_counter() - start, done.returncode
+
+
+def cold_start():
+    """Fresh-process timings, repetitions outermost so that a slow spell of
+    the host spreads over every cell."""
+    cells = [(s, t) for s in SCENARIOS for t in TRUNCATIONS]
+    runs = {cell: [] for cell in cells}
+    imports = {"gradedframes": [], "dependencies": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(COLD_RUNS):
+            imports["dependencies"].append(fresh_import(DEPS_IMPORT))
+            imports["gradedframes"].append(fresh_import("import gradedframes"))
+            for cell in cells:
+                runs[cell].append(cold_run(*cell, os.path.join(tmp, "report.csv")))
+    return {"runs": COLD_RUNS, "dependencies": DEPS_IMPORT,
+            "import_s": {k: statistics.median(v) for k, v in imports.items()},
+            "run_s": {s: {str(t): statistics.median(x for x, _ in runs[s, t])
+                          for t in TRUNCATIONS} for s in SCENARIOS},
+            "exit_codes": {s: {str(t): sorted({c for _, c in runs[s, t]})
+                               for t in TRUNCATIONS} for s in SCENARIOS}}
+
+
+def tier1():
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     start = time.perf_counter()
-    out = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=ROOT, env=src_env(), capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     return {"wall_s": time.perf_counter() - start, "exit_code": out.returncode,
             "summary": lines[-1] if lines else ""}
@@ -72,8 +129,8 @@ def main(argv=None):
     report = {"label": args.label, "git_head": sha, "dirty": dirty, "seeds": args.seeds,
               "seconds": args.seconds, "python": sys.version.split()[0],
               "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count(), "src_lines": src, "tier1": tier1(),
-              "workloads": workloads}
+              else os.cpu_count(), "src_lines": src, "cold_start": cold_start(),
+              "tier1": tier1(), "workloads": workloads}
     path = ROOT / ("BENCH_%s.json" % args.label)
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(path)
