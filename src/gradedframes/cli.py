@@ -3,7 +3,7 @@
 Two subcommands: `run` executes a named scenario and writes its report,
 `report` re-reads a written report file and summarizes it.  Exit status is
 0 when every check passed, 1 when the run or the loaded report contains a
-failure, 2 for usage and configuration errors.
+failure, 2 for usage and configuration errors and unreadable reports.
 
 Configuration uses INI files:
 
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ReportFormatError, OSError) as exc:
+    except (ConfigError, ReportFormatError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

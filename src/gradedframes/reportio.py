@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .scenarios import ReportRow, ScenarioResult
+from .scenarios import ReportRow, ScenarioResult, fmt_sig
 
 SCHEMA_VERSION = 1
 
@@ -28,10 +28,6 @@ _FLOAT_COLUMNS = {"plan_lower", "plan_upper", "optimal_lower", "optimal_upper"}
 
 class ReportFormatError(ValueError):
     """Malformed or unsupported report content."""
-
-
-def fmt_sig(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 def _cell(value, column: str) -> str:
@@ -121,14 +117,33 @@ def _typed(column: str, text: str):
     return text
 
 
-def _rows_from_dicts(dicts) -> tuple:
+def _checked(column: str, value):
+    """JSON cell `value`, refused unless its type fits `column`."""
+    if column not in _INT_COLUMNS | _FLOAT_COLUMNS:
+        kinds = str
+    elif value is None:
+        return None
+    else:
+        kinds = int if column in _INT_COLUMNS else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError("bad %s value %r" % (column, value))
+    return float(value) if column in _FLOAT_COLUMNS else value
+
+
+def _rows_from_dicts(dicts, cell) -> tuple:
+    """ReportRows from one mapping per row; `cell(column, value)` types each
+    value and raises ValueError on one that does not fit its column."""
     rows = []
-    for d in dicts:
+    for i, d in enumerate(dicts, 1):
         missing = set(COLUMNS) - set(d)
         if missing:
             raise ReportFormatError("row lacks columns: %s"
                                     % ", ".join(sorted(missing)))
-        rows.append(ReportRow(**{col: d[col] for col in COLUMNS}))
+        try:
+            values = {col: cell(col, d[col]) for col in COLUMNS}
+            rows.append(ReportRow(**values))
+        except ValueError as exc:
+            raise ReportFormatError("row %d: %s" % (i, exc)) from exc
     return tuple(rows)
 
 
@@ -146,10 +161,13 @@ def from_csv(text: str) -> LoadedReport:
         else:
             body.append(line)
     try:
-        version = int(header["schema_version"])
+        version = header["schema_version"]
         digest = header["sha256"]
     except KeyError as exc:
         raise ReportFormatError("missing header field %s" % exc) from exc
+    if version != str(SCHEMA_VERSION):
+        raise ReportFormatError("unsupported schema version %r, expected %d"
+                                % (version, SCHEMA_VERSION))
     config = {}
     for item in header.get("config", "").split():
         key, _, value = item.partition("=")
@@ -163,11 +181,10 @@ def from_csv(text: str) -> LoadedReport:
         if len(raw) != len(COLUMNS):
             raise ReportFormatError("row has %d cells, expected %d"
                                     % (len(raw), len(COLUMNS)))
-        dicts.append({col: _typed(col, cell)
-                      for col, cell in zip(COLUMNS, raw)})
+        dicts.append(dict(zip(COLUMNS, raw)))
     passed = {"true": True, "false": False}.get(header.get("passed", ""))
-    return LoadedReport(version, config.get("scenario", ""), config, digest,
-                        passed, _rows_from_dicts(dicts))
+    return LoadedReport(SCHEMA_VERSION, config.get("scenario", ""), config,
+                        digest, passed, _rows_from_dicts(dicts, _typed))
 
 
 def from_json(text: str) -> LoadedReport:
@@ -176,9 +193,16 @@ def from_json(text: str) -> LoadedReport:
     except json.JSONDecodeError as exc:
         raise ReportFormatError("invalid JSON: %s" % exc) from exc
     try:
-        return LoadedReport(int(doc["schema_version"]), doc["scenario"],
-                            dict(doc["config"]), doc["config_sha256"],
-                            bool(doc["passed"]), _rows_from_dicts(doc["rows"]))
+        version, passed = doc["schema_version"], doc["passed"]
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ReportFormatError("unsupported schema version %r, expected %d"
+                                    % (version, SCHEMA_VERSION))
+        if not isinstance(passed, bool):
+            raise ReportFormatError("passed must be true or false, not %r"
+                                    % (passed,))
+        return LoadedReport(version, doc["scenario"], dict(doc["config"]),
+                            doc["config_sha256"], passed,
+                            _rows_from_dicts(doc["rows"], _checked))
     except (KeyError, TypeError) as exc:
         raise ReportFormatError("malformed report document: %s" % exc) from exc
 

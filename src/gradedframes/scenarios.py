@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,8 @@ SQRT2 = math.sqrt(2.0)
 ROW_KINDS = ("level", "chain", "witness", "verdict")
 
 
-def _fmt(x: float) -> str:
+def fmt_sig(x: float) -> str:
+    """Float with 12 significant digits, as every report writes it."""
     return format(float(x), ".12g")
 
 
@@ -80,26 +81,21 @@ class ScenarioConfig:
         object.__setattr__(self, "n_max", int(self.n_max))
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "q", float(self.q))
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "r": self.r,
-            "truncation": self.truncation,
-            "levels": self.levels,
-            "n_max": self.n_max,
-            "p": self.p,
-            "q": self.q,
-        }
-
-    def digest(self) -> str:
         parts = []
         for key, value in sorted(self.as_dict().items()):
             if isinstance(value, float):
-                parts.append("%s=%s" % (key, _fmt(value)))
+                parts.append("%s=%s" % (key, fmt_sig(value)))
             else:
                 parts.append("%s=%s" % (key, value))
-        return hashlib.sha256(";".join(parts).encode("ascii")).hexdigest()
+        # hashed once here, since every report row carries the digest
+        object.__setattr__(self, "_digest", hashlib.sha256(
+            ";".join(parts).encode("ascii")).hexdigest())
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    def digest(self) -> str:
+        return self._digest
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ class ScenarioResult:
 def _witness_str(w) -> str:
     if isinstance(w, (int, np.integer)):
         return str(int(w))
-    return "|".join("%d:%s" % (int(j), _fmt(v.real))
+    return "|".join("%d:%s" % (int(j), fmt_sig(v.real))
                     for j, v in zip(w.indices, w.values))
 
 
@@ -154,20 +150,50 @@ def _plan_samples(n: int) -> list:
     return out
 
 
-def _strict_detail(verdict) -> str:
+def _row(cfg: ScenarioConfig, kind: str, label: str, **fields) -> ReportRow:
+    return ReportRow(scenario=cfg.scenario, kind=kind, label=label,
+                     config_hash=cfg.digest(), **fields)
+
+
+def _strict_row(cfg: ScenarioConfig, label: str, verdict) -> ReportRow:
     if verdict.verdict == "Strict":
         levels = ",".join(str(c.admissible_level) for c in verdict.certificates)
-        return "admissible levels %s" % levels
-    if verdict.verdict == "NotStrict":
-        level = verdict.witnesses[0].level
-        return ("no admissible level for mid level %d among candidates 0..%d"
-                % (level, verdict.n_max))
-    return verdict.detail
+        detail = "admissible levels %s" % levels
+    elif verdict.verdict == "NotStrict":
+        detail = ("no admissible level for mid level %d among candidates 0..%d"
+                  % (verdict.witnesses[0].level, verdict.n_max))
+    else:
+        detail = verdict.detail
+    return _row(cfg, "verdict", label, verdict=verdict.verdict, detail=detail)
 
 
-def _residual_profile(report, sample: int, level: int) -> str:
-    row = report.row(sample, level)
-    return ";".join(_fmt(v) for v in row.profile)
+def _level_row(cfg, label, plan, k, fb, passed, expansion) -> ReportRow:
+    return _row(
+        cfg, "level", label, level=k, lower_level=plan.lower_levels[k],
+        upper_level=plan.upper_levels[k],
+        plan_lower=plan.lower_consts[k], plan_upper=plan.upper_consts[k],
+        optimal_lower=fb.lower, optimal_upper=fb.upper,
+        witness_lower=_witness_str(fb.witness_lower),
+        witness_upper=_witness_str(fb.witness_upper),
+        verdict="pass" if passed else "fail",
+        residuals=";".join(fmt_sig(v) for v in expansion.row(0, k).profile))
+
+
+def _graded_case(cfg, label, frame, x, theta, plan, rule, rows):
+    """Check `plan` on the plan samples, build the synthesis operator of
+    `rule`, expand the dyadic probe and classify strictness; append one level
+    row per plan level.  Returns (synthesis operator, plan and expansion
+    passed, strictness verdict); the caller places the verdict row."""
+    plan_report = verify_pre_f_frame(frame, x, theta, plan,
+                                     _plan_samples(cfg.truncation))
+    op = synthesis_from_rule(rule, x, theta, plan)
+    expansion = verify_expansion(frame, op, x, theta, plan, [_dyadic_probe()])
+    strict = classify_strictness(frame, x, theta, cfg.n_max)
+    for k, (s, t) in enumerate(zip(plan.lower_levels, plan.upper_levels)):
+        fb = frame_bounds_analytic(frame, theta, k, x, s, t)
+        rows.append(_level_row(cfg, label, plan, k, fb, plan_report.passed,
+                               expansion))
+    return op, plan_report.passed and expansion.passed, strict
 
 
 # ---------------------------------------------------------------------------
@@ -183,45 +209,20 @@ def run_exf1(cfg: ScenarioConfig) -> ScenarioResult:
     theta = WeightGrading("power", budget, n)
     plan = IndexPlan.shifted(budget, r)
 
-    plan_report = verify_pre_f_frame(frame, x, theta, plan, _plan_samples(n))
-    op = synthesis_from_rule(SequenceOperator.diagonal(np.ones(n), frame.b),
-                             x, theta, plan)
-    probe = _dyadic_probe()
-    expansion = verify_expansion(frame, op, x, theta, plan, [probe])
-    equiv = verify_equivalences(frame, x, theta, plan, "V", op)
-    strict_base = classify_strictness(frame, x, theta, cfg.n_max)
-    strict_variant = classify_strictness(variant, x, theta, cfg.n_max)
-
-    digest = cfg.digest()
     rows = []
-    for k in range(budget + 1):
-        fb = frame_bounds_analytic(frame, theta, k, x, k, k + r)
-        rows.append(ReportRow(
-            scenario=cfg.scenario, kind="level", label="base", level=k,
-            lower_level=k, upper_level=k + r,
-            plan_lower=plan.lower_consts[k], plan_upper=plan.upper_consts[k],
-            optimal_lower=fb.lower, optimal_upper=fb.upper,
-            witness_lower=_witness_str(fb.witness_lower),
-            witness_upper=_witness_str(fb.witness_upper),
-            verdict="pass" if plan_report.passed else "fail",
-            residuals=_residual_profile(expansion, 0, k),
-            config_hash=digest))
-    rows.append(ReportRow(
-        scenario=cfg.scenario, kind="verdict", label="base",
-        verdict=strict_base.verdict, detail=_strict_detail(strict_base),
-        config_hash=digest))
-    rows.append(ReportRow(
-        scenario=cfg.scenario, kind="verdict", label="variant",
-        verdict=strict_variant.verdict, detail=_strict_detail(strict_variant),
-        config_hash=digest))
+    op, case_ok, strict_base = _graded_case(
+        cfg, "base", frame, x, theta, plan,
+        SequenceOperator.diagonal(np.ones(n), frame.b), rows)
+    equiv = verify_equivalences(frame, x, theta, plan, "V", op)
+    strict_variant = classify_strictness(variant, x, theta, cfg.n_max)
+    rows.append(_strict_row(cfg, "base", strict_base))
+    rows.append(_strict_row(cfg, "variant", strict_variant))
 
-    passed = (plan_report.passed and expansion.passed and equiv.passed
+    passed = (case_ok and equiv.passed
               and strict_base.verdict == "NotStrict"
               and strict_variant.verdict == "Strict")
-    notes = []
-    if not equiv.passed:
-        notes.extend(equiv.notes)
-    return ScenarioResult(cfg, passed, tuple(rows), tuple(notes))
+    notes = () if equiv.passed else tuple(equiv.notes)
+    return ScenarioResult(cfg, passed, tuple(rows), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -236,64 +237,37 @@ def run_exf2(cfg: ScenarioConfig) -> ScenarioResult:
     theta = WeightGrading("power", budget, 2 * n)
     plan = IndexPlan.shifted(budget, r, upper_const=SQRT2)
 
-    plan_report = verify_pre_f_frame(frame, x, theta, plan, _plan_samples(n))
-    zeros = np.zeros(n)
-    op = synthesis_from_rule(
-        SequenceOperator.pair_collapse(zeros, np.ones(n), frame.b_pair),
-        x, theta, plan)
+    rows = []
+    rule = SequenceOperator.pair_collapse(np.zeros(n), np.ones(n), frame.b_pair)
+    op, case_ok, strict = _graded_case(cfg, "base", frame, x, theta, plan,
+                                       rule, rows)
     proj = projection_from_V(frame, op, theta)
-    probe = _dyadic_probe()
-    expansion = verify_expansion(frame, op, x, theta, plan, [probe])
     equiv = verify_equivalences(frame, x, theta, plan, "projection", proj)
-    strict = classify_strictness(frame, x, theta, cfg.n_max)
-
-    range_ok = True
-    for f in _plan_samples(n)[:6]:
-        d = analyze(frame, f).coefficients
-        if proj.apply(d) != d:
-            range_ok = False
-            break
+    coefficients = (analyze(frame, f).coefficients
+                    for f in _plan_samples(n)[:6])
+    range_ok = all(proj.apply(d) == d for d in coefficients)
     continuity_ok = all(c <= SQRT2 * (1 + 1e-12) for c in proj.continuity)
 
-    digest = cfg.digest()
-    rows = []
-    for k in range(budget + 1):
-        fb = frame_bounds_analytic(frame, theta, k, x, k, k + r)
-        rows.append(ReportRow(
-            scenario=cfg.scenario, kind="level", label="base", level=k,
-            lower_level=k, upper_level=k + r,
-            plan_lower=plan.lower_consts[k], plan_upper=plan.upper_consts[k],
-            optimal_lower=fb.lower, optimal_upper=fb.upper,
-            witness_lower=_witness_str(fb.witness_lower),
-            witness_upper=_witness_str(fb.witness_upper),
-            verdict="pass" if plan_report.passed else "fail",
-            residuals=_residual_profile(expansion, 0, k),
-            config_hash=digest))
     e1 = GradedVector.canonical(1)
     chain = (plan.lower_consts[0] * graded_norm(e1, x, 0),
              analysis_norm(frame, e1, theta, 0),
              plan.upper_consts[0] * graded_norm(e1, x, r))
-    rows.append(ReportRow(
-        scenario=cfg.scenario, kind="chain", label="e1", level=0,
-        lower_level=0, upper_level=r,
+    rows.append(_row(
+        cfg, "chain", "e1", level=0, lower_level=0, upper_level=r,
         verdict="pass" if chain[0] <= chain[1] <= chain[2] else "fail",
         detail="plan lower;mid norm;plan upper",
-        residuals=";".join(_fmt(v) for v in chain), config_hash=digest))
-    rows.append(ReportRow(
-        scenario=cfg.scenario, kind="verdict", label="base",
-        verdict=strict.verdict, detail=_strict_detail(strict),
-        config_hash=digest))
+        residuals=";".join(fmt_sig(v) for v in chain)))
+    rows.append(_strict_row(cfg, "base", strict))
     roundtrip_ok = (equiv.passed and proj.idempotence_defect == 0.0
                     and range_ok and continuity_ok)
-    rows.append(ReportRow(
-        scenario=cfg.scenario, kind="verdict", label="roundtrip",
+    rows.append(_row(
+        cfg, "verdict", "roundtrip",
         verdict="pass" if roundtrip_ok else "fail",
         detail="projection defect %s, continuity cap %s"
-               % (_fmt(proj.idempotence_defect), _fmt(max(proj.continuity))),
-        config_hash=digest))
+               % (fmt_sig(proj.idempotence_defect),
+                  fmt_sig(max(proj.continuity)))))
 
-    passed = (plan_report.passed and expansion.passed and roundtrip_ok
-              and strict.verdict == "NotStrict")
+    passed = case_ok and roundtrip_ok and strict.verdict == "NotStrict"
     return ScenarioResult(cfg, passed, tuple(rows), tuple(equiv.notes))
 
 
@@ -306,27 +280,23 @@ def run_runo(cfg: ScenarioConfig) -> ScenarioResult:
                GradedVector.canonical(1))
     labels = ("ones2", "e1")
     rep = runo_demo(cfg.p, cfg.q, samples)
-    digest = cfg.digest()
     rows = []
     for (i, nq, n2, np_, ok), label in zip(rep.chain_rows, labels):
-        rows.append(ReportRow(
-            scenario=cfg.scenario, kind="chain", label=label, level=i,
+        rows.append(_row(
+            cfg, "chain", label, level=i,
             verdict="pass" if ok else "fail",
             detail="q norm;2 norm;p norm",
-            residuals=";".join(_fmt(v) for v in (nq, n2, np_)),
-            config_hash=digest))
+            residuals=";".join(fmt_sig(v) for v in (nq, n2, np_))))
     for n, l2, lp in rep.witness_rows:
-        rows.append(ReportRow(
-            scenario=cfg.scenario, kind="witness", label="prefix", level=n,
-            detail="2 norm;p norm",
-            residuals="%s;%s" % (_fmt(l2), _fmt(lp)), config_hash=digest))
+        rows.append(_row(
+            cfg, "witness", "prefix", level=n, detail="2 norm;p norm",
+            residuals="%s;%s" % (fmt_sig(l2), fmt_sig(lp))))
     flags_ok = rep.p_sum_diverges and rep.l2_sum_converges
-    rows.append(ReportRow(
-        scenario=cfg.scenario, kind="verdict", label="witness",
+    rows.append(_row(
+        cfg, "verdict", "witness",
         verdict="pass" if (rep.passed and flags_ok) else "fail",
         detail="exponent %s, bounded in 2 norm, strictly growing in p norm"
-               % _fmt(rep.witness_exponent),
-        config_hash=digest))
+               % fmt_sig(rep.witness_exponent)))
     return ScenarioResult(cfg, rep.passed and flags_ok, tuple(rows))
 
 
@@ -334,48 +304,23 @@ def run_runo(cfg: ScenarioConfig) -> ScenarioResult:
 # custom: identity, cubic diagonal and a small dense solve
 
 
-def _diag_subcase(cfg, label, frame, shift, rows, digest):
-    n, budget = cfg.truncation, cfg.levels - 1
-    x = WeightGrading("power", max(budget + shift, cfg.n_max), n)
-    theta = WeightGrading("power", budget, n)
-    plan = IndexPlan.shifted(budget, shift)
-    plan_report = verify_pre_f_frame(frame, x, theta, plan, _plan_samples(n))
-    op = synthesis_from_rule(SequenceOperator.diagonal(np.ones(n), frame.b),
-                             x, theta, plan)
-    expansion = verify_expansion(frame, op, x, theta, plan, [_dyadic_probe()])
-    strict = classify_strictness(frame, x, theta, cfg.n_max)
-    for k in range(budget + 1):
-        fb = frame_bounds_analytic(frame, theta, k, x, k, k + shift)
-        rows.append(ReportRow(
-            scenario=cfg.scenario, kind="level", label=label, level=k,
-            lower_level=k, upper_level=k + shift,
-            plan_lower=plan.lower_consts[k], plan_upper=plan.upper_consts[k],
-            optimal_lower=fb.lower, optimal_upper=fb.upper,
-            witness_lower=_witness_str(fb.witness_lower),
-            witness_upper=_witness_str(fb.witness_upper),
-            verdict="pass" if plan_report.passed else "fail",
-            residuals=_residual_profile(expansion, 0, k),
-            config_hash=digest))
-    rows.append(ReportRow(
-        scenario=cfg.scenario, kind="verdict", label=label,
-        verdict=strict.verdict, detail=_strict_detail(strict),
-        config_hash=digest))
-    return plan_report.passed and expansion.passed and strict.verdict == "Strict"
-
-
 def run_custom(cfg: ScenarioConfig) -> ScenarioResult:
-    n = cfg.truncation
+    n, budget = cfg.truncation, cfg.levels - 1
     j = np.arange(1, n + 1).astype(float)
-    digest = cfg.digest()
+    theta = WeightGrading("power", budget, n)
     rows = []
-    ok_identity = _diag_subcase(cfg, "identity", DiagonalFrame(np.ones(n)),
-                                0, rows, digest)
-    ok_cube = _diag_subcase(cfg, "cube", DiagonalFrame(j ** 3), 3, rows, digest)
+    passed = True
+    for label, b, shift in (("identity", np.ones(n), 0), ("cube", j ** 3, 3)):
+        frame = DiagonalFrame(b)
+        x = WeightGrading("power", max(budget + shift, cfg.n_max), n)
+        _, case_ok, strict = _graded_case(
+            cfg, label, frame, x, theta, IndexPlan.shifted(budget, shift),
+            SequenceOperator.diagonal(np.ones(n), frame.b), rows)
+        rows.append(_strict_row(cfg, label, strict))
+        passed = passed and case_ok and strict.verdict == "Strict"
 
-    mat = np.array([[1.0, 1.0], [0.0, 1.0]])
-    frame = DenseFrame(mat)
-    x = WeightGrading("power", 1, 2)
-    theta = WeightGrading("power", 1, 2)
+    frame = DenseFrame(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    x = theta = WeightGrading("power", 1, 2)
     fb = frame_bounds_numeric(frame, theta, 0, x, 0, 0)
     plan = IndexPlan((0,), (0,), (fb.lower,), (fb.upper,))
     proj = ProjectionOp(SequenceOperator.identity(2), (1.0,), 0.0)
@@ -383,23 +328,14 @@ def run_custom(cfg: ScenarioConfig) -> ScenarioResult:
     expansion = verify_expansion(frame, op, x, theta, plan,
                                  [GradedVector.canonical(1)])
     equiv = verify_equivalences(frame, x, theta, plan, "V", op)
-    rows.append(ReportRow(
-        scenario=cfg.scenario, kind="level", label="golden", level=0,
-        lower_level=0, upper_level=0,
-        plan_lower=fb.lower, plan_upper=fb.upper,
-        optimal_lower=fb.lower, optimal_upper=fb.upper,
-        witness_lower=_witness_str(fb.witness_lower),
-        witness_upper=_witness_str(fb.witness_upper),
-        verdict="pass" if expansion.passed else "fail",
-        residuals=_residual_profile(expansion, 0, 0), config_hash=digest))
-    ok_golden = expansion.passed and equiv.passed
-    rows.append(ReportRow(
-        scenario=cfg.scenario, kind="verdict", label="golden",
-        verdict="pass" if ok_golden else "fail",
+    rows.append(_level_row(cfg, "golden", plan, 0, fb, expansion.passed,
+                           expansion))
+    golden_ok = expansion.passed and equiv.passed
+    rows.append(_row(
+        cfg, "verdict", "golden", verdict="pass" if golden_ok else "fail",
         detail="dense solve round trip, synthesis bound %s"
-               % _fmt(op.bounds.consts[0]),
-        config_hash=digest))
-    passed = ok_identity and ok_cube and ok_golden
+               % fmt_sig(op.bounds.consts[0])))
+    passed = passed and golden_ok
     return ScenarioResult(cfg, passed, tuple(rows), tuple(equiv.notes))
 
 

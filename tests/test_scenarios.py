@@ -281,6 +281,30 @@ def test_cli_report_missing_file(tmp_path, capsys):
     assert main(["report", str(tmp_path / "absent.csv")]) == 2
 
 
+@pytest.mark.parametrize("fmt,old,new", [
+    ("csv", "# schema_version=1", "# schema_version=abc"),
+    ("csv", "# schema_version=1", "# schema_version=7"),
+    ("csv", "\nexf2,level,base,0,", "\nexf2,level,base,x,"),
+    ("csv", "\nexf2,level,", "\nexf2,bogus,"),
+    ("json", '"schema_version": 1', '"schema_version": "v1"'),
+    ("json", '"schema_version": 1', '"schema_version": 7'),
+    ("json", '"passed": true', '"passed": "false"'),
+    ("json", '"level": 3', '"level": "3"'),
+    ("csv", "\nexf2,level,base,", "\nexf2,level,b\u00e4se,"),
+], ids=["csv-version-abc", "csv-version-7", "csv-level-x", "csv-kind-bogus",
+        "json-version-v1", "json-version-7", "json-passed-string",
+        "json-level-string", "csv-not-ascii"])
+def test_cli_malformed_report_exits_2(exf2_small, tmp_path, capsys, fmt, old,
+                                      new):
+    text = emit_report(exf2_small, fmt)
+    broken = text.replace(old, new, 1)
+    assert broken != text
+    path = tmp_path / ("broken." + fmt)
+    path.write_text(broken, encoding="utf-8")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_ini_config_with_flag_override(tmp_path, capsys):
     ini = tmp_path / "cfg.ini"
     ini.write_text("\n".join([

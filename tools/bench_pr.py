@@ -72,7 +72,8 @@ def cold_run(scenario, truncation, out):
     start = time.perf_counter()
     done = subprocess.run(cmd, cwd=ROOT, env=src_env(PYTHONDONTWRITEBYTECODE="1"),
                           capture_output=True, text=True)
-    if done.returncode not in (0, 1):
+    # exit 1 is a failed verdict, but an uncaught exception exits 1 too
+    if done.returncode not in (0, 1) or "Traceback" in done.stderr:
         raise RuntimeError("%s failed: %s" % (" ".join(cmd[1:]), done.stderr))
     return time.perf_counter() - start, done.returncode
 
