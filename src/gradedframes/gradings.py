@@ -237,6 +237,12 @@ class WeightGrading:
             object.__setattr__(self, "alphas", tuple(float(x) for x in self.alphas))
         elif self.alphas is not None:
             raise ValueError("alpha table only applies to the exponential kind")
+        # the top weight is the largest of every kind
+        with np.errstate(over="ignore"):
+            top = self.weight_values(self.levels, [self.truncation])[0]
+        if not math.isfinite(top):
+            raise LevelError("weight at level %d, coordinate %d is not finite"
+                             % (self.levels, self.truncation))
 
     def _check_level(self, level: int):
         if int(level) != level or not 0 <= level <= self.levels:

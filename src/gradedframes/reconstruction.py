@@ -325,15 +325,19 @@ class DualSystem:
 
 @dataclass(frozen=True, eq=False)
 class SynthesisOp:
-    """Reconstruction rule with its dual system and per-level bound table."""
+    """Reconstruction rule with its per-level bound table; its dual system
+    is the rule's canonical images, built on first use."""
 
     rule: SequenceOperator
-    dual: DualSystem
     bounds: ContinuityData
 
     def __post_init__(self):
         if not all(math.isfinite(c) for c in self.bounds.consts):
             raise ValueError("synthesis bound table contains non-finite entries")
+
+    @cached_property
+    def dual(self) -> DualSystem:
+        return build_dual_from_V(self.rule)
 
 
 def build_dual_from_V(rule: SequenceOperator) -> DualSystem:
@@ -379,15 +383,13 @@ def _bound_table(rule: SequenceOperator, x_grading: WeightGrading,
 
 def synthesis_from_rule(rule: SequenceOperator, x_grading: WeightGrading,
                         theta_grading: WeightGrading, plan: IndexPlan) -> SynthesisOp:
-    return SynthesisOp(rule, build_dual_from_V(rule),
-                       _bound_table(rule, x_grading, theta_grading, plan))
+    return SynthesisOp(rule, _bound_table(rule, x_grading, theta_grading, plan))
 
 
 def build_V_from_dual(dual: DualSystem, x_grading: WeightGrading,
                       theta_grading: WeightGrading, plan: IndexPlan) -> SynthesisOp:
     """Reconstruction operator whose canonical images are the given dual."""
-    rule = _detect_rule(dual)
-    return SynthesisOp(rule, dual, _bound_table(rule, x_grading, theta_grading, plan))
+    return synthesis_from_rule(_detect_rule(dual), x_grading, theta_grading, plan)
 
 
 def _check_prefix(n: int, dim: int) -> None:
@@ -565,8 +567,7 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
     if j is not None:
         raise ValueError("recovered operator is not a left inverse "
                          "at coordinate %d" % j)
-    return SynthesisOp(rule, build_dual_from_V(rule),
-                       _bound_table(rule, x_grading, theta_grading, plan))
+    return synthesis_from_rule(rule, x_grading, theta_grading, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -768,52 +769,33 @@ def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
 class EquivalenceReport:
     passed: bool
     canonical_match: bool
-    left_inverse_ok: bool
     idempotence_defect: float
     bound_tables: tuple
     notes: tuple
 
 
-def verify_equivalences(frame: FrameSystem, x_grading: WeightGrading,
-                        theta_grading: WeightGrading, plan: IndexPlan,
-                        source_kind: str, source) -> EquivalenceReport:
+def verify_equivalences(frame: FrameSystem, op: SynthesisOp,
+                        x_grading: WeightGrading, theta_grading: WeightGrading,
+                        plan: IndexPlan) -> EquivalenceReport:
     """Round-trip construction chain: V -> dual -> V' -> P -> V''.
 
-    Whatever the starting witness, the remaining ones are constructed and
-    cross-checked: V' must agree with V on canonical vectors, P must be
-    idempotent, V'' must be a left inverse, and the three per-level bound
-    tables must agree within relative tolerance.
+    The operator may come from a rule, a dual or a projection; the remaining
+    witnesses are constructed and cross-checked: V' must agree with V on
+    canonical vectors, P must be idempotent, and the three per-level bound
+    tables must agree within relative tolerance.  V'' is a left inverse,
+    since V_from_projection refuses any other.
     """
     notes = []
-    if source_kind == "V":
-        rule = source if isinstance(source, SequenceOperator) else source.rule
-        op0 = synthesis_from_rule(rule, x_grading, theta_grading, plan)
-    elif source_kind == "dual":
-        op0 = build_V_from_dual(source, x_grading, theta_grading, plan)
-    elif source_kind == "projection":
-        op0 = V_from_projection(frame, source, x_grading, theta_grading, plan)
-    else:
-        raise ValueError("unknown source kind %r" % (source_kind,))
-
-    # op0.dual already holds the canonical images of op0.rule, except for a
-    # dual source, where it is the given dual and would rebuild op0.rule itself
-    dual0 = build_dual_from_V(op0.rule) if source_kind == "dual" else op0.dual
-    op1 = build_V_from_dual(dual0, x_grading, theta_grading, plan)
-    eye = sp.identity(frame.functional_count, format="csc")
-    canonical_match = not _mismatched_columns(op1.rule.apply_columns(eye),
-                                              op0.rule.apply_columns(eye),
+    op1 = build_V_from_dual(op.dual, x_grading, theta_grading, plan)
+    canonical_match = not _mismatched_columns(op1.dual.matrix, op.dual.matrix,
                                               1e-12).size
     if not canonical_match:
         notes.append("reconstruction rebuilt from the dual differs on canonicals")
 
     proj = projection_from_V(frame, op1, theta_grading)
     op2 = V_from_projection(frame, proj, x_grading, theta_grading, plan)
-    j = _left_inverse_failure(frame, op2.rule)
-    left_inverse_ok = j is None
-    if not left_inverse_ok:
-        notes.append("final reconstruction fails left inversion at %d" % j)
 
-    tables = (op0.bounds.consts, op1.bounds.consts, op2.bounds.consts)
+    tables = (op.bounds.consts, op1.bounds.consts, op2.bounds.consts)
     bounds_ok = True
     for k in range(plan.budget + 1):
         ref = tables[0][k]
@@ -821,6 +803,6 @@ def verify_equivalences(frame: FrameSystem, x_grading: WeightGrading,
             if abs(t[k] - ref) > BOUND_MATCH_TOL * max(ref, 1e-300):
                 bounds_ok = False
                 notes.append("bound table mismatch at level %d" % k)
-    passed = canonical_match and left_inverse_ok and bounds_ok
-    return EquivalenceReport(passed, canonical_match, left_inverse_ok,
-                             proj.idempotence_defect, tables, tuple(notes))
+    passed = canonical_match and bounds_ok
+    return EquivalenceReport(passed, canonical_match, proj.idempotence_defect,
+                             tables, tuple(notes))

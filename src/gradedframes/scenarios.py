@@ -213,7 +213,7 @@ def run_exf1(cfg: ScenarioConfig) -> ScenarioResult:
     op, case_ok, strict_base = _graded_case(
         cfg, "base", frame, x, theta, plan,
         SequenceOperator.diagonal(np.ones(n), frame.b), rows)
-    equiv = verify_equivalences(frame, x, theta, plan, "V", op)
+    equiv = verify_equivalences(frame, op, x, theta, plan)
     strict_variant = classify_strictness(variant, x, theta, cfg.n_max)
     rows.append(_strict_row(cfg, "base", strict_base))
     rows.append(_strict_row(cfg, "variant", strict_variant))
@@ -242,7 +242,8 @@ def run_exf2(cfg: ScenarioConfig) -> ScenarioResult:
     op, case_ok, strict = _graded_case(cfg, "base", frame, x, theta, plan,
                                        rule, rows)
     proj = projection_from_V(frame, op, theta)
-    equiv = verify_equivalences(frame, x, theta, plan, "projection", proj)
+    equiv = verify_equivalences(
+        frame, V_from_projection(frame, proj, x, theta, plan), x, theta, plan)
     coefficients = (analyze(frame, f).coefficients
                     for f in _plan_samples(n)[:6])
     range_ok = all(proj.apply(d) == d for d in coefficients)
@@ -327,7 +328,7 @@ def run_custom(cfg: ScenarioConfig) -> ScenarioResult:
     op = V_from_projection(frame, proj, x, theta, plan)
     expansion = verify_expansion(frame, op, x, theta, plan,
                                  [GradedVector.canonical(1)])
-    equiv = verify_equivalences(frame, x, theta, plan, "V", op)
+    equiv = verify_equivalences(frame, op, x, theta, plan)
     rows.append(_level_row(cfg, "golden", plan, 0, fb, expansion.passed,
                            expansion))
     golden_ok = expansion.passed and equiv.passed

@@ -29,6 +29,7 @@ from gradedframes.multilevel import (
 )
 from gradedframes.reconstruction import (
     SequenceOperator,
+    V_from_projection,
     projection_from_V,
     synthesis_from_rule,
     verify_dual_expansion,
@@ -134,7 +135,8 @@ def test_criterion_3_paired_frame_report_and_projection():
         scale = max(graded_norm(pe, theta, 0), 1e-30)
         assert graded_norm(back - pe, theta, 0) <= 1e-9 * scale
 
-    equiv = verify_equivalences(frame, x, theta, plan, "projection", proj)
+    equiv = verify_equivalences(frame, V_from_projection(frame, proj, x, theta, plan),
+                                x, theta, plan)
     assert equiv.passed
 
 

@@ -420,7 +420,7 @@ def test_overflowing_reconstruction_is_refused_as_before():
     rule = SequenceOperator.diagonal(np.full(N, 1e300), np.full(N, 1e-300))
     op = synthesis_from_rule(SequenceOperator.diagonal(np.ones(N), DYADIC),
                              x, theta, plan)
-    op = type(op)(rule, op.dual, op.bounds)
+    op = type(op)(rule, op.bounds)
     for verify, ref in ((verify_expansion, ref_verify_expansion),
                         (verify_dual_expansion, ref_verify_dual_expansion)):
         got = _both(lambda: verify(frame, op, x, theta, plan, samples()[:1]),

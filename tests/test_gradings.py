@@ -72,6 +72,19 @@ class TestWeightFamilies:
             WeightGrading("exponential", levels=2, truncation=8,
                           alphas=(0.0, 2.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0))
 
+    @pytest.mark.parametrize("kind,levels,truncation,extra", [
+        ("power", 127, 256, {}),
+        ("shifted_power", 127, 128, {"shift": 2}),
+        ("exponential", 88, 8, {"alphas": (0.0,) * 7 + (8.0,)}),
+    ])
+    def test_overflowing_top_weight_refused(self, kind, levels, truncation, extra):
+        # the top weight is finite at `levels` and overflows one level up
+        top = WeightGrading(kind, levels, truncation, **extra)
+        assert math.isfinite(top.weights(levels)[-1])
+        with pytest.raises(LevelError,
+                           match="level %d, coordinate %d" % (levels + 1, truncation)):
+            WeightGrading(kind, levels + 1, truncation, **extra)
+
     def test_level_out_of_range(self):
         with pytest.raises(LevelError):
             POWER.weights(13)

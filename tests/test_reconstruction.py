@@ -371,7 +371,7 @@ def test_projection_unequal_reader_weights_is_not_folded():
     # weight per coordinate, so P = U V must be composed, not folded
     frame = DenseFrame(np.array([[1.0], [2.0]]))
     rule = SequenceOperator(np.array([[0.2, 0.4]]), np.ones(1))
-    op = SynthesisOp(rule, build_dual_from_V(rule), ContinuityData((0,), (1.0,)))
+    op = SynthesisOp(rule, ContinuityData((0,), (1.0,)))
     proj = projection_from_V(frame, op, power_grading(1, 2))
     assert np.allclose(proj.rule.apply_columns(np.eye(2)).toarray().real,
                        [[0.2, 0.4], [0.4, 0.8]], rtol=0.0, atol=1e-15)
@@ -413,7 +413,7 @@ def test_equivalences_keep_the_rule_of_a_uniform_threefold_frame():
     op = synthesis_from_rule(rule, x, theta, plan)
     rebuilt = build_V_from_dual(op.dual, x, theta, plan)
     assert rebuilt.rule.divisor is not None
-    report = verify_equivalences(frame, x, theta, plan, "V", rule)
+    report = verify_equivalences(frame, op, x, theta, plan)
     assert report.passed, report.notes
 
 
@@ -617,9 +617,9 @@ def test_block_dual_expansion_exact_zero():
 
 def test_equivalences_from_V_diagonal():
     frame, x, theta, plan, op = exf1_setup(16, 2, 2)
-    report = verify_equivalences(frame, x, theta, plan, "V", op)
+    report = verify_equivalences(frame, op, x, theta, plan)
     assert report.passed
-    assert report.canonical_match and report.left_inverse_ok
+    assert report.canonical_match
     # the rebuilt dual stores 1/b_j, so the folded diagonal is one ulp off 1
     assert report.idempotence_defect <= 1e-15
     for table in report.bound_tables:
@@ -633,7 +633,8 @@ def test_equivalences_from_projection_even_selection():
     theta = power_grading(3, 2 * n)
     plan = IndexPlan.shifted(2, 1, upper_const=SQRT2)
     proj = ProjectionOp(SequenceOperator.pair_mix(0.0, 1.0, n), (SQRT2,), 0.0)
-    report = verify_equivalences(frame, x, theta, plan, "projection", proj)
+    report = verify_equivalences(frame, V_from_projection(frame, proj, x, theta, plan),
+                                 x, theta, plan)
     assert report.passed
     for table in report.bound_tables[1:]:
         for a, b in zip(report.bound_tables[0], table):
@@ -653,7 +654,7 @@ def test_equivalences_average_projection_recovers_equal_pair_dual():
         even = op.dual[2 * j - 1]
         assert odd == even
         assert odd == GradedVector.canonical(j, 0.5 / frame.b_pair[j - 1])
-    report = verify_equivalences(frame, x, theta, plan, "projection", proj)
+    report = verify_equivalences(frame, op, x, theta, plan)
     assert report.passed
 
 
@@ -665,16 +666,75 @@ def test_equivalences_from_dual_identity():
     plan = IndexPlan.shifted(2, 0)
     dual = DualSystem.from_vectors(
         tuple(GradedVector.canonical(i) for i in range(1, n + 1)), n)
-    report = verify_equivalences(frame, x, theta, plan, "dual", dual)
+    report = verify_equivalences(frame, build_V_from_dual(dual, x, theta, plan),
+                                 x, theta, plan)
     assert report.passed
     for table in report.bound_tables:
         assert table == (1.0, 1.0, 1.0)
 
 
-def test_equivalences_unknown_source_kind():
-    frame, x, theta, plan, op = exf1_setup(8, 1, 1)
-    with pytest.raises(ValueError):
-        verify_equivalences(frame, x, theta, plan, "matrix", op)
+def invariant_cases():
+    """(frame, x, theta, plan, operator builder, refusal message or None)
+    for every SynthesisOp constructor; None marks a round trip that passes."""
+    unit = DiagonalFrame(np.ones(4))
+    unit_setting = (unit, power_grading(2, 4), power_grading(2, 4), IndexPlan.shifted(1, 0))
+    diag = alternating_diag(8, 2)
+    diag_setting = (diag, power_grading(4, 8), power_grading(2, 8), IndexPlan.shifted(2, 2))
+    block = pair_block(8, 1)
+    block_setting = (block, shifted_grading(3, 8), power_grading(2, 16),
+                     IndexPlan.shifted(2, 1, upper_const=SQRT2))
+    g = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    dense_setting = (DenseFrame(g), power_grading(1, 2), power_grading(1, 3),
+                     IndexPlan.shifted(1, 0, upper_const=2.0))
+
+    def from_rule(rule):
+        return lambda f, x, t, p: synthesis_from_rule(rule, x, t, p)
+
+    def from_dual(vectors):
+        dual = DualSystem.from_vectors(vectors, 4)
+        return lambda f, x, t, p: build_V_from_dual(dual, x, t, p)
+
+    def from_projection(prule):
+        proj = ProjectionOp(prule, (1.0,), 0.0)
+        return lambda f, x, t, p: V_from_projection(f, proj, x, t, p)
+
+    stored_zero = [GradedVector([1, 2], [1.0, 0.0])] \
+        + [GradedVector.canonical(i) for i in range(2, 5)]
+    complex_entry = [GradedVector.canonical(i, 1j if i == 2 else 1.0) for i in range(1, 5)]
+    return {
+        "rule-diagonal": (*diag_setting,
+                          from_rule(SequenceOperator.diagonal(np.ones(8), diag.b)), None),
+        "rule-pair-collapse": (*block_setting, from_rule(even_pick_rule(block)), None),
+        "rule-dense": (*dense_setting, from_rule(SequenceOperator.dense(np.linalg.pinv(g))),
+                       None),
+        "dual-stored-zero": (*unit_setting, from_dual(stored_zero), None),
+        "dual-complex": (*unit_setting, from_dual(complex_entry),
+                         "not a left inverse at coordinate 2"),
+        "projection-pair-mix-average": (
+            *block_setting, from_projection(SequenceOperator.pair_mix(0.5, 0.5, 8)), None),
+        "projection-dense-lstsq": (
+            *dense_setting, from_projection(SequenceOperator.dense(g @ np.linalg.pinv(g))),
+            None),
+    }
+
+
+@pytest.mark.parametrize("name", list(invariant_cases()))
+def test_every_dual_is_its_rules_canonical_images(name):
+    frame, x, theta, plan, build, refusal = invariant_cases()[name]
+    op = build(frame, x, theta, plan)
+    images = op.rule.apply_columns(sp.identity(op.rule.in_dim, format="csc"))
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(op.dual.matrix, attr), getattr(images, attr)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert op.dual.truncation == op.rule.out_dim
+    if name == "dual-complex":
+        assert op.rule.divisor is None
+    if refusal is None:
+        report = verify_equivalences(frame, op, x, theta, plan)
+        assert report.passed, report.notes
+    else:
+        with pytest.raises(ValueError, match=refusal):
+            verify_equivalences(frame, op, x, theta, plan)
 
 
 # -- norm contraction property for the even-selection projection -------------------

@@ -7,6 +7,8 @@ messages, for operators from every constructor and every frame form at a
 small size.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from gradedframes.reconstruction import (
     build_V_from_dual,
     build_dual_from_V,
     projection_from_V,
+    synthesis_from_rule,
     verify_equivalences,
 )
 
@@ -87,14 +90,15 @@ def ref_detect_rule(vectors, n):
 
 
 def ref_synthesis(rule, x, theta, plan):
-    return SynthesisOp(rule, DualSystem.from_vectors(ref_build_dual(rule), rule.out_dim),
-                       _bound_table(rule, x, theta, plan))
+    """Rule, per-canonical dual and bound table, built beside SynthesisOp so
+    that its dual is an independent reference."""
+    return SimpleNamespace(
+        rule=rule, dual=DualSystem.from_vectors(ref_build_dual(rule), rule.out_dim),
+        bounds=_bound_table(rule, x, theta, plan))
 
 
 def ref_V_from_dual(vectors, n, x, theta, plan):
-    rule = ref_detect_rule(vectors, n)
-    return SynthesisOp(rule, DualSystem.from_vectors(vectors, n),
-                       _bound_table(rule, x, theta, plan))
+    return ref_synthesis(ref_detect_rule(vectors, n), x, theta, plan)
 
 
 def ref_reads(frame):
@@ -232,13 +236,6 @@ def ref_verify_equivalences(frame, x, theta, plan, source_kind, source):
         notes.append("reconstruction rebuilt from the dual differs on canonicals")
     proj = ref_projection_from_V(frame, op1, theta)
     op2 = ref_V_from_projection(frame, proj, x, theta, plan)
-    left_inverse_ok = True
-    for j in range(1, frame.truncation + 1):
-        e = GradedVector.canonical(j)
-        if not op2.rule.apply(analyze(frame, e).coefficients).allclose(e, LEFT_INVERSE_TOL):
-            left_inverse_ok = False
-            notes.append("final reconstruction fails left inversion at %d" % j)
-            break
     tables = (op0.bounds.consts, op1.bounds.consts, op2.bounds.consts)
     bounds_ok = True
     for k in range(plan.budget + 1):
@@ -247,9 +244,9 @@ def ref_verify_equivalences(frame, x, theta, plan, source_kind, source):
             if abs(t[k] - ref) > BOUND_MATCH_TOL * max(ref, 1e-300):
                 bounds_ok = False
                 notes.append("bound table mismatch at level %d" % k)
-    passed = canonical_match and left_inverse_ok and bounds_ok
-    return EquivalenceReport(passed, canonical_match, left_inverse_ok,
-                             proj.idempotence_defect, tables, tuple(notes))
+    passed = canonical_match and bounds_ok
+    return EquivalenceReport(passed, canonical_match, proj.idempotence_defect,
+                             tables, tuple(notes))
 
 
 # -- comparable signatures ------------------------------------------------------
@@ -284,8 +281,8 @@ def projection_sig(proj):
 
 
 def report_sig(rep):
-    return (rep.passed, rep.canonical_match, rep.left_inverse_ok,
-            rep.idempotence_defect, rep.bound_tables, rep.notes)
+    return (rep.passed, rep.canonical_match, rep.idempotence_defect,
+            rep.bound_tables, rep.notes)
 
 
 def outcome(fn, sig):
@@ -434,10 +431,11 @@ def test_projection_and_round_trip_from_V_match_reference(frame_name, rule_name)
     rule = rules_for(frame_name, frame)[rule_name]
     x, theta = gradings(frame)
     # projection_from_V reads no bound table, so a zero rule gets a dummy one
-    op = SynthesisOp(rule, build_dual_from_V(rule), ContinuityData((0,), (1.0,)))
+    op = SynthesisOp(rule, ContinuityData((0,), (1.0,)))
     assert outcome(lambda: projection_from_V(frame, op, theta), projection_sig) \
         == outcome(lambda: ref_projection_from_V(frame, op, theta), projection_sig)
-    assert outcome(lambda: verify_equivalences(frame, x, theta, plan(), "V", rule),
+    assert outcome(lambda: verify_equivalences(
+        frame, synthesis_from_rule(rule, x, theta, plan()), x, theta, plan()),
                    report_sig) \
         == outcome(lambda: ref_verify_equivalences(frame, x, theta, plan(), "V", rule),
                    report_sig)
@@ -453,7 +451,8 @@ def test_round_trip_from_dual_matches_reference(frame_name, rule_name):
     assert outcome(lambda: build_V_from_dual(dual, x, theta, plan()), synthesis_sig) \
         == outcome(lambda: ref_V_from_dual(vectors, rule.out_dim, x, theta, plan()),
                    synthesis_sig)
-    assert outcome(lambda: verify_equivalences(frame, x, theta, plan(), "dual", dual),
+    assert outcome(lambda: verify_equivalences(
+        frame, build_V_from_dual(dual, x, theta, plan()), x, theta, plan()),
                    report_sig) \
         == outcome(lambda: ref_verify_equivalences(frame, x, theta, plan(), "dual",
                                                    (vectors, rule.out_dim)),
@@ -469,8 +468,9 @@ def test_V_from_projection_matches_reference(frame_name, proj_name):
                    synthesis_sig) \
         == outcome(lambda: ref_V_from_projection(frame, proj, x, theta, plan()),
                    synthesis_sig)
-    assert outcome(lambda: verify_equivalences(frame, x, theta, plan(), "projection",
-                                               proj), report_sig) \
+    assert outcome(lambda: verify_equivalences(
+        frame, V_from_projection(frame, proj, x, theta, plan()), x, theta, plan()),
+                   report_sig) \
         == outcome(lambda: ref_verify_equivalences(frame, x, theta, plan(),
                                                    "projection", proj), report_sig)
 
@@ -479,7 +479,7 @@ def test_perturbed_rule_names_smallest_failing_coordinate():
     frame = FRAMES["diagonal"]
     x, theta = gradings(frame)
     rule = rules_for("diagonal", frame)["diagonal_perturbed_3_5"]
-    op = SynthesisOp(rule, build_dual_from_V(rule), _bound_table(rule, x, theta, plan()))
+    op = SynthesisOp(rule, _bound_table(rule, x, theta, plan()))
     with pytest.raises(ValueError, match="not a left inverse at coordinate 3$"):
         projection_from_V(frame, op, theta)
 

@@ -366,6 +366,28 @@ def test_cli_p_flag_out_of_range_exits_2(capsys):
     assert main(["run", "runo", "--p", "2.5"]) == 2
 
 
+def _env_with_src():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("args", [
+    ["exf1", "--levels", "200"],
+    ["exf2", "--levels", "200"],
+    ["exf1", "--n-max", "400"],
+], ids=["exf1-levels", "exf2-levels", "exf1-n-max"])
+def test_cli_overflowing_weights_exit_2(args):
+    done = subprocess.run([sys.executable, "-m", "gradedframes.cli", "run", *args,
+                           "--truncation", "256", "--format", "csv"],
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "not finite" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 _COLD_RUN = """
 import json, sys
 import gradedframes
@@ -381,11 +403,9 @@ print(json.dumps([codes, sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg
 
 def test_cli_runs_load_no_dense_or_sparse_solvers(tmp_path):
     # a fresh interpreter: this one may already hold the modules
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _COLD_RUN, str(tmp_path / "r.csv")],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_env_with_src(), capture_output=True, text=True,
+                          timeout=300)
     assert done.returncode == 0, done.stderr
     codes, loaded = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * 5
