@@ -674,54 +674,49 @@ def test_equivalences_from_dual_identity():
 
 
 def invariant_cases():
-    """(frame, x, theta, plan, operator builder, refusal message or None)
-    for every SynthesisOp constructor; None marks a round trip that passes."""
-    unit = DiagonalFrame(np.ones(4))
-    unit_setting = (unit, power_grading(2, 4), power_grading(2, 4), IndexPlan.shifted(1, 0))
-    diag = alternating_diag(8, 2)
-    diag_setting = (diag, power_grading(4, 8), power_grading(2, 8), IndexPlan.shifted(2, 2))
-    block = pair_block(8, 1)
-    block_setting = (block, shifted_grading(3, 8), power_grading(2, 16),
-                     IndexPlan.shifted(2, 1, upper_const=SQRT2))
+    """name -> (frame, x, theta, plan, op, refusal) for ops from every
+    SynthesisOp constructor; a refusal of None marks a round trip that
+    passes."""
+    unit = (DiagonalFrame(np.ones(4)), power_grading(2, 4), power_grading(2, 4),
+            IndexPlan.shifted(1, 0))
+    diag = (alternating_diag(8, 2), power_grading(4, 8), power_grading(2, 8),
+            IndexPlan.shifted(2, 2))
+    block = (pair_block(8, 1), shifted_grading(3, 8), power_grading(2, 16),
+             IndexPlan.shifted(2, 1, upper_const=SQRT2))
     g = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
-    dense_setting = (DenseFrame(g), power_grading(1, 2), power_grading(1, 3),
-                     IndexPlan.shifted(1, 0, upper_const=2.0))
+    dense = (DenseFrame(g), power_grading(1, 2), power_grading(1, 3),
+             IndexPlan.shifted(1, 0, upper_const=2.0))
 
-    def from_rule(rule):
-        return lambda f, x, t, p: synthesis_from_rule(rule, x, t, p)
+    def from_rule(setting, rule, refusal=None):
+        return (*setting, synthesis_from_rule(rule, *setting[1:]), refusal)
 
-    def from_dual(vectors):
+    def from_dual(vectors, refusal=None):
         dual = DualSystem.from_vectors(vectors, 4)
-        return lambda f, x, t, p: build_V_from_dual(dual, x, t, p)
+        return (*unit, build_V_from_dual(dual, *unit[1:]), refusal)
 
-    def from_projection(prule):
+    def from_projection(setting, prule):
         proj = ProjectionOp(prule, (1.0,), 0.0)
-        return lambda f, x, t, p: V_from_projection(f, proj, x, t, p)
+        return (*setting, V_from_projection(setting[0], proj, *setting[1:]), None)
 
     stored_zero = [GradedVector([1, 2], [1.0, 0.0])] \
         + [GradedVector.canonical(i) for i in range(2, 5)]
     complex_entry = [GradedVector.canonical(i, 1j if i == 2 else 1.0) for i in range(1, 5)]
     return {
-        "rule-diagonal": (*diag_setting,
-                          from_rule(SequenceOperator.diagonal(np.ones(8), diag.b)), None),
-        "rule-pair-collapse": (*block_setting, from_rule(even_pick_rule(block)), None),
-        "rule-dense": (*dense_setting, from_rule(SequenceOperator.dense(np.linalg.pinv(g))),
-                       None),
-        "dual-stored-zero": (*unit_setting, from_dual(stored_zero), None),
-        "dual-complex": (*unit_setting, from_dual(complex_entry),
-                         "not a left inverse at coordinate 2"),
-        "projection-pair-mix-average": (
-            *block_setting, from_projection(SequenceOperator.pair_mix(0.5, 0.5, 8)), None),
-        "projection-dense-lstsq": (
-            *dense_setting, from_projection(SequenceOperator.dense(g @ np.linalg.pinv(g))),
-            None),
+        "rule-diagonal": from_rule(diag, SequenceOperator.diagonal(np.ones(8), diag[0].b)),
+        "rule-pair-collapse": from_rule(block, even_pick_rule(block[0])),
+        "rule-dense": from_rule(dense, SequenceOperator.dense(np.linalg.pinv(g))),
+        "dual-stored-zero": from_dual(stored_zero),
+        "dual-complex": from_dual(complex_entry, "not a left inverse at coordinate 2"),
+        "projection-pair-mix-average": from_projection(
+            block, SequenceOperator.pair_mix(0.5, 0.5, 8)),
+        "projection-dense-lstsq": from_projection(
+            dense, SequenceOperator.dense(g @ np.linalg.pinv(g))),
     }
 
 
 @pytest.mark.parametrize("name", list(invariant_cases()))
 def test_every_dual_is_its_rules_canonical_images(name):
-    frame, x, theta, plan, build, refusal = invariant_cases()[name]
-    op = build(frame, x, theta, plan)
+    frame, x, theta, plan, op, refusal = invariant_cases()[name]
     images = op.rule.apply_columns(sp.identity(op.rule.in_dim, format="csc"))
     for attr in ("indptr", "indices", "data"):
         got, want = getattr(op.dual.matrix, attr), getattr(images, attr)
