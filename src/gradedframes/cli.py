@@ -3,8 +3,8 @@
 Two subcommands: `run` executes a named scenario and writes its report,
 `report` re-reads a written report file and summarizes it.  Exit status is
 0 when every check passed, 1 when the run or the loaded report contains a
-failure, 2 for usage and configuration errors, weight tables that overflow
-and unreadable reports.
+failure, 2 for usage and configuration errors, weight tables and frame
+weights that overflow, and unreadable reports.
 
 Configuration uses INI files:
 
@@ -32,6 +32,7 @@ import configparser
 import sys
 from pathlib import Path
 
+from .frames import FrameFormError
 from .gradings import LevelError
 from .reportio import ReportFormatError, emit_report, load_report
 from .scenarios import SCENARIOS, ScenarioConfig, run_scenario
@@ -150,7 +151,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, LevelError, ReportFormatError, OSError,
+    except (ConfigError, FrameFormError, LevelError, ReportFormatError, OSError,
             UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

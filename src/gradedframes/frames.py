@@ -24,8 +24,8 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
+from .compressed import Compressed, runs
 from .gradings import (
     DualWeighting,
     GradedVector,
@@ -43,7 +43,8 @@ SPARSE_CUTOVER = 1200
 
 
 class FrameFormError(ValueError):
-    """Operation not defined for this frame form."""
+    """Operation not defined for this frame form, or a frame whose weights
+    overflow."""
 
 
 def _readonly(arr, dtype=float) -> np.ndarray:
@@ -52,18 +53,13 @@ def _readonly(arr, dtype=float) -> np.ndarray:
     return out
 
 
-def _runs(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Positions lo_k, lo_k + 1, ..., lo_k + counts_k - 1 for every k, in turn."""
-    return np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-
-
 class FrameSystem:
     """Base class; concrete forms implement the coefficient matrix."""
 
     truncation: int
     functional_count: int
 
-    def coefficient_rows(self) -> sp.csr_matrix:
+    def coefficient_rows(self) -> Compressed:
         raise NotImplementedError
 
     def dense_matrix(self) -> np.ndarray:
@@ -86,8 +82,11 @@ class CoordinateFrame(FrameSystem):
         b = _readonly(self.b)
         if b.ndim != 1 or b.size < 1:
             raise ValueError("b must be a nonempty vector")
-        if not np.all(b > 0) or not np.all(np.isfinite(b)):
-            raise ValueError("coordinate weights must be positive and finite")
+        if not np.all(np.isfinite(b)):
+            raise FrameFormError("coordinate weight %d is not finite"
+                                 % (np.flatnonzero(~np.isfinite(b))[0] + 1))
+        if not np.all(b > 0):
+            raise ValueError("coordinate weights must be positive")
         reads = np.asarray(self.reads)
         if reads.ndim != 1 or reads.size < 1 or reads.dtype.kind not in "iu":
             raise ValueError("reads must be a nonempty integer vector")
@@ -114,10 +113,10 @@ class CoordinateFrame(FrameSystem):
     def functional_count(self) -> int:
         return int(self.reads.size)
 
-    def coefficient_rows(self) -> sp.csr_matrix:
+    def coefficient_rows(self) -> Compressed:
         m = self.functional_count
-        return sp.csr_matrix((self.b[self.reads], self.reads, np.arange(m + 1)),
-                             shape=(m, self.truncation))
+        return Compressed(np.arange(m + 1), self.reads, self.b[self.reads],
+                          (m, self.truncation))
 
     def scaled(self, c: float) -> "CoordinateFrame":
         out = object.__new__(type(self))
@@ -165,8 +164,8 @@ class DenseFrame(FrameSystem):
     def functional_count(self) -> int:
         return int(self.matrix.shape[0])
 
-    def coefficient_rows(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.matrix)
+    def coefficient_rows(self) -> Compressed:
+        return Compressed.from_dense(self.matrix)
 
     def dense_matrix(self) -> np.ndarray:
         return self.matrix
@@ -201,7 +200,7 @@ def analyze(frame: FrameSystem, f: GradedVector) -> AnalysisResult:
         pos = f.indices - 1
         lo = frame.reader_starts[pos]
         counts = frame.reader_starts[pos + 1] - lo
-        coeff = GradedVector(_runs(lo, counts) + 1,
+        coeff = GradedVector(runs(lo, counts) + 1,
                              np.repeat(frame.b[pos] * f.values, counts))
     else:
         out = frame.dense_matrix().astype(np.complex128) @ f.to_dense(frame.truncation)
@@ -399,19 +398,22 @@ def bessel_bound(dual_candidates: Sequence[GradedVector],
     w = theta_dual.base.weight_values(theta_level, np.arange(1, m + 1))
     v = x_dual.base.weight_values(x_level, np.arange(1, n + 1))
 
-    mat = stack_columns(dual_candidates, n).T
+    # row i of the stack holds f_i
+    mat = stack_columns(dual_candidates, n)
     if not mat.nnz:
         return 0.0
-    if np.all(mat.data.imag == 0):
-        mat = mat.real
-    mat = sp.diags(1.0 / w) @ mat @ sp.diags(v)
+    data = mat.data.real if np.all(mat.data.imag == 0) else mat.data
+    mat = mat.with_data(((1.0 / w)[mat.rows()] * data) * v[mat.indices])
     if min(m, n) <= SPARSE_CUTOVER:
         return float(np.linalg.svd(mat.toarray(), compute_uv=False)[0])
-    # scipy.sparse.linalg loads all of scipy.linalg; only this branch uses it
+    # scipy loads all of scipy.linalg with scipy.sparse.linalg; only this
+    # branch uses it
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     v0 = np.ones(min(m, n))
-    sigma = spla.svds(mat, k=1, which="LM", v0=v0, return_singular_vectors=False)
+    sigma = spla.svds(sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape),
+                      k=1, which="LM", v0=v0, return_singular_vectors=False)
     return float(sigma[0])
 
 

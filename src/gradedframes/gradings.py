@@ -22,7 +22,8 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+from .compressed import Compressed, union_values
 
 KINDS = ("power", "shifted_power", "exponential")
 
@@ -189,21 +190,6 @@ class GradedVector:
         return "GradedVector({%s%s})" % (items, more)
 
 
-def union_values(keys_a: np.ndarray, vals_a: np.ndarray, keys_b: np.ndarray,
-                 vals_b: np.ndarray):
-    """Align two sparse value lists on the sorted union of their keys.
-
-    Keys within each list are distinct; a key missing from one list reads
-    as zero there.  Returns (keys, values of a, values of b).
-    """
-    keys = np.union1d(keys_a, keys_b)
-    a = np.zeros(keys.size, dtype=np.complex128)
-    b = np.zeros(keys.size, dtype=np.complex128)
-    a[np.searchsorted(keys, keys_a)] = vals_a
-    b[np.searchsorted(keys, keys_b)] = vals_b
-    return keys, a, b
-
-
 @dataclass(frozen=True)
 class WeightGrading:
     """Closed-form family of weight sequences, one per level s in [0, levels]."""
@@ -310,21 +296,22 @@ def graded_norm(v: GradedVector, grading: WeightGrading, level: int) -> float:
     return math.sqrt(_fsum(terms))
 
 
-def stack_columns(vectors: Sequence[GradedVector], rows: int) -> sp.csc_matrix:
+def stack_columns(vectors: Sequence[GradedVector], rows: int) -> Compressed:
     """Sparse rows x len(vectors) matrix whose column i holds vectors[i],
-    stored zeros included; every support must lie within rows."""
+    stored zeros included, held by its transpose: row i of the result holds
+    vectors[i].  Every support must lie within rows."""
     indptr = np.cumsum([0] + [f.indices.size for f in vectors])
     indices = np.concatenate([np.zeros(0, dtype=np.int64)]
                              + [f.indices - 1 for f in vectors])
     data = np.concatenate([np.zeros(0, dtype=np.complex128)]
                           + [f.values for f in vectors])
-    return sp.csc_matrix((data, indices, indptr), shape=(rows, len(vectors)))
+    return Compressed(indptr, indices, data, (len(vectors), rows))
 
 
-def column_norms(mat: sp.csc_matrix, grading, level: int) -> np.ndarray:
-    """graded_norm of every column of a CSC matrix without duplicate entries,
-    row r holding coordinate r + 1; dual_norm when grading is a
-    DualWeighting.
+def column_norms(mat: Compressed, grading, level: int) -> np.ndarray:
+    """graded_norm of every column of a sparse matrix held by its transpose
+    (column c is row c of mat) without duplicate entries, coordinate r + 1
+    at index r; dual_norm when grading is a DualWeighting.
 
     Each column sums its own terms with math.fsum, so every value is bit for
     bit what graded_norm (dual_norm) gives for that column, and a column

@@ -184,7 +184,8 @@ def _verify_entries(frame: FrameSystem, x_grading: WeightGrading,
     for f in samples:
         check_support(frame, f)
     stacked = stack_columns(samples, frame.truncation)
-    coefficients = (frame.coefficient_rows() @ stacked).tocsc()
+    # both held by their transposes: (U S)^T = S^T U^T
+    coefficients = stacked @ frame.coefficient_rows().T
     mids = [column_norms(coefficients, theta_grading, m) for m, *_ in entries]
     x_levels = dict.fromkeys(level for _, s, t, _, _ in entries for level in (s, t))
     outer = {level: column_norms(stacked, x_grading, level) for level in x_levels}

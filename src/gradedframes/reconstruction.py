@@ -22,8 +22,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
+from .compressed import Compressed, exact_div, gather, runs, union_values
 from .frames import (
     DENSE_LIMIT,
     CoordinateFrame,
@@ -33,7 +33,6 @@ from .frames import (
     frame_bounds_analytic,
     frame_bounds_numeric,
     _reader_sums,
-    _runs,
 )
 from .gradings import (
     GradedVector,
@@ -42,7 +41,6 @@ from .gradings import (
     dual_norm,
     graded_norm,
     stack_columns,
-    union_values,
 )
 from .multilevel import ContinuityData, IndexPlan
 
@@ -52,74 +50,28 @@ IDEMPOTENCE_TOL = 1e-12
 BOUND_MATCH_TOL = 1e-9
 
 
-def _exact_div(values: np.ndarray, div) -> np.ndarray:
-    # numpy routes complex-by-real division through the complex kernel,
-    # which rounds quotients the componentwise real division gets exact
-    # (e.g. -1458/2916); divide the parts separately to keep the zero
-    # residuals the division-structured rules promise
-    return values.real / div + 1j * (values.imag / div)
-
-
-def _pattern(rows, cols, vals, shape) -> sp.csr_matrix:
-    """CSR matrix holding vals at (rows, cols), zeros included, in the dtype
-    of vals; entries ordered by row and then column.  Its transpose is the
-    CSC matrix of the same entries with rows and columns swapped."""
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
-    return sp.csr_matrix((np.asarray(vals), cols, indptr), shape=shape)
-
-
-def _gather(mat, pos, values, out_div, in_div, col=None) -> tuple:
-    """Apply a compressed matrix to sparse columns given entry by entry:
-    values[e] sits at the 0-based input pos[e] of column col[e] (of the one
-    column when col is None), ordered by column and then input.
-
-    Slice j of mat lists the outputs input j reaches; every product is
-    divided by in_div of its input, the products are summed per column and
-    output in input order, and each sum is divided by out_div.  Returns
-    (column, 0-based output, value) for every output an entry reaches, zero
-    sums included, ordered by column and then output.
-    """
-    dim = mat.indptr.size - 1
-    if pos.size and pos.max() >= dim:
-        raise ValueError("input support %d exceeds dimension %d" % (pos.max() + 1, dim))
-    lo = mat.indptr[pos]
-    counts = mat.indptr[pos + 1] - lo
-    take = _runs(lo, counts)
-    out = mat.indices[take]
-    prods = np.repeat(values, counts) * mat.data[take]
-    if in_div is not None:
-        prods = _exact_div(prods, np.repeat(in_div[pos], counts))
-    key = out
-    if col is not None:
-        width = int(out.max()) + 1 if out.size else 1
-        key = np.repeat(col, counts) * width + out
-    if key.size > 1 and not np.all(key[1:] > key[:-1]):
-        key, inverse = np.unique(key, return_inverse=True)
-        prods = (np.bincount(inverse, prods.real)
-                 + 1j * np.bincount(inverse, prods.imag))
-    if col is not None:
-        col, key = np.divmod(key, width)
-    if out_div is not None:
-        prods = _exact_div(prods, out_div[key])
-    return col, key, prods
-
-
 @dataclass(frozen=True, eq=False)
 class SequenceOperator:
     """Linear map out = (M @ x) / d between truncated coordinate spaces.
 
-    The numerator M is a sparse out x in matrix; its stored pattern, zeros
-    included, decides which outputs an input reaches.  The row divisor d
+    The numerator M is a sparse out x in matrix, given compressed (stored
+    zeros included) or dense (nonzero entries only); its stored pattern
+    decides which outputs an input reaches.  The row divisor d
     marks a division-structured rule with exact zero residuals; a
     matrix-backed map whose entries are already rounded values has none.
     """
 
-    numerator: sp.csr_matrix
+    numerator: Compressed
     divisor: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        num = sp.csr_matrix(self.numerator, copy=True)
-        num.sum_duplicates()
+        num = self.numerator
+        if not isinstance(num, Compressed):
+            num = Compressed.from_dense(np.atleast_2d(num))
+        num = num.canonical()
+        # private read-only copies: the caller may still write to its arrays
+        num = Compressed(np.array(num.indptr), np.array(num.indices),
+                         np.array(num.data), num.shape)
         if 0 in num.shape:
             raise ValueError("dimensions must be positive")
         d = self.divisor
@@ -136,22 +88,21 @@ class SequenceOperator:
         object.__setattr__(self, "divisor", d)
 
     @cached_property
-    def _csc(self) -> sp.csc_matrix:
-        """Column slices for apply()."""
-        return self.numerator.tocsc()
+    def _columns(self) -> Compressed:
+        """The numerator's columns as rows, for apply()."""
+        return self.numerator.T
 
     @cached_property
     def _rows(self) -> np.ndarray:
         """Row of every stored entry."""
-        num = self.numerator
-        return np.repeat(np.arange(num.shape[0]), np.diff(num.indptr))
+        return self.numerator.rows()
 
     @cached_property
-    def _values(self) -> sp.csr_matrix:
+    def _values(self) -> Compressed:
         """Entries of the operator: the numerator with every row divided."""
         num = self.numerator
-        data = num.data if self.divisor is None else num.data / self.divisor[self._rows]
-        return sp.csr_matrix((data, num.indices, num.indptr), shape=num.shape)
+        return num if self.divisor is None \
+            else num.with_data(num.data / self.divisor[self._rows])
 
     @cached_property
     def _orthogonal_rows(self) -> Optional[np.ndarray]:
@@ -174,11 +125,11 @@ class SequenceOperator:
 
     @staticmethod
     def identity(n: int) -> "SequenceOperator":
-        return SequenceOperator(sp.identity(n, format="csr"), np.ones(n))
+        return SequenceOperator(Compressed.identity(n), np.ones(n))
 
     @staticmethod
     def zero_map(in_dim: int, out_dim: int) -> "SequenceOperator":
-        return SequenceOperator(sp.csr_matrix((out_dim, in_dim)), np.ones(out_dim))
+        return SequenceOperator(Compressed.zero(out_dim, in_dim), np.ones(out_dim))
 
     @staticmethod
     def diagonal(mult, div) -> "SequenceOperator":
@@ -186,7 +137,7 @@ class SequenceOperator:
         n = max(np.size(mult), np.size(div))
         m = np.broadcast_to(np.asarray(mult, dtype=float), (n,))
         d = np.broadcast_to(np.asarray(div, dtype=float), (n,))
-        return SequenceOperator(_pattern(np.arange(n), np.arange(n), m, (n, n)), d)
+        return SequenceOperator(Compressed(np.arange(n + 1), np.arange(n), m, (n, n)), d)
 
     @staticmethod
     def pair_collapse(co_odd, co_even, div) -> "SequenceOperator":
@@ -196,8 +147,8 @@ class SequenceOperator:
         o = np.broadcast_to(np.asarray(co_odd, dtype=float), (n,))
         e = np.broadcast_to(np.asarray(co_even, dtype=float), (n,))
         return SequenceOperator(
-            _pattern(np.repeat(np.arange(n), 2), np.arange(2 * n),
-                     np.stack([o, e], axis=1).ravel(), (n, 2 * n)), d)
+            Compressed(np.arange(0, 2 * n + 1, 2), np.arange(2 * n),
+                       np.stack([o, e], axis=1).ravel(), (n, 2 * n)), d)
 
     @staticmethod
     def pair_mix(co_odd, co_even, pairs: int) -> "SequenceOperator":
@@ -209,52 +160,53 @@ class SequenceOperator:
     @staticmethod
     def from_columns(vectors: Sequence[GradedVector], out_dim: int) -> "SequenceOperator":
         return SequenceOperator(_stack_columns(vectors, out_dim,
-                                               "column %d exceeds output dimension"))
+                                               "column %d exceeds output dimension").T)
 
     @staticmethod
     def dense(matrix) -> "SequenceOperator":
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or 0 in m.shape:
             raise ValueError("matrix must be 2-d and nonempty")
-        rows, cols = np.indices(m.shape)
-        return SequenceOperator(_pattern(rows.ravel(), cols.ravel(), m.ravel(), m.shape))
+        return SequenceOperator(Compressed(np.arange(0, m.size + 1, m.shape[1]),
+                                           np.tile(np.arange(m.shape[1]), m.shape[0]),
+                                           m.ravel(), m.shape))
 
     # -- application -------------------------------------------------------
 
     def apply(self, v: GradedVector) -> GradedVector:
-        _, out, values = _gather(self._csc, v.indices - 1, v.values, self.divisor, None)
+        _, out, values = gather(self._columns, v.indices - 1, v.values, self.divisor, None)
         return GradedVector(out + 1, values)
 
-    def apply_columns(self, x) -> sp.csc_matrix:
+    def apply_columns(self, x) -> Compressed:
         """Apply to every column of a sparse matrix at once.
 
-        The numerator product is formed first and each row of it is then
-        divided by its divisor, so for x = I column j holds the values
-        apply() gives for the canonical vector e_{j+1}.  A column whose
-        support exceeds the input dimension is refused as apply() refuses it.
+        x is a dense array or a Compressed holding the matrix by its
+        transpose (column c is row c), and so is the result.  The numerator
+        product is formed first, its zero sums are dropped and each row of
+        it is then divided by its divisor, so for x = I column j holds the
+        values apply() gives for the canonical vector e_{j+1}.  A column
+        whose support exceeds the input dimension is refused as apply()
+        refuses it.
         """
-        x = sp.csc_matrix(x)
-        if x.shape[0] > self.in_dim:
-            cols = np.repeat(np.arange(x.shape[1]), np.diff(x.indptr))
-            beyond = cols[x.indices >= self.in_dim]
-            if beyond.size:
-                top = x.indices[cols == beyond.min()].max() + 1
-                raise ValueError("input support %d exceeds dimension %d"
-                                 % (top, self.in_dim))
-        if x.shape[0] != self.in_dim:
-            x = sp.csc_matrix((x.data, x.indices, x.indptr),
-                              shape=(self.in_dim, x.shape[1]))
-        out = sp.csc_matrix(self.numerator @ x, dtype=np.complex128)
-        out.sort_indices()
+        if not isinstance(x, Compressed):
+            x = Compressed.from_dense(np.asarray(x).T)
+        beyond = np.flatnonzero(x.indices >= self.in_dim)
+        if beyond.size:
+            col = np.searchsorted(x.indptr, beyond[0], side="right") - 1
+            top = x.indices[x.indptr[col]:x.indptr[col + 1]].max() + 1
+            raise ValueError("input support %d exceeds dimension %d" % (top, self.in_dim))
+        col, out, values = gather(self._columns, x.indices, x.data, None, None, x.rows())
+        keep = values != 0
+        col, out, values = col[keep], out[keep], values[keep].astype(np.complex128)
         if self.divisor is not None:
-            out.data = _exact_div(out.data, self.divisor[out.indices])
-        return out
+            values = exact_div(values, self.divisor[out])
+        return Compressed.from_triplets(col, out, values, (x.shape[0], self.out_dim))
 
     def transpose_apply(self, g: GradedVector) -> GradedVector:
         """Apply the transpose, (M_ij g_i) / d_i entry by entry, for
         coefficient functionals."""
-        _, out, values = _gather(self.numerator, g.indices - 1, g.values, None,
-                                 self.divisor)
+        _, out, values = gather(self.numerator, g.indices - 1, g.values, None,
+                                self.divisor)
         return GradedVector(out + 1, values)
 
     # -- norms ---------------------------------------------------------------
@@ -283,9 +235,9 @@ class SequenceOperator:
 
 
 def _stack_columns(vectors: Sequence[GradedVector], rows: int,
-                   message: str) -> sp.csc_matrix:
-    """Sparse matrix whose column i holds vectors[i]; message names a column
-    whose support exceeds the row count."""
+                   message: str) -> Compressed:
+    """stack_columns, whose result row i holds vectors[i]; message names a
+    column whose support exceeds the row count."""
     for i, f in enumerate(vectors):
         if f.max_index > rows:
             raise ValueError(message % (i + 1))
@@ -295,14 +247,14 @@ def _stack_columns(vectors: Sequence[GradedVector], rows: int,
 @dataclass(frozen=True, eq=False)
 class DualSystem:
     """Reconstruction family f_i = V(e_i), stored as column i of a sparse
-    truncation x functional-count matrix."""
+    truncation x functional-count matrix held by its transpose: row i of
+    matrix holds f_{i+1}."""
 
-    matrix: sp.csc_matrix
+    matrix: Compressed
 
     def __post_init__(self):
-        mat = sp.csc_matrix(self.matrix, dtype=np.complex128)
-        mat.sort_indices()
-        object.__setattr__(self, "matrix", mat)
+        mat = self.matrix.canonical()
+        object.__setattr__(self, "matrix", mat.with_data(mat.data.astype(np.complex128)))
 
     @staticmethod
     def from_vectors(vectors: Sequence[GradedVector], truncation: int) -> "DualSystem":
@@ -311,10 +263,10 @@ class DualSystem:
 
     @property
     def truncation(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[0]
 
     def __getitem__(self, i: int) -> GradedVector:
         """Dual vector f_{i+1}; positions count from 0 as in a sequence."""
@@ -342,7 +294,7 @@ class SynthesisOp:
 
 def build_dual_from_V(rule: SequenceOperator) -> DualSystem:
     """Dual vectors are the images of the canonical coefficient vectors."""
-    return DualSystem(rule.apply_columns(sp.identity(rule.in_dim, format="csc")))
+    return DualSystem(rule.apply_columns(Compressed.identity(rule.in_dim)))
 
 
 def _detect_rule(dual: DualSystem) -> SequenceOperator:
@@ -354,8 +306,7 @@ def _detect_rule(dual: DualSystem) -> SequenceOperator:
     """
     m = len(dual)
     n = dual.truncation
-    mat = dual.matrix.copy()
-    mat.eliminate_zeros()
+    mat = dual.matrix.eliminate_zeros()
     counts = np.diff(mat.indptr)
     if m % n == 0 and np.all(counts <= 1) and np.all(mat.data.imag == 0):
         # one entry per nonempty column, so rows and cols align entrywise
@@ -364,9 +315,9 @@ def _detect_rule(dual: DualSystem) -> SequenceOperator:
         if np.array_equal(mat.indices, owner[cols]):
             coeff = np.zeros(m)
             coeff[cols] = mat.data.real
-            return SequenceOperator(_pattern(owner, np.arange(m), coeff, (n, m)),
-                                    np.ones(n))
-    return SequenceOperator(dual.matrix)
+            return SequenceOperator(Compressed.from_triplets(owner, np.arange(m), coeff,
+                                                             (n, m)), np.ones(n))
+    return SequenceOperator(dual.matrix.T)
 
 
 def _bound_table(rule: SequenceOperator, x_grading: WeightGrading,
@@ -426,48 +377,42 @@ class ProjectionOp:
         return self.rule.apply(d)
 
 
-def _mismatched_columns(a, b, tol: float) -> np.ndarray:
-    """Sorted columns where np.isclose(a, b, rtol=tol, atol=tol) fails.
+def _mismatched_columns(a: Compressed, b: Compressed, tol: float) -> np.ndarray:
+    """Sorted columns where np.isclose(a, b, rtol=tol, atol=tol) fails, for
+    two matrices held by their transposes.
 
     Entries are compared on the union of the two sparsity patterns; every
     other entry is zero in both.  The row counts may differ.
     """
-    a = sp.csc_matrix(a)
-    b = sp.csc_matrix(b)
-    rows = max(a.shape[0], b.shape[0])
-
-    def keys(mat):
-        cols = np.repeat(np.arange(mat.shape[1], dtype=np.int64), np.diff(mat.indptr))
-        return cols * rows + mat.indices
-
-    union, va, vb = union_values(keys(a), a.data, keys(b), b.data)
+    rows = max(a.shape[1], b.shape[1])
+    union, va, vb = union_values(a.rows() * rows + a.indices, a.data,
+                                 b.rows() * rows + b.indices, b.data)
     return np.unique(union[~np.isclose(va, vb, rtol=tol, atol=tol)] // rows)
 
 
 def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optional[int]:
     """Smallest coordinate j with V(U e_j) != e_j beyond LEFT_INVERSE_TOL."""
-    back = rule.apply_columns(frame.coefficient_rows())
-    bad = _mismatched_columns(back, sp.identity(frame.truncation, format="csc"),
+    # column j of U is row j of its transpose
+    back = rule.apply_columns(frame.coefficient_rows().T)
+    bad = _mismatched_columns(back, Compressed.identity(frame.truncation),
                               LEFT_INVERSE_TOL)
     return int(bad[0]) + 1 if bad.size else None
 
 
-def _column_norms(mat, grading: WeightGrading, level: int) -> np.ndarray:
-    """Level norms of the columns of a sparse matrix, as graded_norm gives
-    them up to the summation order.  The range check compares these against
-    a tolerance over every coordinate, so it takes one bincount sum rather
-    than gradings.column_norms' exact sum per column."""
-    mat = sp.csc_matrix(mat)
+def _column_norms(mat: Compressed, grading: WeightGrading, level: int) -> np.ndarray:
+    """Level norms of the columns of a sparse matrix held by its transpose,
+    as graded_norm gives them up to the summation order.  The range check
+    compares these against a tolerance over every coordinate, so it takes
+    one bincount sum rather than gradings.column_norms' exact sum per
+    column."""
     w = grading.weights(level)
-    cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
     terms = (np.abs(mat.data) * w[mat.indices]) ** 2
-    return np.sqrt(np.bincount(cols, weights=terms, minlength=mat.shape[1]))
+    return np.sqrt(np.bincount(mat.rows(), weights=terms, minlength=mat.shape[0]))
 
 
 def _idempotence_defect(rule: SequenceOperator) -> float:
     p = rule._values
-    drift = p @ p - p
-    return float(np.max(np.abs(drift.data))) if drift.nnz else 0.0
+    return float(np.max(np.abs((p @ p - p).data), initial=0.0))
 
 
 def projection_from_V(frame: FrameSystem, op: SynthesisOp,
@@ -491,8 +436,9 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
         # every functional reading coordinate j sees the row (b_j M_j) / d_j
         # of P = U V; the norm of P is that of one row per coordinate with
         # the hypot of the readers' weights as its output weight
-        once = rule.numerator.copy()
-        once.data = (frame.b[rule._rows] * once.data) / rule.divisor[rule._rows]
+        rows = rule._rows
+        once = rule.numerator.with_data((frame.b[rows] * rule.numerator.data)
+                                        / rule.divisor[rows])
         prule = SequenceOperator(once[frame.reads], np.ones(m))
         norm_rule = SequenceOperator(once, np.ones(n))
         starts = frame.reader_starts[:-1]
@@ -501,7 +447,7 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large to compose a dense projection")
         g = frame.dense_matrix()
-        vmat = rule.apply_columns(sp.identity(m, format="csc")).toarray().real
+        vmat = rule.apply_columns(Compressed.identity(m)).toarray().real.T
         prule = norm_rule = SequenceOperator.dense(g @ vmat)
         out_weights = weights
     continuity = tuple(norm_rule.weighted_norm(o, w)
@@ -510,7 +456,7 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
 
 
 def _rows_per_coordinate(frame: FrameSystem,
-                         prule: SequenceOperator) -> Optional[sp.csr_matrix]:
+                         prule: SequenceOperator) -> Optional[Compressed]:
     """Row j of P when every functional reading coordinate j sees that same
     row, supported on the functionals reading j; None otherwise."""
     if (not isinstance(frame, CoordinateFrame) or prule.divisor is None
@@ -521,8 +467,7 @@ def _rows_per_coordinate(frame: FrameSystem,
     seen = once[frame.reads]
     same = all(np.array_equal(getattr(seen, a), getattr(p, a))
                for a in ("indptr", "indices", "data"))
-    rows = np.repeat(np.arange(frame.truncation), np.diff(once.indptr))
-    return once if same and np.all(frame.reads[once.indices] == rows) else None
+    return once if same and np.all(frame.reads[once.indices] == once.rows()) else None
 
 
 def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
@@ -544,7 +489,7 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large for a dense solve")
         g = frame.dense_matrix()
-        pmat = prule.apply_columns(sp.identity(m, format="csc")).toarray().real
+        pmat = prule.apply_columns(Compressed.identity(m)).toarray().real.T
         vmat, *_ = np.linalg.lstsq(g, pmat, rcond=None)
         resid = g @ vmat - pmat
         scale = max(float(np.linalg.norm(pmat)), 1.0)
@@ -553,10 +498,11 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
                              "(relative residual %.3g)"
                              % (np.linalg.norm(resid) / scale))
         rule = SequenceOperator.dense(vmat)
-    # range check: U V must reproduce P column by column
-    eye = sp.identity(m, format="csc")
+    # range check: U V must reproduce P column by column; both are held by
+    # their transposes, (U V)^T = V^T U^T
+    eye = Compressed.identity(m)
     target = prule.apply_columns(eye)
-    got = frame.coefficient_rows() @ rule.apply_columns(eye)
+    got = rule.apply_columns(eye) @ frame.coefficient_rows().T
     scale = np.maximum(_column_norms(target, theta_grading, 0), 1.0)
     bad = np.flatnonzero(_column_norms(got - target, theta_grading, 0)
                          > RANGE_TOL * scale)
@@ -630,20 +576,22 @@ def _expansion_row(pos: int, level: int, grid: tuple, profile: tuple,
 def _prefixes_and_tails(v: GradedVector, grid: tuple) -> tuple:
     """v.prefix(n) for every n in grid as entries (column, 0-based
     coordinate, value) ordered by column, and v.tail(n) as the columns of a
-    CSC matrix; stored zeros included."""
+    matrix held by its transpose; stored zeros included."""
     stop = np.searchsorted(v.indices, grid, side="right")
     cols = np.arange(stop.size)
-    head = _runs(np.zeros_like(stop), stop)
-    rest = _runs(stop, v.support_size - stop)
-    tails = _pattern(np.repeat(cols, v.support_size - stop), v.indices[rest] - 1,
-                     v.values[rest], (stop.size, max(v.max_index, 1))).T
+    head = runs(np.zeros_like(stop), stop)
+    rest = runs(stop, v.support_size - stop)
+    tails = Compressed.from_triplets(np.repeat(cols, v.support_size - stop),
+                                     v.indices[rest] - 1, v.values[rest],
+                                     (stop.size, max(v.max_index, 1)))
     return (np.repeat(cols, stop), v.indices[head] - 1, v.values[head]), tails
 
 
-def _residuals(v: GradedVector, col, row, data, count: int) -> sp.csc_matrix:
-    """Column q holds v minus column q of the entries (col, row, data), stored
-    on the union of the two supports as GradedVector subtraction stores it;
-    non-finite entries are refused as a GradedVector refuses them."""
+def _residuals(v: GradedVector, col, row, data, count: int) -> Compressed:
+    """Column q, held by the transpose as row q, holds v minus column q of the
+    entries (col, row, data), stored on the union of the two supports as
+    GradedVector subtraction stores it; non-finite entries are refused as a
+    GradedVector refuses them."""
     width = max(v.max_index, int(row.max()) + 1 if row.size else 1)
     own = (np.arange(count)[:, None] * width + (v.indices - 1)).ravel()
     keys, a, b = union_values(own, np.tile(v.values, count), col * width + row, data)
@@ -651,7 +599,7 @@ def _residuals(v: GradedVector, col, row, data, count: int) -> sp.csc_matrix:
     if not (np.all(np.isfinite(data)) and np.all(np.isfinite(diff))):
         raise ValueError("entries must be finite")
     col, row = np.divmod(keys, width)
-    return _pattern(col, row, diff, (count, width)).T
+    return Compressed.from_triplets(col, row, diff, (count, width))
 
 
 def _coanalyze_columns(frame: FrameSystem, col, funcs, values, count: int) -> tuple:
@@ -700,7 +648,7 @@ def verify_expansion(frame: FrameSystem, op: SynthesisOp,
         support = coeff.trim().max_index
         grid = given or _default_grid(support, rule.in_dim)
         (col, inputs, values), tails = _prefixes_and_tails(coeff, grid)
-        col, out, values = _gather(rule._csc, inputs, values, rule.divisor, None, col)
+        col, out, values = gather(rule._columns, inputs, values, rule.divisor, None, col)
         residuals = _residuals(f, col, out, values, len(grid))
         for k in range(plan.budget + 1):
             s_k = plan.lower_levels[k]

@@ -203,8 +203,11 @@ def _graded_case(cfg, label, frame, x, theta, plan, rule, rows):
 def run_exf1(cfg: ScenarioConfig) -> ScenarioResult:
     n, budget, r = cfg.truncation, cfg.levels - 1, cfg.r
     j = np.arange(1, n + 1)
-    frame = DiagonalFrame(np.where(j % 2 == 1, 1.0, j.astype(float) ** r))
-    variant = DiagonalFrame(j.astype(float) ** r)
+    # weights that overflow come out infinite, and the frame refuses them
+    with np.errstate(over="ignore"):
+        powers = j.astype(float) ** r
+    frame = DiagonalFrame(np.where(j % 2 == 1, 1.0, powers))
+    variant = DiagonalFrame(powers)
     x = WeightGrading("power", max(budget + r, cfg.n_max), n)
     theta = WeightGrading("power", budget, n)
     plan = IndexPlan.shifted(budget, r)
@@ -232,7 +235,9 @@ def run_exf1(cfg: ScenarioConfig) -> ScenarioResult:
 def run_exf2(cfg: ScenarioConfig) -> ScenarioResult:
     n, budget, r = cfg.truncation, cfg.levels - 1, cfg.r
     j = np.arange(1, n + 1)
-    frame = BlockFrame(np.where(j % 2 == 1, 1.0, (2.0 * j) ** r))
+    with np.errstate(over="ignore"):
+        powers = (2.0 * j) ** r
+    frame = BlockFrame(np.where(j % 2 == 1, 1.0, powers))
     x = WeightGrading("shifted_power", max(budget + r, cfg.n_max), n, shift=2)
     theta = WeightGrading("power", budget, 2 * n)
     plan = IndexPlan.shifted(budget, r, upper_const=SQRT2)

@@ -11,8 +11,8 @@ the last bits of the dual profiles only.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from gradedframes.compressed import Compressed
 from gradedframes.frames import (
     BlockFrame,
     CoordinateFrame,
@@ -145,11 +145,10 @@ def reader_average(frame, divided=True):
     m = frame.functional_count
     div = np.diff(starts) * frame.b
     if divided:
-        num = sp.csr_matrix((np.ones(m), np.arange(m), starts),
-                            shape=(frame.truncation, m))
+        num = Compressed(starts, np.arange(m), np.ones(m), (frame.truncation, m))
         return SequenceOperator(num, div)
-    num = sp.csr_matrix((1.0 / np.repeat(div, np.diff(starts)), np.arange(m), starts),
-                        shape=(frame.truncation, m))
+    num = Compressed(starts, np.arange(m), 1.0 / np.repeat(div, np.diff(starts)),
+                     (frame.truncation, m))
     return SequenceOperator(num)
 
 
@@ -435,10 +434,10 @@ def test_column_norms_take_dual_weights_as_dual_norm():
     theta = WeightGrading("exponential", 3, 9, alphas=tuple(np.linspace(0, 2, 9)))
     cols = [GradedVector([1, 4, 9], [0.3, -1j, 2.5]), GradedVector.zero(),
             GradedVector([2], [0.0]), GradedVector([5, 6], [1e-3, 7.0 + 1j])]
+    # the 9 x 4 matrix of the columns, held by its transpose
     indptr = np.cumsum([0] + [c.support_size for c in cols])
-    mat = sp.csc_matrix((np.concatenate([c.values for c in cols]),
-                         np.concatenate([c.indices - 1 for c in cols]), indptr),
-                        shape=(9, len(cols)))
+    mat = Compressed(indptr, np.concatenate([c.indices - 1 for c in cols]),
+                     np.concatenate([c.values for c in cols]), (len(cols), 9))
     for level in range(4):
         got = column_norms(mat, theta.dual(), level)
         want = [dual_norm(c, theta.dual(), level) for c in cols]

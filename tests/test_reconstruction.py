@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from gradedframes.compressed import Compressed
 from gradedframes.frames import (
     DENSE_LIMIT,
     BlockFrame,
@@ -165,10 +165,11 @@ def test_pair_collapse_norm_matches_dense_svd():
                                           rng.uniform(0.5, 2.0, n))
     ow = rng.uniform(0.5, 3.0, n)
     iw = rng.uniform(0.5, 3.0, 2 * n)
+    num = rule.numerator.toarray()
     mat = np.zeros((n, 2 * n))
     for j in range(n):
-        mat[j, 2 * j] = rule.numerator[j, 2 * j] / rule.divisor[j]
-        mat[j, 2 * j + 1] = rule.numerator[j, 2 * j + 1] / rule.divisor[j]
+        mat[j, 2 * j] = num[j, 2 * j] / rule.divisor[j]
+        mat[j, 2 * j + 1] = num[j, 2 * j + 1] / rule.divisor[j]
     dense = float(np.linalg.svd((ow[:, None] * mat) / iw[None, :],
                                 compute_uv=False)[0])
     assert rule.weighted_norm(ow, iw) == pytest.approx(dense, rel=1e-12)
@@ -180,11 +181,11 @@ def test_pair_mix_norm_matches_dense_svd():
     rule = SequenceOperator.pair_mix(rng.uniform(-1.0, 1.0, n),
                                      rng.uniform(-1.0, 1.0, n), n)
     ow = rng.uniform(0.5, 3.0, 2 * n)
+    num = rule.numerator.toarray()
     mat = np.zeros((2 * n, 2 * n))
     for j in range(n):
-        mat[2 * j, 2 * j] = mat[2 * j + 1, 2 * j] = rule.numerator[2 * j, 2 * j]
-        mat[2 * j, 2 * j + 1] = mat[2 * j + 1, 2 * j + 1] = \
-            rule.numerator[2 * j, 2 * j + 1]
+        mat[2 * j, 2 * j] = mat[2 * j + 1, 2 * j] = num[2 * j, 2 * j]
+        mat[2 * j, 2 * j + 1] = mat[2 * j + 1, 2 * j + 1] = num[2 * j, 2 * j + 1]
     iw = rng.uniform(0.5, 3.0, 2 * n)
     dense = float(np.linalg.svd((ow[:, None] * mat) / iw[None, :],
                                 compute_uv=False)[0])
@@ -381,8 +382,7 @@ def reader_average_rule(frame):
     """Reconstruct each coordinate from the mean of its readers."""
     starts = frame.reader_starts
     m = frame.functional_count
-    numerator = sp.csr_matrix((np.ones(m), np.arange(m), starts),
-                              shape=(frame.truncation, m))
+    numerator = Compressed(starts, np.arange(m), np.ones(m), (frame.truncation, m))
     return SequenceOperator(numerator, np.diff(starts) * frame.b)
 
 
@@ -717,7 +717,7 @@ def invariant_cases():
 @pytest.mark.parametrize("name", list(invariant_cases()))
 def test_every_dual_is_its_rules_canonical_images(name):
     frame, x, theta, plan, op, refusal = invariant_cases()[name]
-    images = op.rule.apply_columns(sp.identity(op.rule.in_dim, format="csc"))
+    images = op.rule.apply_columns(Compressed.identity(op.rule.in_dim))
     for attr in ("indptr", "indices", "data"):
         got, want = getattr(op.dual.matrix, attr), getattr(images, attr)
         assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -377,7 +377,10 @@ def _env_with_src():
     ["exf1", "--levels", "200"],
     ["exf2", "--levels", "200"],
     ["exf1", "--n-max", "400"],
-], ids=["exf1-levels", "exf2-levels", "exf1-n-max"])
+    ["exf1", "--r", "200"],
+    ["exf2", "--r", "200"],
+], ids=["exf1-levels", "exf2-levels", "exf1-n-max", "exf1-frame-weights",
+        "exf2-frame-weights"])
 def test_cli_overflowing_weights_exit_2(args):
     done = subprocess.run([sys.executable, "-m", "gradedframes.cli", "run", *args,
                            "--truncation", "256", "--format", "csv"],
@@ -391,13 +394,17 @@ def test_cli_overflowing_weights_exit_2(args):
 _COLD_RUN = """
 import json, sys
 import gradedframes
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+on_import = scipy_modules()
 from gradedframes.cli import main
 out = sys.argv[1]
 codes = [main(["run", name, "--truncation", "256", "--format", "csv", "--out", out])
          for name in ("exf1", "exf2", "custom", "runo")]
 codes.append(main(["report", out]))
-print(json.dumps([codes, sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg")
-                                if m in sys.modules)]))
+print(json.dumps([codes, on_import, scipy_modules()]))
 """
 
 
@@ -407,6 +414,8 @@ def test_cli_runs_load_no_dense_or_sparse_solvers(tmp_path):
                           env=_env_with_src(), capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
-    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    codes, on_import, after_runs = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * 5
-    assert loaded == []
+    # no scipy module at all, neither after the import nor after the runs
+    assert on_import == []
+    assert after_runs == []

@@ -16,9 +16,10 @@ cold_start holds the median wall time of COLD_RUNS fresh
 `python -m gradedframes.cli run <scenario> --truncation <t> --format csv`
 processes per scenario and truncation (the process's whole life: interpreter
 start, imports, run, report write), and the median time a fresh interpreter
-takes for `import gradedframes` beside the same for its third-party
-dependencies.  Like gfbench's set-up timing these processes run with
-PYTHONDONTWRITEBYTECODE=1, so each compiles the package afresh.
+takes for `import gradedframes` beside the same for `import numpy`, the one
+dependency a run loads, and for DEPS_IMPORT, the reference import gfbench
+scales its set-up time by.  Like gfbench's set-up timing these processes run
+with PYTHONDONTWRITEBYTECODE=1, so each compiles the package afresh.
 """
 
 import argparse
@@ -37,6 +38,7 @@ SCENARIOS = ("exf1", "exf2", "custom", "runo")
 TRUNCATIONS = (256, 1024, 4096, 16384)
 COLD_RUNS = 5
 DEPS_IMPORT = "import numpy, scipy.sparse, scipy.sparse.linalg"
+NUMPY_IMPORT = "import numpy"
 
 
 def git(*args):
@@ -83,14 +85,15 @@ def cold_start():
     the host spreads over every cell."""
     cells = [(s, t) for s in SCENARIOS for t in TRUNCATIONS]
     runs = {cell: [] for cell in cells}
-    imports = {"gradedframes": [], "dependencies": []}
+    imports = {"gradedframes": [], "dependencies": [], "numpy": []}
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(COLD_RUNS):
             imports["dependencies"].append(fresh_import(DEPS_IMPORT))
+            imports["numpy"].append(fresh_import(NUMPY_IMPORT))
             imports["gradedframes"].append(fresh_import("import gradedframes"))
             for cell in cells:
                 runs[cell].append(cold_run(*cell, os.path.join(tmp, "report.csv")))
-    return {"runs": COLD_RUNS, "dependencies": DEPS_IMPORT,
+    return {"runs": COLD_RUNS, "dependencies": DEPS_IMPORT, "numpy": NUMPY_IMPORT,
             "import_s": {k: statistics.median(v) for k, v in imports.items()},
             "run_s": {s: {str(t): statistics.median(x for x, _ in runs[s, t])
                           for t in TRUNCATIONS} for s in SCENARIOS},
