@@ -105,6 +105,18 @@ class SequenceOperator:
             else num.with_data(num.data / self.divisor[self._rows])
 
     @cached_property
+    def canonical_images(self) -> Compressed:
+        """apply_columns of the identity: row i holds the image of e_{i+1},
+        zero entries dropped, read from the numerator's columns directly."""
+        cols = self._columns
+        keep = cols.data != 0
+        out = cols.indices[keep]
+        values = cols.data[keep].astype(np.complex128)
+        if self.divisor is not None:
+            values = exact_div(values, self.divisor[out])
+        return Compressed.from_triplets(cols.rows()[keep], out, values, cols.shape)
+
+    @cached_property
     def _orthogonal_rows(self) -> Optional[np.ndarray]:
         """Start of every nonempty row when no input feeds two outputs, so
         that the rows are orthogonal; None otherwise."""
@@ -294,7 +306,7 @@ class SynthesisOp:
 
 def build_dual_from_V(rule: SequenceOperator) -> DualSystem:
     """Dual vectors are the images of the canonical coefficient vectors."""
-    return DualSystem(rule.apply_columns(Compressed.identity(rule.in_dim)))
+    return DualSystem(rule.canonical_images)
 
 
 def _detect_rule(dual: DualSystem) -> SequenceOperator:
@@ -447,7 +459,7 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large to compose a dense projection")
         g = frame.dense_matrix()
-        vmat = rule.apply_columns(Compressed.identity(m)).toarray().real.T
+        vmat = rule.canonical_images.toarray().real.T
         prule = norm_rule = SequenceOperator.dense(g @ vmat)
         out_weights = weights
     continuity = tuple(norm_rule.weighted_norm(o, w)
@@ -488,8 +500,11 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
     else:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large for a dense solve")
+        if m > prule.in_dim:
+            # as apply() refuses the canonical vectors past the inputs
+            raise ValueError("input support %d exceeds dimension %d" % (m, prule.in_dim))
         g = frame.dense_matrix()
-        pmat = prule.apply_columns(Compressed.identity(m)).toarray().real.T
+        pmat = prule.canonical_images.toarray().real.T
         vmat, *_ = np.linalg.lstsq(g, pmat, rcond=None)
         resid = g @ vmat - pmat
         scale = max(float(np.linalg.norm(pmat)), 1.0)
@@ -500,9 +515,8 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
         rule = SequenceOperator.dense(vmat)
     # range check: U V must reproduce P column by column; both are held by
     # their transposes, (U V)^T = V^T U^T
-    eye = Compressed.identity(m)
-    target = prule.apply_columns(eye)
-    got = rule.apply_columns(eye) @ frame.coefficient_rows().T
+    target = prule.canonical_images
+    got = rule.canonical_images @ frame.coefficient_rows().T
     scale = np.maximum(_column_norms(target, theta_grading, 0), 1.0)
     bad = np.flatnonzero(_column_norms(got - target, theta_grading, 0)
                          > RANGE_TOL * scale)
@@ -716,8 +730,7 @@ def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
 @dataclass(frozen=True, eq=False)
 class EquivalenceReport:
     passed: bool
-    canonical_match: bool
-    idempotence_defect: float
+    projection: ProjectionOp
     bound_tables: tuple
     notes: tuple
 
@@ -725,32 +738,18 @@ class EquivalenceReport:
 def verify_equivalences(frame: FrameSystem, op: SynthesisOp,
                         x_grading: WeightGrading, theta_grading: WeightGrading,
                         plan: IndexPlan) -> EquivalenceReport:
-    """Round-trip construction chain: V -> dual -> V' -> P -> V''.
+    """Round trip V -> P -> V'' between the two equivalent witnesses.
 
-    The operator may come from a rule, a dual or a projection; the remaining
-    witnesses are constructed and cross-checked: V' must agree with V on
-    canonical vectors, P must be idempotent, and the three per-level bound
-    tables must agree within relative tolerance.  V'' is a left inverse,
-    since V_from_projection refuses any other.
+    P = U V is composed from the operator, whichever constructor made it,
+    and must be idempotent; V'' is recovered from P, which V_from_projection
+    refuses unless U V'' = P and V'' is a left inverse.  The round trip
+    passes when the per-level bound tables of V and V'' agree within
+    relative tolerance.
     """
-    notes = []
-    op1 = build_V_from_dual(op.dual, x_grading, theta_grading, plan)
-    canonical_match = not _mismatched_columns(op1.dual.matrix, op.dual.matrix,
-                                              1e-12).size
-    if not canonical_match:
-        notes.append("reconstruction rebuilt from the dual differs on canonicals")
-
-    proj = projection_from_V(frame, op1, theta_grading)
+    proj = projection_from_V(frame, op, theta_grading)
     op2 = V_from_projection(frame, proj, x_grading, theta_grading, plan)
-
-    tables = (op.bounds.consts, op1.bounds.consts, op2.bounds.consts)
-    bounds_ok = True
-    for k in range(plan.budget + 1):
-        ref = tables[0][k]
-        for t in tables[1:]:
-            if abs(t[k] - ref) > BOUND_MATCH_TOL * max(ref, 1e-300):
-                bounds_ok = False
-                notes.append("bound table mismatch at level %d" % k)
-    passed = canonical_match and bounds_ok
-    return EquivalenceReport(passed, canonical_match, proj.idempotence_defect,
-                             tables, tuple(notes))
+    ref, got = tables = (op.bounds.consts, op2.bounds.consts)
+    notes = tuple("bound table mismatch at level %d" % k
+                  for k in range(plan.budget + 1)
+                  if abs(got[k] - ref[k]) > BOUND_MATCH_TOL * max(ref[k], 1e-300))
+    return EquivalenceReport(not notes, proj, tables, notes)

@@ -33,7 +33,6 @@ from .reconstruction import (
     SequenceOperator,
     ProjectionOp,
     V_from_projection,
-    projection_from_V,
     synthesis_from_rule,
     verify_equivalences,
     verify_expansion,
@@ -246,9 +245,8 @@ def run_exf2(cfg: ScenarioConfig) -> ScenarioResult:
     rule = SequenceOperator.pair_collapse(np.zeros(n), np.ones(n), frame.b_pair)
     op, case_ok, strict = _graded_case(cfg, "base", frame, x, theta, plan,
                                        rule, rows)
-    proj = projection_from_V(frame, op, theta)
-    equiv = verify_equivalences(
-        frame, V_from_projection(frame, proj, x, theta, plan), x, theta, plan)
+    equiv = verify_equivalences(frame, op, x, theta, plan)
+    proj = equiv.projection
     coefficients = (analyze(frame, f).coefficients
                     for f in _plan_samples(n)[:6])
     range_ok = all(proj.apply(d) == d for d in coefficients)

@@ -619,11 +619,21 @@ def test_equivalences_from_V_diagonal():
     frame, x, theta, plan, op = exf1_setup(16, 2, 2)
     report = verify_equivalences(frame, op, x, theta, plan)
     assert report.passed
-    assert report.canonical_match
-    # the rebuilt dual stores 1/b_j, so the folded diagonal is one ulp off 1
-    assert report.idempotence_defect <= 1e-15
-    for table in report.bound_tables:
-        assert table == (1.0, 1.0, 1.0)
+    # P is composed from the op's own rule, (b_j * 1) / b_j, so the folded
+    # diagonal is exactly 1
+    assert report.projection.idempotence_defect == 0.0
+    assert report.bound_tables == ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+
+
+def test_equivalences_flag_a_wrong_bound_table_level():
+    frame, x, theta, plan, op = exf1_setup(16, 2, 2)
+    consts = list(op.bounds.consts)
+    consts[1] *= 2.0
+    wrong = SynthesisOp(op.rule, ContinuityData(op.bounds.theta_levels, consts))
+    report = verify_equivalences(frame, wrong, x, theta, plan)
+    assert not report.passed
+    assert report.notes == ("bound table mismatch at level 1",)
+    assert report.bound_tables == (tuple(consts), op.bounds.consts)
 
 
 def test_equivalences_from_projection_even_selection():
@@ -714,19 +724,28 @@ def invariant_cases():
     }
 
 
+def assert_same_arrays(got, want):
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("name", list(invariant_cases()))
 def test_every_dual_is_its_rules_canonical_images(name):
     frame, x, theta, plan, op, refusal = invariant_cases()[name]
     images = op.rule.apply_columns(Compressed.identity(op.rule.in_dim))
-    for attr in ("indptr", "indices", "data"):
-        got, want = getattr(op.dual.matrix, attr), getattr(images, attr)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert_same_arrays(op.dual.matrix, images)
+    assert_same_arrays(op.rule.canonical_images, images)
     assert op.dual.truncation == op.rule.out_dim
     if name == "dual-complex":
         assert op.rule.divisor is None
     if refusal is None:
         report = verify_equivalences(frame, op, x, theta, plan)
         assert report.passed, report.notes
+        prule = report.projection.rule
+        assert_same_arrays(prule.canonical_images,
+                           prule.apply_columns(Compressed.identity(prule.in_dim)))
     else:
         with pytest.raises(ValueError, match=refusal):
             verify_equivalences(frame, op, x, theta, plan)

@@ -219,34 +219,21 @@ def ref_V_from_projection(frame, proj, x, theta, plan):
 
 
 def ref_verify_equivalences(frame, x, theta, plan, source_kind, source):
-    notes = []
     if source_kind == "V":
         op0 = ref_synthesis(source, x, theta, plan)
     elif source_kind == "dual":
         op0 = ref_V_from_dual(*source, x, theta, plan)
     else:
         op0 = ref_V_from_projection(frame, source, x, theta, plan)
-    dual0 = ref_build_dual(op0.rule)
-    op1 = ref_V_from_dual(dual0, op0.rule.out_dim, x, theta, plan)
-    canonical_match = all(
-        op1.rule.apply(GradedVector.canonical(i)).allclose(
-            op0.rule.apply(GradedVector.canonical(i)), 1e-12)
-        for i in range(1, frame.functional_count + 1))
-    if not canonical_match:
-        notes.append("reconstruction rebuilt from the dual differs on canonicals")
-    proj = ref_projection_from_V(frame, op1, theta)
+    proj = ref_projection_from_V(frame, op0, theta)
     op2 = ref_V_from_projection(frame, proj, x, theta, plan)
-    tables = (op0.bounds.consts, op1.bounds.consts, op2.bounds.consts)
-    bounds_ok = True
+    tables = (op0.bounds.consts, op2.bounds.consts)
+    notes = []
     for k in range(plan.budget + 1):
         ref = tables[0][k]
-        for t in tables[1:]:
-            if abs(t[k] - ref) > BOUND_MATCH_TOL * max(ref, 1e-300):
-                bounds_ok = False
-                notes.append("bound table mismatch at level %d" % k)
-    passed = canonical_match and bounds_ok
-    return EquivalenceReport(passed, canonical_match, proj.idempotence_defect,
-                             tables, tuple(notes))
+        if abs(tables[1][k] - ref) > BOUND_MATCH_TOL * max(ref, 1e-300):
+            notes.append("bound table mismatch at level %d" % k)
+    return EquivalenceReport(not notes, proj, tables, tuple(notes))
 
 
 # -- comparable signatures ------------------------------------------------------
@@ -281,8 +268,7 @@ def projection_sig(proj):
 
 
 def report_sig(rep):
-    return (rep.passed, rep.canonical_match, rep.idempotence_defect,
-            rep.bound_tables, rep.notes)
+    return (rep.passed, projection_sig(rep.projection), rep.bound_tables, rep.notes)
 
 
 def outcome(fn, sig):

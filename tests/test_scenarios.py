@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import gradedframes
+from gradedframes import reconstruction, scenarios
 from gradedframes.cli import main
 from gradedframes.gradings import GradedVector, graded_norm
 from gradedframes.reportio import (
@@ -150,6 +153,26 @@ def test_exf2_verdicts_truncation_invariant():
     a = run_exf2(ScenarioConfig("exf2", r=1, truncation=32, levels=3))
     b = run_exf2(ScenarioConfig("exf2", r=1, truncation=128, levels=3))
     assert keep(a) == keep(b)
+
+
+def test_exf2_round_trip_builds_each_witness_once(monkeypatch):
+    # every module that binds a function gets the counting wrapper, so calls
+    # inside reconstruction (SynthesisOp.dual, verify_equivalences) count too
+    calls = Counter()
+    for name in ("projection_from_V", "V_from_projection", "build_dual_from_V"):
+        orig = getattr(reconstruction, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in (gradedframes, reconstruction, scenarios):
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counted)
+    result = scenarios.run_scenario(ScenarioConfig("exf2", r=1, truncation=64, levels=4))
+    assert result.passed
+    assert calls == Counter(projection_from_V=1, V_from_projection=1)
 
 
 # -- runo ------------------------------------------------------------------------
