@@ -404,8 +404,8 @@ def test_projection_folds_every_coordinate_frame(reads):
 
 
 def test_equivalences_keep_the_rule_of_a_uniform_threefold_frame():
-    # 2,100 functionals exceed DENSE_LIMIT: the rule rebuilt from the dual
-    # must keep its divisor so that the projection folds
+    # 2,100 functionals exceed DENSE_LIMIT: the projection folds only from
+    # a rule with a divisor, so one rebuilt from the dual must keep it
     n = 700
     frame = CoordinateFrame(np.repeat(np.arange(n), 3), 1.0 + np.arange(n) % 5)
     x, theta, plan = power_grading(2, n), power_grading(2, 3 * n), IndexPlan.shifted(1, 0)
