@@ -24,8 +24,6 @@ from .frames import (
     FrameSystem,
     analyze,
     coanalyze,
-    bessel_bound,
-    dense_subset_extension_check,
     frame_bounds_analytic,
     frame_bounds_numeric,
     runo_demo,
@@ -65,8 +63,8 @@ __all__ = [
     "graded_norm", "lp_norm", "pairing",
     "BlockFrame", "CoordinateFrame", "DenseFrame", "DiagonalFrame",
     "FrameBounds", "FrameSystem",
-    "analyze", "coanalyze", "bessel_bound", "dense_subset_extension_check",
-    "frame_bounds_analytic", "frame_bounds_numeric", "runo_demo",
+    "analyze", "coanalyze", "frame_bounds_analytic", "frame_bounds_numeric",
+    "runo_demo",
     "ContinuityData", "IndexPlan", "SelectionResult", "StrictnessVerdict",
     "classify_strictness", "select_subsequence", "verify_pre_f_frame",
     "verify_selected_chain",

@@ -27,19 +27,14 @@ import numpy as np
 
 from .compressed import Compressed, runs
 from .gradings import (
-    DualWeighting,
     GradedVector,
     WeightGrading,
     graded_norm,
     lp_norm,
-    stack_columns,
 )
 
 # Numeric bounds build a dense weighted matrix; refuse beyond this many columns.
 DENSE_LIMIT = 2048
-# Dense SVD is used when the smaller matrix dimension is at most this,
-# otherwise a sparse Lanczos iteration with a fixed start vector.
-SPARSE_CUTOVER = 1200
 
 
 class FrameFormError(ValueError):
@@ -376,83 +371,6 @@ def frame_bounds_numeric(frame: FrameSystem, theta: WeightGrading,
     upper = float(s_hi[0])
     wit_hi = _unit_witness(vh_hi[0], v_hi)
     return FrameBounds(lower, upper, witness_lower=wit_lo, witness_upper=wit_hi)
-
-
-def bessel_bound(dual_candidates: Sequence[GradedVector],
-                 theta_dual: DualWeighting, theta_level: int,
-                 x_dual: DualWeighting, x_level: int) -> float:
-    """Smallest constant bounding the dual-coefficient map of the candidates.
-
-    Computed as the largest singular value of the matrix with rows f_i,
-    scaled by the reciprocal Θ weights on the left and the X weights on the
-    right (the extremal quotient of the coefficient map between the two dual
-    norms).
-    """
-    if not dual_candidates:
-        raise ValueError("empty candidate list")
-    m = len(dual_candidates)
-    n = max((f.max_index for f in dual_candidates), default=0)
-    n = max(n, 1)
-    if n > x_dual.truncation:
-        raise ValueError("candidate support beyond truncation")
-    w = theta_dual.base.weight_values(theta_level, np.arange(1, m + 1))
-    v = x_dual.base.weight_values(x_level, np.arange(1, n + 1))
-
-    # row i of the stack holds f_i
-    mat = stack_columns(dual_candidates, n)
-    if not mat.nnz:
-        return 0.0
-    data = mat.data.real if np.all(mat.data.imag == 0) else mat.data
-    mat = mat.with_data(((1.0 / w)[mat.rows()] * data) * v[mat.indices])
-    if min(m, n) <= SPARSE_CUTOVER:
-        return float(np.linalg.svd(mat.toarray(), compute_uv=False)[0])
-    # scipy loads all of scipy.linalg with scipy.sparse.linalg; only this
-    # branch uses it
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    v0 = np.ones(min(m, n))
-    sigma = spla.svds(sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape),
-                      k=1, which="LM", v0=v0, return_singular_vectors=False)
-    return float(sigma[0])
-
-
-@dataclass(frozen=True, eq=False)
-class ExtensionReport:
-    """Outcome of the dense-subset extension check (prefix samples vs full)."""
-
-    passed: bool
-    truncation_factor: float
-    failures: tuple = ()
-    notes: tuple = ()
-
-
-def dense_subset_extension_check(frame: FrameSystem, theta: WeightGrading,
-                                 theta_level: int, x: WeightGrading,
-                                 lower_level: int, upper_level: int,
-                                 lower: float, upper: float,
-                                 dense_samples: Sequence[GradedVector],
-                                 full_samples: Sequence[GradedVector]) -> ExtensionReport:
-    """Check the frame inequality on prefixes with (lower, upper) and on the
-    full samples with (lower, λ·upper), λ = 1 for these norms."""
-    lam = 1.0
-    failures = []
-    notes = []
-    slack = 1 + 1e-12
-    for i, (dsample, fsample) in enumerate(zip(dense_samples, full_samples)):
-        if dsample != fsample.prefix(dsample.max_index):
-            notes.append("sample %d: dense part is not a prefix of the full vector" % i)
-        for tag, vec, cap in (("dense", dsample, upper), ("full", fsample, lam * upper)):
-            if vec.trim().is_zero():
-                continue
-            mid = analysis_norm(frame, vec, theta, theta_level)
-            lo = lower * graded_norm(vec, x, lower_level)
-            hi = cap * graded_norm(vec, x, upper_level)
-            if lo > mid * slack:
-                failures.append((i, tag, "lower", lo, mid, vec))
-            if mid > hi * slack:
-                failures.append((i, tag, "upper", mid, hi, vec))
-    return ExtensionReport(not failures, lam, tuple(failures), tuple(notes))
 
 
 @dataclass(frozen=True, eq=False)

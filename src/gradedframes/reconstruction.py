@@ -9,16 +9,17 @@ the projection P = U V onto the coefficient range of U, and verifies the
 expansion identities with their tail bounds.
 
 A rule with a divisor sums its products first and divides once per output.
-The division is deliberate: for dyadic data and integer weights the quotient
-is exact in floating point, which makes prefix reconstruction residuals reach
-zero exactly once the support is exhausted.
+For dyadic data and integer weights the reconstruction quotient (b f) / b
+is exact, so prefix reconstruction residuals reach zero exactly once the
+support is exhausted.  The dual expansion's b (g / b) is exact only for
+power-of-two weights; other integer weights leave residuals of a few ulps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,8 +39,6 @@ from .gradings import (
     GradedVector,
     WeightGrading,
     column_norms,
-    dual_norm,
-    graded_norm,
     stack_columns,
 )
 from .multilevel import ContinuityData, IndexPlan
@@ -471,8 +470,7 @@ def _rows_per_coordinate(frame: FrameSystem,
                          prule: SequenceOperator) -> Optional[Compressed]:
     """Row j of P when every functional reading coordinate j sees that same
     row, supported on the functionals reading j; None otherwise."""
-    if (not isinstance(frame, CoordinateFrame) or prule.divisor is None
-            or prule.in_dim != frame.functional_count):
+    if not isinstance(frame, CoordinateFrame) or prule.divisor is None:
         return None
     p = prule._values
     once = p[frame.reader_starts[:-1]]
@@ -494,15 +492,15 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
     """
     prule = proj.rule
     m = frame.functional_count
+    if (prule.in_dim, prule.out_dim) != (m, m):
+        raise ValueError("projection maps %d coefficients to %d, the frame has "
+                         "%d functionals" % (prule.in_dim, prule.out_dim, m))
     rows = _rows_per_coordinate(frame, prule)
     if rows is not None:
         rule = SequenceOperator(rows, frame.b)
     else:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large for a dense solve")
-        if m > prule.in_dim:
-            # as apply() refuses the canonical vectors past the inputs
-            raise ValueError("input support %d exceeds dimension %d" % (m, prule.in_dim))
         g = frame.dense_matrix()
         pmat = prule.canonical_images.toarray().real.T
         vmat, *_ = np.linalg.lstsq(g, pmat, rcond=None)
@@ -633,6 +631,39 @@ def _coanalyze_columns(frame: FrameSystem, col, funcs, values, count: int) -> tu
     return col, coord, out[coord, col]
 
 
+def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
+                  limit: int, n_grid: Optional[Sequence[int]], coefficients_of,
+                  partial_of, out_grading, out_levels: tuple, tail_grading,
+                  consts: Sequence[float]) -> ExpansionReport:
+    """Tail profiles of one side of a dual pair, the body of both verifiers.
+
+    Column q of one matrix holds the coefficient prefix of length grid[q];
+    partial_of(col, inputs, values, count) maps all of them at once, and each
+    level k takes one column_norms call on the residuals (out_grading at
+    out_levels[k]) and one on the tails (tail_grading at k, times consts[k]).
+    Past the support a residual must be exactly zero when the rule divides,
+    and at most 1e-12 max(|sample|, 1) otherwise.
+    """
+    exact = rule.divisor is not None
+    given = _given_grid(n_grid, limit)
+    rows = []
+    for pos, v in enumerate(samples):
+        coeff = coefficients_of(v)
+        support = coeff.trim().max_index
+        grid = given or _default_grid(support, limit)
+        (col, inputs, values), tails = _prefixes_and_tails(coeff, grid)
+        residuals = _residuals(v, *partial_of(col, inputs, values, len(grid)),
+                               len(grid))
+        alone = None if exact else stack_columns([v], max(v.max_index, 1))
+        for k, (level, c_k) in enumerate(zip(out_levels, consts)):
+            floor = 0.0 if exact \
+                else 1e-12 * max(column_norms(alone, out_grading, level)[0], 1.0)
+            profile = tuple(column_norms(residuals, out_grading, level).tolist())
+            bounds = tuple((c_k * column_norms(tails, tail_grading, k)).tolist())
+            rows.append(_expansion_row(pos, k, grid, profile, bounds, support, floor))
+    return ExpansionReport(all(r.ok for r in rows), tuple(rows))
+
+
 def verify_expansion(frame: FrameSystem, op: SynthesisOp,
                      x_grading: WeightGrading, theta_grading: WeightGrading,
                      plan: IndexPlan, samples: Sequence[GradedVector],
@@ -644,35 +675,16 @@ def verify_expansion(frame: FrameSystem, op: SynthesisOp,
     upper_const_k times the coefficient tail norm at level k.  Once n covers
     the coefficient support the residual must vanish: exactly for the
     division-structured rules, within a relative floor for matrix-backed
-    ones whose solves round.
-
-    Each sample's whole grid is checked at once: column q of one matrix
-    holds the coefficient prefix of length grid[q], the rule is gathered
-    over all of its columns, and every level takes one column_norms call on
-    the residuals and one on the tails.  The values are bit for bit those of
-    synthesize and graded_norm point by point.  A given grid is refused when
-    it is empty or reaches outside [0, rule inputs].
+    ones whose solves round.  The values are bit for bit those of synthesize
+    and graded_norm point by point.  A given grid is refused when it is
+    empty or reaches outside [0, rule inputs].
     """
     rule = op.rule
-    exact = rule.divisor is not None
-    given = _given_grid(n_grid, rule.in_dim)
-    rows = []
-    for pos, f in enumerate(samples):
-        coeff = analyze(frame, f).coefficients
-        support = coeff.trim().max_index
-        grid = given or _default_grid(support, rule.in_dim)
-        (col, inputs, values), tails = _prefixes_and_tails(coeff, grid)
-        col, out, values = gather(rule._columns, inputs, values, rule.divisor, None, col)
-        residuals = _residuals(f, col, out, values, len(grid))
-        for k in range(plan.budget + 1):
-            s_k = plan.lower_levels[k]
-            b_k = plan.upper_consts[k]
-            floor = 0.0 if exact \
-                else 1e-12 * max(graded_norm(f, x_grading, s_k), 1.0)
-            profile = tuple(column_norms(residuals, x_grading, s_k).tolist())
-            bounds = tuple((b_k * column_norms(tails, theta_grading, k)).tolist())
-            rows.append(_expansion_row(pos, k, grid, profile, bounds, support, floor))
-    return ExpansionReport(all(r.ok for r in rows), tuple(rows))
+    return _verify_tails(
+        samples, rule, rule.in_dim, n_grid, lambda f: analyze(frame, f).coefficients,
+        lambda col, inputs, values, _: gather(rule._columns, inputs, values,
+                                              rule.divisor, None, col),
+        x_grading, plan.lower_levels, theta_grading, plan.upper_consts)
 
 
 def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
@@ -684,16 +696,12 @@ def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
     A functional with coefficient vector g expands through the dual values
     c_i = g(f_i).  The residual after n terms is measured in the dual norm
     at the plan's upper level and compared with the synthesis-transpose
-    bound times the dual-coefficient tail norm.
-
-    As in verify_expansion, each sample co-analyzes the prefixes of its
-    whole grid at once and every level takes one column_norms call per
-    matrix.  Coordinate frames give coanalyze and dual_norm's values point
-    by point bit for bit; dense frames may differ in the last bits.  A given
-    grid is refused when it is empty or reaches outside [0, functional
-    count].
+    bound times the dual-coefficient tail norm.  Coordinate frames give
+    coanalyze and dual_norm's values point by point bit for bit; dense
+    frames co-analyze with one matrix product and may differ in the last
+    bits.  A given grid is refused when it is empty or reaches outside
+    [0, functional count].
     """
-    given = _given_grid(n_grid, frame.functional_count)
     tilde = []
     for k in range(plan.budget + 1):
         t_k = plan.upper_levels[k]
@@ -703,24 +711,10 @@ def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
         except FrameFormError:
             tilde.append(frame_bounds_numeric(frame, theta_grading, k,
                                               x_grading, t_k, t_k).upper)
-    exact = op.rule.divisor is not None
-    rows = []
-    for pos, g in enumerate(dual_samples):
-        c = op.rule.transpose_apply(g)
-        support = c.trim().max_index
-        grid = given or _default_grid(support, frame.functional_count)
-        (col, funcs, values), tails = _prefixes_and_tails(c, grid)
-        residuals = _residuals(g, *_coanalyze_columns(frame, col, funcs, values,
-                                                      len(grid)), len(grid))
-        for k in range(plan.budget + 1):
-            t_k = plan.upper_levels[k]
-            floor = 0.0 if exact \
-                else 1e-12 * max(dual_norm(g, x_grading.dual(), t_k), 1.0)
-            profile = tuple(column_norms(residuals, x_grading.dual(), t_k).tolist())
-            bounds = tuple((tilde[k] * column_norms(tails, theta_grading.dual(),
-                                                    k)).tolist())
-            rows.append(_expansion_row(pos, k, grid, profile, bounds, support, floor))
-    return ExpansionReport(all(r.ok for r in rows), tuple(rows))
+    return _verify_tails(
+        dual_samples, op.rule, frame.functional_count, n_grid,
+        op.rule.transpose_apply, partial(_coanalyze_columns, frame),
+        x_grading.dual(), plan.upper_levels, theta_grading.dual(), tilde)
 
 
 # ---------------------------------------------------------------------------

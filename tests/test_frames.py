@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,15 +7,11 @@ from gradedframes.frames import (
     CoordinateFrame,
     DenseFrame,
     DiagonalFrame,
-    ExtensionReport,
     FrameBounds,
     FrameFormError,
-    SPARSE_CUTOVER,
     analyze,
     analysis_norm,
     coanalyze,
-    bessel_bound,
-    dense_subset_extension_check,
     frame_bounds_analytic,
     frame_bounds_numeric,
     runo_demo,
@@ -276,116 +270,6 @@ def test_injectivity_when_lower_bound_positive():
     assert got.lower > 0
     f = GradedVector.from_pairs({3: 1e-7, 11: -2.0})
     assert not analyze(frame, f).coefficients.trim().is_zero()
-
-
-# -- bessel bound ----------------------------------------------------------------
-
-def test_bessel_identity_dual_is_one():
-    w = power_grading(4, 8)
-    cands = [GradedVector.canonical(i) for i in range(1, 9)]
-    got = bessel_bound(cands, w.dual(), 2, w.dual(), 2)
-    assert abs(got - 1.0) < 1e-12
-
-
-def test_bessel_reciprocal_dual_is_one():
-    n, r = 16, 2
-    j = np.arange(1, n + 1)
-    b = np.where(j % 2 == 1, 1.0, j.astype(float) ** r)
-    cands = [GradedVector.canonical(i, 1.0 / b[i - 1]) for i in range(1, n + 1)]
-    w = power_grading(3, n)
-    got = bessel_bound(cands, w.dual(), 1, w.dual(), 1)
-    assert abs(got - 1.0) < 1e-12
-
-
-def test_bessel_scaling():
-    w = power_grading(2, 4)
-    cands = [GradedVector.canonical(i, 2.0) for i in range(1, 5)]
-    assert abs(bessel_bound(cands, w.dual(), 1, w.dual(), 1) - 2.0) < 1e-12
-
-
-def test_bessel_rejects_empty_list():
-    w = power_grading(1, 4)
-    with pytest.raises(ValueError):
-        bessel_bound([], w.dual(), 0, w.dual(), 0)
-
-
-def test_bessel_all_zero_candidates():
-    w = power_grading(1, 4)
-    cands = [GradedVector.zero(), GradedVector.zero()]
-    assert bessel_bound(cands, w.dual(), 0, w.dual(), 0) == 0.0
-
-
-def test_bessel_sparse_branch_matches_dense_svd():
-    # the svds branch, the one use of scipy.sparse.linalg
-    m = n = 1300
-    assert min(m, n) > SPARSE_CUTOVER
-    rng = np.random.default_rng(8)
-    dense = np.zeros((m, n))
-    cands = []
-    for i in range(m):
-        idx = np.sort(rng.choice(n, size=4, replace=False)) + 1
-        vals = rng.standard_normal(4) / math.sqrt(i + 1)
-        dense[i, idx - 1] = vals
-        cands.append(GradedVector(idx, vals))
-    w = power_grading(3, n)
-    got = bessel_bound(cands, w.dual(), 1, w.dual(), 2)
-    left = w.weight_values(1, np.arange(1, m + 1))
-    right = w.weight_values(2, np.arange(1, n + 1))
-    want = np.linalg.svd(dense / left[:, None] * right, compute_uv=False)[0]
-    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
-
-
-# -- dense subset extension --------------------------------------------------------
-
-def test_extension_check_canonicals_pass():
-    frame = alternating_diag(32, 1)
-    w = power_grading(3, 32)
-    got = frame_bounds_analytic(frame, w, 0, w, 0, 1)
-    samples = [GradedVector.canonical(i) for i in range(1, 33)]
-    report = dense_subset_extension_check(frame, w, 0, w, 0, 1,
-                                          got.lower, got.upper, samples, samples)
-    assert report.passed
-    assert report.truncation_factor == 1.0
-    assert report.failures == ()
-
-
-def test_extension_check_flags_scaled_frame():
-    frame = alternating_diag(16, 1)
-    w = power_grading(2, 16)
-    got = frame_bounds_analytic(frame, w, 0, w, 0, 1)
-    shrunk = frame.scaled(0.5)
-    samples = [GradedVector.canonical(1)]
-    report = dense_subset_extension_check(shrunk, w, 0, w, 0, 1,
-                                          got.lower, got.upper, samples, samples)
-    assert not report.passed
-    assert any(kind == "lower" for (_, _, kind, *_rest) in report.failures)
-
-
-def test_extension_check_random_vectors_and_prefixes():
-    rng = np.random.default_rng(17)
-    frame = alternating_diag(64, 2)
-    w = power_grading(4, 64)
-    got = frame_bounds_analytic(frame, w, 1, w, 1, 3)
-    full, dense = [], []
-    for _ in range(500):
-        support = rng.choice(64, size=8, replace=False) + 1
-        v = GradedVector(support, rng.normal(size=8))
-        full.append(v)
-        dense.append(v.prefix(32))
-    report = dense_subset_extension_check(frame, w, 1, w, 1, 3,
-                                          got.lower, got.upper, dense, full)
-    assert report.passed
-    assert report.notes == ()
-
-
-def test_extension_check_reports_non_prefix_sample():
-    frame = alternating_diag(8, 1)
-    w = power_grading(1, 8)
-    dense = [GradedVector.canonical(2)]
-    full = [GradedVector.canonical(3)]
-    report = dense_subset_extension_check(frame, w, 0, w, 0, 1,
-                                          1.0, 1.0, dense, full)
-    assert report.notes
 
 
 # -- norm chain demo -------------------------------------------------------------

@@ -483,6 +483,19 @@ def test_V_from_projection_outside_range_rejected():
                           IndexPlan.shifted(0, 0))
 
 
+@pytest.mark.parametrize("frame", [
+    DenseFrame(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])),
+    DiagonalFrame(np.ones(3)),
+], ids=["dense", "diagonal"])
+@pytest.mark.parametrize("size", [2, 4])
+def test_V_from_projection_refuses_mis_sized_projection(frame, size):
+    proj = ProjectionOp(SequenceOperator.identity(size), (1.0,), 0.0)
+    with pytest.raises(ValueError, match="^projection maps %d coefficients to %d, "
+                                         "the frame has 3 functionals$" % (size, size)):
+        V_from_projection(frame, proj, power_grading(1, 3), power_grading(1, 4),
+                          IndexPlan.shifted(0, 0))
+
+
 # -- expansion verification -------------------------------------------------------
 
 def exf1_setup(n, r, levels):

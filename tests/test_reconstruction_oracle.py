@@ -185,6 +185,9 @@ def ref_coordinate_rows(frame, prule):
 def ref_V_from_projection(frame, proj, x, theta, plan):
     prule = proj.rule
     m = frame.functional_count
+    if (prule.in_dim, prule.out_dim) != (m, m):
+        raise ValueError("projection maps %d coefficients to %d, the frame has "
+                         "%d functionals" % (prule.in_dim, prule.out_dim, m))
     rows = ref_coordinate_rows(frame, prule)
     if rows is not None:
         rule = SequenceOperator(rows, ref_reads(frame)[1])

@@ -442,3 +442,9 @@ def test_cli_runs_load_no_dense_or_sparse_solvers(tmp_path):
     # no scipy module at all, neither after the import nor after the runs
     assert on_import == []
     assert after_runs == []
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its definition is deleted breaks
+    # `from gradedframes import *`
+    assert [n for n in gradedframes.__all__ if not hasattr(gradedframes, n)] == []
