@@ -272,6 +272,56 @@ def test_injectivity_when_lower_bound_positive():
     assert not analyze(frame, f).coefficients.trim().is_zero()
 
 
+# -- dense subset extension --------------------------------------------------------
+# Bounds of these norms found on finitely supported vectors hold on the whole
+# space with factor 1: the frame inequality holds on a sample and on its prefix.
+
+def frame_inequality_failures(frame, theta, theta_level, x, lower_level,
+                              upper_level, bounds, vectors):
+    """(position, side) for each side of the frame inequality a vector breaks."""
+    failures = []
+    for i, vec in enumerate(vectors):
+        mid = analysis_norm(frame, vec, theta, theta_level)
+        if bounds.lower * graded_norm(vec, x, lower_level) > mid * (1 + 1e-12):
+            failures.append((i, "lower"))
+        if mid > bounds.upper * graded_norm(vec, x, upper_level) * (1 + 1e-12):
+            failures.append((i, "upper"))
+    return failures
+
+
+def test_extension_check_canonicals_pass():
+    frame = alternating_diag(32, 1)
+    w = power_grading(3, 32)
+    got = frame_bounds_analytic(frame, w, 0, w, 0, 1)
+    samples = [GradedVector.canonical(i) for i in range(1, 33)]
+    assert frame_inequality_failures(frame, w, 0, w, 0, 1, got, samples) == []
+
+
+def test_extension_check_flags_scaled_frame():
+    frame = alternating_diag(16, 1)
+    w = power_grading(2, 16)
+    got = frame_bounds_analytic(frame, w, 0, w, 0, 1)
+    shrunk = frame.scaled(0.5)
+    samples = [GradedVector.canonical(1)]
+    assert frame_inequality_failures(shrunk, w, 0, w, 0, 1, got, samples) \
+        == [(0, "lower")]
+
+
+def test_extension_check_random_vectors_and_prefixes():
+    rng = np.random.default_rng(17)
+    frame = alternating_diag(64, 2)
+    w = power_grading(4, 64)
+    got = frame_bounds_analytic(frame, w, 1, w, 1, 3)
+    full, dense = [], []
+    for _ in range(500):
+        support = rng.choice(64, size=8, replace=False) + 1
+        v = GradedVector(support, rng.normal(size=8))
+        full.append(v)
+        dense.append(v.prefix(32))
+    assert all(d == v.prefix(d.max_index) for d, v in zip(dense, full))
+    assert frame_inequality_failures(frame, w, 1, w, 1, 3, got, dense + full) == []
+
+
 # -- norm chain demo -------------------------------------------------------------
 
 def test_runo_chain_two_ones():

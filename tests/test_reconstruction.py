@@ -626,6 +626,38 @@ def test_block_dual_expansion_exact_zero():
     assert report.row(0, 0).zero_from == 6
 
 
+@pytest.mark.parametrize("verify", [verify_expansion, verify_dual_expansion],
+                         ids=["primal", "dual"])
+def test_expansion_rows_by_sample_then_level_on_the_default_grid(verify):
+    frame, x, theta, plan, op = exf1_setup(16, 1, 2)
+    samples = [GradedVector.canonical(3), GradedVector.zero(),
+               GradedVector.from_pairs({2: 0.5, 9: -1.0})]
+    report = verify(frame, op, x, theta, plan, samples)
+    assert report.passed
+    assert [(row.sample, row.level) for row in report.rows] \
+        == [(s, k) for s in range(3) for k in range(plan.budget + 1)]
+    assert [row.support for row in report.rows[::plan.budget + 1]] == [3, 0, 9]
+    for row in report.rows:
+        assert row.grid == tuple(range(min(row.support + 8, 16) + 1))
+        assert len(row.profile) == len(row.tail_bounds) == len(row.grid)
+
+
+def test_integer_weight_exact_for_reconstruction_not_for_dual():
+    # 14 is an integer weight but no power of two: (14 f) / 14 gives the
+    # dyadic f back exactly, 14 (g / 14) misses the dyadic g by an ulp, and
+    # a rule with a divisor allows no residual past the support
+    frame, x, theta, plan, op = exf1_setup(16, 1, 1)
+    v = GradedVector.canonical(14, 1.8125)
+    primal = verify_expansion(frame, op, x, theta, plan, [v])
+    assert primal.passed
+    assert all(row.zero_from == 14 for row in primal.rows)
+    dual = verify_dual_expansion(frame, op, x, theta, plan, [v])
+    assert not dual.passed
+    for row in dual.rows:
+        assert row.zero_from is None
+        assert all(0.0 < r < 1e-16 for n, r in zip(row.grid, row.profile) if n >= 14)
+
+
 # -- equivalence round trip -----------------------------------------------------
 
 def test_equivalences_from_V_diagonal():
