@@ -157,6 +157,8 @@ class LevelCheck:
     slack_lower: Optional[float]
     slack_upper: Optional[float]
     samples_checked: int
+    witness_lower: Optional[int] = None   # 1-based coordinates attaining
+    witness_upper: Optional[int] = None   # the optimal constants
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +214,8 @@ def _verify_entries(frame: FrameSystem, x_grading: WeightGrading,
         slack_lower = opt_lower - a
         slack_upper = b - opt_upper
         checks.append(LevelCheck(m, a, b, opt_lower, opt_upper,
-                                 slack_lower, slack_upper, len(samples)))
+                                 slack_lower, slack_upper, len(samples),
+                                 witness_lower, witness_upper))
         if slack_lower < -REL_SLACK * a and first_violation is None:
             first_violation = (m, witness_lower, "lower_slack", a, opt_lower)
         if slack_upper < -REL_SLACK * b and first_violation is None:
@@ -302,21 +305,18 @@ class StrictnessVerdict:
                 raise ValueError("witnesses must cover every candidate up to n_max")
 
 
-def certified_power_profile(indices: np.ndarray, values: np.ndarray):
-    """Certify that values ~ C * indices**slope on the tail of one class.
-
-    Returns (certified, slope).  Three tail points are compared pairwise in
-    log-log coordinates; agreement within SLOPE_AGREE certifies the profile.
-    """
-    n = indices.size
+def _tail_positions(n: int):
+    """The three tail positions of a class of n members; None if n < 3."""
     if n < 3:
-        return False, 0.0
+        return None
     pos = sorted({n // 2, (3 * n) // 4, n - 1})
-    if len(pos) < 3:
-        pos = [n - 3, n - 2, n - 1]
-    js = indices[pos].astype(float)
-    vs = values[pos]
-    if np.any(vs <= 0):
+    return pos if len(pos) == 3 else [n - 3, n - 2, n - 1]
+
+
+def _tail_slope(js, vs):
+    """(certified, slope) of three tail points (js, vs): their log-log
+    slopes must agree pairwise within SLOPE_AGREE."""
+    if any(v <= 0 for v in vs):
         return False, 0.0
     s01 = math.log(vs[1] / vs[0]) / math.log(js[1] / js[0])
     s12 = math.log(vs[2] / vs[1]) / math.log(js[2] / js[1])
@@ -326,20 +326,20 @@ def certified_power_profile(indices: np.ndarray, values: np.ndarray):
     return True, s02
 
 
+def certified_power_profile(indices: np.ndarray, values: np.ndarray):
+    """Certify that values ~ C * indices**slope on the tail of one class.
+
+    Returns (certified, slope) from the class's three tail points.
+    """
+    pos = _tail_positions(indices.size)
+    if pos is None:
+        return False, 0.0
+    return _tail_slope(indices[pos].astype(float), values[pos])
+
+
 def _parity_classes(count: int):
     j = np.arange(1, count + 1)
     return [j[0::2], j[1::2]]
-
-
-def _certified_class_slopes(ratios: np.ndarray):
-    """Per-parity-class certified slopes of a ratio sequence, or None."""
-    out = []
-    for cls in _parity_classes(ratios.size):
-        certified, slope = certified_power_profile(cls, ratios[cls - 1])
-        if not certified:
-            return None
-        out.append((cls, slope))
-    return out
 
 
 def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
@@ -352,39 +352,59 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
     positive extremes.  A level with no admissible candidate yields a
     NotStrict verdict carrying one diverging or vanishing canonical-vector
     family per candidate.  Uncertifiable tails yield Undetermined.
+
+    A candidate reads only each parity class's tail points and witness head
+    (first four members), with X weights built once per call; the admitted
+    candidate alone forms its whole ratio sequence.
     """
     budget = theta_grading.levels
     if n_max is None:
         n_max = 4 * budget
+    if n_max < 0:
+        raise LevelError("candidate bound %d is negative" % n_max)
     if n_max > x_grading.levels:
         raise LevelError("candidate bound %d beyond X level budget %d"
                          % (n_max, x_grading.levels))
+    classes = []     # (head coordinates, tail coordinates or None)
+    for cls in _parity_classes(frame.truncation):
+        pos = _tail_positions(cls.size)
+        classes.append((cls[:4].tolist(), None if pos is None else cls[pos].tolist()))
+    coords = [j for head, tail in classes for j in head + (tail or [])]
+    read = np.array(coords)
+    rows = {}        # candidate n -> X weights at `read`, built on first use
     certificates = []
     for s in range(budget + 1):
         size = _functional_sizes(frame, theta_grading, s)
+        size_read = size[read - 1]
         witnesses = []
         for n in range(n_max + 1):
-            ratios = _ratios(size, x_grading, n)
-            slopes = _certified_class_slopes(ratios)
-            if slopes is None:
-                return StrictnessVerdict(
-                    "Undetermined", n_max=n_max,
-                    detail="ratio tail not certifiable at level %d, candidate %d"
-                           % (s, n))
-            grow = [(sl, cls) for cls, sl in slopes if sl > SLOPE_FLAT]
-            fall = [(sl, cls) for cls, sl in slopes if sl < -SLOPE_FLAT]
+            if n not in rows:
+                rows[n] = x_grading.weight_values(n, read)
+            ratio = dict(zip(coords, (size_read / rows[n]).tolist()))
+            slopes = []
+            for head, tail in classes:
+                certified, slope = (False, 0.0) if tail is None else _tail_slope(
+                    tail, [ratio[j] for j in tail])
+                if not certified:
+                    return StrictnessVerdict(
+                        "Undetermined", n_max=n_max,
+                        detail="ratio tail not certifiable at level %d, "
+                               "candidate %d" % (s, n))
+                slopes.append((head, slope))
+            grow = [(sl, head) for head, sl in slopes if sl > SLOPE_FLAT]
+            fall = [(sl, head) for head, sl in slopes if sl < -SLOPE_FLAT]
             if not grow and not fall:
+                ratios = _ratios(size, x_grading, n)
                 certificates.append(LevelCertificate(s, n, float(ratios.min()),
                                                      float(ratios.max())))
                 break
             # the breaking family of this candidate, should no candidate admit
             if fall and not (n <= s and grow):
-                mode, (slope, cls) = "lower_vanishing", min(fall, key=lambda t: t[0])
+                mode, (slope, head) = "lower_vanishing", min(fall, key=lambda t: t[0])
             else:
-                mode, (slope, cls) = "upper_unbounded", max(grow, key=lambda t: t[0])
-            head = cls[:4]
-            witnesses.append(RatioWitness(s, n, mode, tuple(int(j) for j in head),
-                                          tuple(float(ratios[j - 1]) for j in head),
+                mode, (slope, head) = "upper_unbounded", max(grow, key=lambda t: t[0])
+            witnesses.append(RatioWitness(s, n, mode, tuple(head),
+                                          tuple(ratio[j] for j in head),
                                           float(slope)))
         else:
             return StrictnessVerdict("NotStrict", witnesses=tuple(witnesses),

@@ -23,7 +23,6 @@ from .frames import (
     DiagonalFrame,
     analysis_norm,
     analyze,
-    frame_bounds_analytic,
     frame_bounds_numeric,
     runo_demo,
 )
@@ -166,14 +165,15 @@ def _strict_row(cfg: ScenarioConfig, label: str, verdict) -> ReportRow:
     return _row(cfg, "verdict", label, verdict=verdict.verdict, detail=detail)
 
 
-def _level_row(cfg, label, plan, k, fb, passed, expansion) -> ReportRow:
+def _level_row(cfg, label, plan, k, bounds, passed, expansion) -> ReportRow:
+    lower, upper, witness_lower, witness_upper = bounds   # the optimal ones
     return _row(
         cfg, "level", label, level=k, lower_level=plan.lower_levels[k],
         upper_level=plan.upper_levels[k],
         plan_lower=plan.lower_consts[k], plan_upper=plan.upper_consts[k],
-        optimal_lower=fb.lower, optimal_upper=fb.upper,
-        witness_lower=_witness_str(fb.witness_lower),
-        witness_upper=_witness_str(fb.witness_upper),
+        optimal_lower=lower, optimal_upper=upper,
+        witness_lower=_witness_str(witness_lower),
+        witness_upper=_witness_str(witness_upper),
         verdict="pass" if passed else "fail",
         residuals=";".join(fmt_sig(v) for v in expansion.row(0, k).profile))
 
@@ -181,17 +181,19 @@ def _level_row(cfg, label, plan, k, fb, passed, expansion) -> ReportRow:
 def _graded_case(cfg, label, frame, x, theta, plan, rule, rows):
     """Check `plan` on the plan samples, build the synthesis operator of
     `rule`, expand the dyadic probe and classify strictness; append one level
-    row per plan level.  Returns (synthesis operator, plan and expansion
+    row per plan level, with the optimal constants the plan check took.
+    Returns (synthesis operator, plan and expansion
     passed, strictness verdict); the caller places the verdict row."""
     plan_report = verify_pre_f_frame(frame, x, theta, plan,
                                      _plan_samples(cfg.truncation))
     op = synthesis_from_rule(rule, x, theta, plan)
     expansion = verify_expansion(frame, op, x, theta, plan, [_dyadic_probe()])
     strict = classify_strictness(frame, x, theta, cfg.n_max)
-    for k, (s, t) in enumerate(zip(plan.lower_levels, plan.upper_levels)):
-        fb = frame_bounds_analytic(frame, theta, k, x, s, t)
-        rows.append(_level_row(cfg, label, plan, k, fb, plan_report.passed,
-                               expansion))
+    for c in plan_report.levels:
+        bounds = (c.optimal_lower, c.optimal_upper, c.witness_lower,
+                  c.witness_upper)
+        rows.append(_level_row(cfg, label, plan, c.level, bounds,
+                               plan_report.passed, expansion))
     return op, plan_report.passed and expansion.passed, strict
 
 
@@ -332,7 +334,8 @@ def run_custom(cfg: ScenarioConfig) -> ScenarioResult:
     expansion = verify_expansion(frame, op, x, theta, plan,
                                  [GradedVector.canonical(1)])
     equiv = verify_equivalences(frame, op, x, theta, plan)
-    rows.append(_level_row(cfg, "golden", plan, 0, fb, expansion.passed,
+    bounds = (fb.lower, fb.upper, fb.witness_lower, fb.witness_upper)
+    rows.append(_level_row(cfg, "golden", plan, 0, bounds, expansion.passed,
                            expansion))
     golden_ok = expansion.passed and equiv.passed
     rows.append(_row(

@@ -64,7 +64,7 @@ def _slack_check(level, a, b, opt, samples, checks, first):
         return first
     lower, wit_lower, upper, wit_upper = opt
     checks.append(LevelCheck(level, a, b, lower, upper, lower - a, b - upper,
-                             len(samples)))
+                             len(samples), wit_lower, wit_upper))
     if lower - a < -REL_SLACK * a and first is None:
         first = (level, wit_lower, "lower_slack", a, lower)
     if b - upper < -REL_SLACK * b and first is None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gradedframes
-from gradedframes import reconstruction, scenarios
+from gradedframes import frames, multilevel, reconstruction, scenarios
 from gradedframes.cli import main
 from gradedframes.gradings import GradedVector, graded_norm
 from gradedframes.reportio import (
@@ -173,6 +173,40 @@ def test_exf2_round_trip_builds_each_witness_once(monkeypatch):
     result = scenarios.run_scenario(ScenarioConfig("exf2", r=1, truncation=64, levels=4))
     assert result.passed
     assert calls == Counter(projection_from_V=1, V_from_projection=1)
+
+
+def test_level_rows_take_the_plan_check_constants(monkeypatch):
+    # inside _graded_case, frame_bounds_analytic runs for the plan check only
+    calls = Counter()
+    scope = []
+    orig = frames.frame_bounds_analytic
+
+    def counted(*args, **kwargs):
+        calls[scope[-1] if scope else "outside"] += 1
+        return orig(*args, **kwargs)
+
+    def scoped(name, run):
+        def wrapper(*args, **kwargs):
+            scope.append(name)
+            try:
+                return run(*args, **kwargs)
+            finally:
+                scope.pop()
+        return wrapper
+
+    for mod in (gradedframes, frames, multilevel, reconstruction, scenarios):
+        for key, value in list(vars(mod).items()):
+            if value is orig:
+                monkeypatch.setattr(mod, key, counted)
+    monkeypatch.setattr(scenarios, "_graded_case",
+                        scoped("case", scenarios._graded_case))
+    monkeypatch.setattr(scenarios, "verify_pre_f_frame",
+                        scoped("plan", scenarios.verify_pre_f_frame))
+    result = run_scenario(ScenarioConfig("exf1", r=2, truncation=64, levels=4))
+    assert result.passed
+    assert calls["case"] == 0
+    assert calls["plan"] == 4
+    assert sum(r.kind == "level" for r in result.rows) == 4
 
 
 # -- runo ------------------------------------------------------------------------

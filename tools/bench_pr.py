@@ -7,7 +7,9 @@ Run from anywhere; paths resolve from the repository root.  Each workload
 runs once per seed as `python3 gfbench/run.py ... --trace 0`, a separate
 program whose last output line is read; nothing under gfbench/ is imported.
 The file holds per-workload medians of each end-to-end metric over the
-seeds, attempted/failed/correct per seed, the src/ line count and the tier-1
+seeds, attempted/failed/correct per seed with the run's failure map
+(`op:check` -> count, from the metadata line before the result line), the
+src/ line count and the tier-1
 wall time; the label names the measured change.  git_head is the commit
 checked out at the start and dirty says whether tracked files differed from
 it, so that the numbers are not that commit's.  Standard library only.
@@ -47,10 +49,13 @@ def git(*args):
 
 
 def gfbench(workload, seed, seconds):
+    """The run's result line, with the failure map of its metadata line."""
     cmd = [sys.executable, "gfbench/run.py", "--workload", workload, "--seed",
            str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    *_, meta, result = out.stdout.strip().splitlines()
+    return dict(json.loads(result),
+                failures=json.loads(meta)["metadata"]["failures"])
 
 
 def src_env(**extra):
@@ -127,7 +132,7 @@ def main(argv=None):
                                                       for r in runs),
                            "unit": metrics[m]["unit"]} for m in metrics},
             "runs": [{k: r[k] for k in ("seed", "correct", "attempted", "failed",
-                                        "metrics")} for r in runs]}
+                                        "failures", "metrics")} for r in runs]}
     src = sum(len(p.read_text().splitlines())
               for p in sorted((ROOT / "src").rglob("*.py")))
     report = {"label": args.label, "git_head": sha, "dirty": dirty, "seeds": args.seeds,
