@@ -182,8 +182,8 @@ def _graded_case(cfg, label, frame, x, theta, plan, rule, rows):
     """Check `plan` on the plan samples, build the synthesis operator of
     `rule`, expand the dyadic probe and classify strictness; append one level
     row per plan level, with the optimal constants the plan check took.
-    Returns (synthesis operator, plan and expansion
-    passed, strictness verdict); the caller places the verdict row."""
+    Returns (synthesis operator, plan and expansion passed, strictness
+    verdict); the caller places the verdict row."""
     plan_report = verify_pre_f_frame(frame, x, theta, plan,
                                      _plan_samples(cfg.truncation))
     op = synthesis_from_rule(rule, x, theta, plan)

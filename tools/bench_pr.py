@@ -5,14 +5,14 @@ tier-1 once; write BENCH_<label>.json.
 
 Run from anywhere; paths resolve from the repository root.  Each workload
 runs once per seed as `python3 gfbench/run.py ... --trace 0`, a separate
-program whose last output line is read; nothing under gfbench/ is imported.
-The file holds per-workload medians of each end-to-end metric over the
-seeds, attempted/failed/correct per seed with the run's failure map
-(`op:check` -> count, from the metadata line before the result line), the
-src/ line count and the tier-1
-wall time; the label names the measured change.  git_head is the commit
-checked out at the start and dirty says whether tracked files differed from
-it, so that the numbers are not that commit's.  Standard library only.
+program whose last two output lines (metadata, result) are read; nothing
+under gfbench/ is imported.  The file holds per-workload medians of each
+end-to-end metric over the seeds, attempted/failed/correct per seed with the
+run's failure map (`op:check` -> count, from the metadata line), the src/
+line count and the tier-1 wall time; the label names the measured change.
+git_head is the commit checked out at the start and dirty says whether
+tracked files differed from it, so that the numbers are not that commit's.
+Standard library only.
 
 cold_start holds the median wall time of COLD_RUNS fresh
 `python -m gradedframes.cli run <scenario> --truncation <t> --format csv`
