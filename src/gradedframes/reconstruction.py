@@ -13,6 +13,12 @@ For dyadic data and integer weights the reconstruction quotient (b f) / b
 is exact, so prefix reconstruction residuals reach zero exactly once the
 support is exhausted.  The dual expansion's b (g / b) is exact only for
 power-of-two weights; other integer weights leave residuals of a few ulps.
+
+The round trip checks V U = I, P P = P and U V'' = P.  On a coordinate frame
+with a block-local rule (row j stores only functionals reading coordinate j,
+as the diagonal and pair rules do) V U is diagonal and P block diagonal by
+coordinate, so each check runs per coordinate, bit for bit as the whole
+products on real rules; other rules and dense frames take whole products.
 """
 
 from __future__ import annotations
@@ -401,12 +407,37 @@ def _mismatched_columns(a: Compressed, b: Compressed, tol: float) -> np.ndarray:
     return np.unique(union[~np.isclose(va, vb, rtol=tol, atol=tol)] // rows)
 
 
+def _block_local(frame: FrameSystem, num: Compressed) -> bool:
+    """Whether frame is a coordinate frame and every stored entry of row j of
+    num reads a functional of coordinate j; the round trip then checks per
+    coordinate."""
+    return (isinstance(frame, CoordinateFrame)
+            and np.array_equal(frame.reads[num.indices], num.rows()))
+
+
+def _sums(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sums of values by group, each from zero in the given order, as the
+    compressed products sum them."""
+    if np.iscomplexobj(values):
+        return _sums(group, values.real, size) + 1j * _sums(group, values.imag, size)
+    return np.bincount(group, values, size)
+
+
 def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optional[int]:
     """Smallest coordinate j with V(U e_j) != e_j beyond LEFT_INVERSE_TOL."""
-    # column j of U is row j of its transpose
-    back = rule.apply_columns(frame.coefficient_rows().T)
-    bad = _mismatched_columns(back, Compressed.identity(frame.truncation),
-                              LEFT_INVERSE_TOL)
+    num = rule.numerator
+    if _block_local(frame, num):
+        # V U e_j = e_j (sum_i b_j M_ji) / d_j
+        back = _sums(rule._rows, frame.b[rule._rows] * num.data, frame.truncation)
+        if rule.divisor is not None:
+            back = exact_div(back, rule.divisor)
+        bad = np.flatnonzero(~np.isclose(back, 1.0, rtol=LEFT_INVERSE_TOL,
+                                         atol=LEFT_INVERSE_TOL))
+    else:
+        # column j of U is row j of its transpose
+        back = rule.apply_columns(frame.coefficient_rows().T)
+        bad = _mismatched_columns(back, Compressed.identity(frame.truncation),
+                                  LEFT_INVERSE_TOL)
     return int(bad[0]) + 1 if bad.size else None
 
 
@@ -424,6 +455,18 @@ def _column_norms(mat: Compressed, grading: WeightGrading, level: int) -> np.nda
 def _idempotence_defect(rule: SequenceOperator) -> float:
     p = rule._values
     return float(np.max(np.abs((p @ p - p).data), initial=0.0))
+
+
+def _coordinate_defect(once: Compressed) -> float:
+    """_idempotence_defect of the folded projection P = once[reads], bit for
+    bit, for block-local rows once: row j of P P is the sum of once_j[k] once_j
+    over the stored k of row j, from zero in k order as the product sums it."""
+    rows = once.rows()
+    lo = once.indptr[rows]
+    count = once.indptr[rows + 1] - lo
+    terms = once.data[runs(lo, count)] * np.repeat(once.data, count)
+    square = _sums(np.repeat(np.arange(once.nnz), count), terms, once.nnz)
+    return float(np.max(np.abs(square - once.data), initial=0.0))
 
 
 def projection_from_V(frame: FrameSystem, op: SynthesisOp,
@@ -454,6 +497,8 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
         norm_rule = SequenceOperator(once, np.ones(n))
         starts = frame.reader_starts[:-1]
         out_weights = [np.hypot.reduceat(w, starts) for w in weights]
+        defect = _coordinate_defect(once) if _block_local(frame, once) \
+            else _idempotence_defect(prule)
     else:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large to compose a dense projection")
@@ -461,9 +506,10 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
         vmat = rule.canonical_images.toarray().real.T
         prule = norm_rule = SequenceOperator.dense(g @ vmat)
         out_weights = weights
+        defect = _idempotence_defect(prule)
     continuity = tuple(norm_rule.weighted_norm(o, w)
                        for o, w in zip(out_weights, weights))
-    return ProjectionOp(prule, continuity, _idempotence_defect(prule))
+    return ProjectionOp(prule, continuity, defect)
 
 
 def _rows_per_coordinate(frame: FrameSystem,
@@ -477,7 +523,7 @@ def _rows_per_coordinate(frame: FrameSystem,
     seen = once[frame.reads]
     same = all(np.array_equal(getattr(seen, a), getattr(p, a))
                for a in ("indptr", "indices", "data"))
-    return once if same and np.all(frame.reads[once.indices] == once.rows()) else None
+    return once if same and _block_local(frame, once) else None
 
 
 def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
@@ -496,13 +542,18 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
         raise ValueError("projection maps %d coefficients to %d, the frame has "
                          "%d functionals" % (prule.in_dim, prule.out_dim, m))
     rows = _rows_per_coordinate(frame, prule)
+    target = prule.canonical_images
     if rows is not None:
         rule = SequenceOperator(rows, frame.b)
+        # column i of P holds once_j[i] on the readers of j = reads[i], where
+        # column i of U V'' holds (once_j[i] / b_j) b_j
+        b = frame.b[frame.reads[target.indices]]
+        residual = target.with_data(exact_div(target.data, b) * b - target.data)
     else:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large for a dense solve")
         g = frame.dense_matrix()
-        pmat = prule.canonical_images.toarray().real.T
+        pmat = target.toarray().real.T
         vmat, *_ = np.linalg.lstsq(g, pmat, rcond=None)
         resid = g @ vmat - pmat
         scale = max(float(np.linalg.norm(pmat)), 1.0)
@@ -511,12 +562,11 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
                              "(relative residual %.3g)"
                              % (np.linalg.norm(resid) / scale))
         rule = SequenceOperator.dense(vmat)
-    # range check: U V must reproduce P column by column; both are held by
-    # their transposes, (U V)^T = V^T U^T
-    target = prule.canonical_images
-    got = rule.canonical_images @ frame.coefficient_rows().T
+        # U V must reproduce P column by column; both are held by their
+        # transposes, (U V)^T = V^T U^T
+        residual = rule.canonical_images @ frame.coefficient_rows().T - target
     scale = np.maximum(_column_norms(target, theta_grading, 0), 1.0)
-    bad = np.flatnonzero(_column_norms(got - target, theta_grading, 0)
+    bad = np.flatnonzero(_column_norms(residual, theta_grading, 0)
                          > RANGE_TOL * scale)
     if bad.size:
         raise ValueError("projection output leaves the analysis range "

@@ -7,14 +7,17 @@ messages, for operators from every constructor and every frame form at a
 small size.
 """
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from gradedframes.compressed import Compressed
 from gradedframes.frames import (
     BlockFrame,
     DENSE_LIMIT,
+    CoordinateFrame,
     DenseFrame,
     DiagonalFrame,
     analyze,
@@ -31,9 +34,14 @@ from gradedframes.reconstruction import (
     SequenceOperator,
     SynthesisOp,
     V_from_projection,
+    _block_local,
     _bound_table,
+    _column_norms,
+    _coordinate_defect,
     _detect_rule,
     _idempotence_defect,
+    _left_inverse_failure,
+    _rows_per_coordinate,
     build_V_from_dual,
     build_dual_from_V,
     projection_from_V,
@@ -503,3 +511,268 @@ def test_apply_columns_refuses_support_like_apply():
     with pytest.raises(ValueError) as got:
         rule.apply_columns(np.eye(5))
     assert str(got.value) == str(ref.value)
+
+
+# -- per-coordinate checks against the general path ------------------------------
+#
+# On a coordinate frame with a block-local rule (row j stores functionals of
+# coordinate j only) the round trip checks run coordinate by coordinate.  The
+# references here are the general whole-operator checks: the same operator on
+# the frame's dense twin, the general idempotence product, and the range
+# check's sparse product.
+
+MIXED = CoordinateFrame(np.repeat(np.arange(4), [1, 2, 3, 2]), [1.0, 4.0, 0.5, 3.0])
+READER_COUNTS = {"one": [1] * 6, "two": [2] * 5, "three": [3] * 4,
+                 "mixed": [1, 2, 3, 2, 1, 3]}
+ROW_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1.0 / 3.0, 2.0, -3.0, 2.0 ** -30, 1e5)
+
+
+def dense_twin(frame):
+    return DenseFrame(frame.dense_matrix())
+
+
+def reader_rows(frame, row_values, complex_=False):
+    """Rows whose row j stores row_values[j] on the first readers of j, in
+    order; None stores nothing in that row."""
+    rows, cols, vals = [], [], []
+    for j, values in enumerate(row_values):
+        readers = np.flatnonzero(frame.reads == j)
+        for i, v in zip(readers, values or ()):
+            rows.append(j)
+            cols.append(i)
+            vals.append(v)
+    data = np.array(vals, dtype=complex if complex_ else float)
+    return Compressed.from_triplets(rows, cols, data,
+                                    (frame.truncation, frame.functional_count))
+
+
+def reader_rule(frame, row_values):
+    return SequenceOperator(reader_rows(frame, row_values), frame.b)
+
+
+def random_block_rows(counts, rng):
+    """Block-local rows on a frame with the given reader counts: each reader
+    is stored with probability 0.8, its value drawn from ROW_VALUES."""
+    frame = CoordinateFrame(np.repeat(np.arange(len(counts)), counts),
+                            np.ones(len(counts)))
+    keep = np.flatnonzero(rng.random(frame.functional_count) < 0.8)
+    values = np.asarray(ROW_VALUES)[rng.integers(len(ROW_VALUES), size=keep.size)]
+    return frame, Compressed.from_triplets(frame.reads[keep], keep, values,
+                                           (frame.truncation, frame.functional_count))
+
+
+def folded(frame, once):
+    return SequenceOperator(once[frame.reads], np.ones(frame.functional_count))
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("counts", list(READER_COUNTS))
+def test_coordinate_defect_is_the_general_product_bit_for_bit(counts, seed):
+    frame, once = random_block_rows(READER_COUNTS[counts], np.random.default_rng(seed))
+    assert _block_local(frame, once)
+    assert float_bits(_coordinate_defect(once)) \
+        == float_bits(_idempotence_defect(folded(frame, once)))
+
+
+@pytest.mark.parametrize("row_values,complex_,nonzero", [
+    ([[0.0, 1.0]] * 3, False, False),           # exf2's even pick, stored zeros
+    ([[0.5, 0.5]] * 3, False, False),
+    ([[-0.0, 1.0], [1.0, -0.0], [-0.0, -0.0]], False, False),
+    ([[1.0, 1.0], [2.0, -1.0], None], False, True),
+    ([[1.0 / 3.0, 0.5], [-2.0, 3.0], [0.25]], False, True),
+    # 1 + 2^-53 - 1 is 0 summed in k order and 2^-53 summed backwards
+    ([[1.0], [0.5, 0.5], [1.0, 2.0 ** -53, -1.0]], False, True),
+    ([[0.5j, 1.0], [1.0 + 1j, 0.5], [0.5]], True, True),
+])
+def test_coordinate_defect_on_hand_built_rows(row_values, complex_, nonzero):
+    frame = CoordinateFrame(np.repeat(np.arange(3), [2, 2, 3]), np.ones(3))
+    once = reader_rows(frame, row_values, complex_)
+    want = _idempotence_defect(folded(frame, once))
+    assert float_bits(_coordinate_defect(once)) == float_bits(want)
+    assert (want > 0) == nonzero
+
+
+def test_mixed_reader_projection_takes_the_coordinate_defect(monkeypatch):
+    # one, two and three readers per coordinate; each row sums to 1 after b
+    rule = reader_rule(MIXED, [[1.0], [2.0, -1.0], [1 / 3, 1 / 3, 1 / 3], [-0.0, 1.0]])
+    _, theta = gradings(MIXED)
+    calls = counting_general_calls(monkeypatch)
+    proj = projection_from_V(MIXED, SynthesisOp(rule, ContinuityData((0,), (1.0,))),
+                             theta)
+    assert calls == Counter()
+    assert float_bits(proj.idempotence_defect) \
+        == float_bits(_idempotence_defect(proj.rule))
+
+
+def left_inverse_cases():
+    """name -> (coordinate frame, block-local rule, first failing coordinate)."""
+    diag, block = FRAMES["diagonal"], FRAMES["block"]
+    complex_dual = DualSystem.from_vectors(
+        [GradedVector.canonical(i, 1j if i == 2 else 1.0) for i in range(1, 5)], 4)
+    return {
+        "diagonal": (diag, SequenceOperator.diagonal(np.ones(N), diag.b), None),
+        "diagonal_off_1e-9": (diag, SequenceOperator.diagonal(
+            perturbed(np.ones(N), [3], delta=1e-9), diag.b), 3),
+        "diagonal_within_rtol_atol": (diag, SequenceOperator.diagonal(
+            perturbed(np.ones(N), [2], delta=1.5e-10), diag.b), None),
+        "diagonal_nan": (diag, SequenceOperator.diagonal(
+            np.where(J == 5, np.nan, 1.0), diag.b), 5),
+        "pair_off_1e-9": (block, SequenceOperator.pair_collapse(
+            np.zeros(N), perturbed(np.ones(N), [5], delta=1e-9), block.b_pair), 5),
+        "pair_no_stored_entry": (block, reader_rule(
+            block, [[0.0, 1.0]] * 3 + [None] + [[0.5, 0.5]] * 2), 4),
+        "pair_stored_zeros": (block, reader_rule(
+            block, [[0.0, 1.0], [0.0, -0.0]] + [[1.0, 0.0]] * 4), 2),
+        "mixed": (MIXED, reader_rule(
+            MIXED, [[1.0], [2.0, -1.0], [0.25, 0.5, 0.25], [-0.0, 1.0]]), None),
+        # b_j M_ji sums to 1 in i order and cancels to 0 backwards
+        "mixed_cancelling": (MIXED, reader_rule(
+            MIXED, [[1.0], [2.0, -1.0], [1e17, -1e17, 1.0], [-0.0, 1.0]]), None),
+        "mixed_off_1e-9": (MIXED, reader_rule(
+            MIXED, [[1.0], [2.0, -1.0], [0.25, 0.5 + 1e-9, 0.25], [-0.0, 1.0]]), 3),
+        "mixed_no_divisor": (MIXED, SequenceOperator(reader_rows(
+            MIXED, [[1.0], [0.125, 0.125], [1.0, -1.0, 1.0], [1 / 3]])), 3),
+        "dual-complex": (DiagonalFrame(np.ones(4)), _detect_rule(complex_dual), 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(left_inverse_cases()))
+def test_coordinate_left_inverse_check_matches_general_path(name):
+    frame, rule, want = left_inverse_cases()[name]
+    twin = dense_twin(frame)
+    assert _block_local(frame, rule.numerator)
+    assert not _block_local(twin, rule.numerator)
+    assert _left_inverse_failure(frame, rule) == _left_inverse_failure(twin, rule) == want
+    if want is None:
+        return
+    _, theta = gradings(frame)
+    op = SynthesisOp(rule, ContinuityData((0,), (1.0,)))
+    for f in (frame, twin):
+        with pytest.raises(ValueError) as err:
+            projection_from_V(f, op, theta)
+        assert str(err.value) == "reconstruction is not a left inverse at coordinate %d" % want
+
+
+def general_range_failure(frame, prule, rule, theta):
+    """First coefficient where the columns of U V and P differ beyond
+    RANGE_TOL, from the whole sparse product; None when none does."""
+    target = prule.canonical_images
+    residual = rule.canonical_images @ frame.coefficient_rows().T - target
+    scale = np.maximum(_column_norms(target, theta, 0), 1.0)
+    bad = np.flatnonzero(_column_norms(residual, theta, 0) > RANGE_TOL * scale)
+    return int(bad[0]) + 1 if bad.size else None
+
+
+def general_V_from_rows(frame, prule, theta):
+    """The refusal the general checks give the closed-form V'' of a
+    projection with one row per coordinate, or None."""
+    rule = SequenceOperator(_rows_per_coordinate(frame, prule), frame.b)
+    bad = general_range_failure(frame, prule, rule, theta)
+    if bad is not None:
+        return "projection output leaves the analysis range at coefficient %d" % bad
+    j = _left_inverse_failure(dense_twin(frame), rule)
+    return None if j is None else \
+        "recovered operator is not a left inverse at coordinate %d" % j
+
+
+def range_cases():
+    """name -> (coordinate frame, projection with one block-local row per
+    coordinate, first coefficient leaving the range)."""
+    diag, block = FRAMES["diagonal"], FRAMES["block"]
+    # once_j[i] / b_j overflows, so U V'' leaves P: the one way a projection
+    # with one block-local row per coordinate leaves the range of U
+    tiny_diag = DiagonalFrame(np.where(J == 3, 1e-160, B_DIAG))
+    tiny_mixed = CoordinateFrame(MIXED.reads, [1.0, 4.0, 1e-160, 3.0])
+    tiny_rows = [[1.0], [0.5, 0.5], [1e150, 0.0, -2.0], [1.0, 0.0]]
+    return {
+        "diagonal_identity": (diag, SequenceOperator.identity(N), None),
+        "diagonal_overflow": (tiny_diag, SequenceOperator.diagonal(
+            np.where(J == 3, 1e150, 1.0), 1.0), 3),
+        "pair_even": (block, SequenceOperator.pair_mix(0.0, 1.0, N), None),
+        "pair_average": (block, SequenceOperator.pair_mix(0.5, 0.5, N), None),
+        "pair_zero": (block, SequenceOperator.zero_map(2 * N, 2 * N), None),
+        "mixed": (MIXED, folded(MIXED, reader_rows(MIXED, tiny_rows[:2] + [
+            [1 / 3, 1 / 3, 1 / 3], [-0.0, 1.0]])), None),
+        "mixed_overflow": (tiny_mixed, folded(tiny_mixed, reader_rows(
+            tiny_mixed, tiny_rows)), 4),
+    }
+
+
+@pytest.mark.parametrize("name", list(range_cases()))
+def test_coordinate_range_check_matches_general_path(name):
+    frame, prule, bad = range_cases()[name]
+    x, theta = gradings(frame)
+    rows = _rows_per_coordinate(frame, prule)
+    assert rows is not None and _block_local(frame, rows)
+    # the overflow cases overflow on both paths alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = general_V_from_rows(frame, prule, theta)
+        try:
+            V_from_projection(frame, ProjectionOp(prule, (1.0,), 0.0), x, theta,
+                              plan())
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+    assert got == want
+    if bad is None:
+        assert want is None or "analysis range" not in want
+    else:
+        assert want == "projection output leaves the analysis range at coefficient %d" % bad
+
+
+def counting_general_calls(monkeypatch):
+    calls = Counter()
+    for cls, name in ((Compressed, "__matmul__"), (SequenceOperator, "apply_columns")):
+        orig = getattr(cls, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_rules_that_are_not_block_local_keep_the_general_path(monkeypatch):
+    diag, block = FRAMES["diagonal"], FRAMES["block"]
+    _, theta = gradings(diag)
+    j = np.arange(N - 1)
+
+    def shifted(values):
+        # row j also stores the functional of coordinate j + 1
+        return SequenceOperator(Compressed.from_triplets(
+            np.concatenate((j, j, [N - 1])), np.concatenate((j, j + 1, [N - 1])),
+            np.concatenate((np.ones(N - 1), values, [1.0])), (N, N)), diag.b)
+
+    calls = counting_general_calls(monkeypatch)
+    for rule, general in ((shifted(np.zeros(N - 1)), {"apply_columns", "__matmul__"}),
+                          (shifted(np.full(N - 1, 0.5)), {"apply_columns"})):
+        assert not _block_local(diag, rule.numerator)
+        op = SynthesisOp(rule, ContinuityData((0,), (1.0,)))
+        calls.clear()
+        got = outcome(lambda: projection_from_V(diag, op, theta), projection_sig)
+        assert set(calls) == general
+        assert got == outcome(lambda: ref_projection_from_V(diag, op, theta),
+                              projection_sig)
+    # the pair_mix projection on a diagonal frame mixes two coordinates; the
+    # identity on a block frame leaves the range of U, which the dense solve
+    # refuses before either check
+    for frame, prule, general, refusal in (
+            (diag, SequenceOperator.pair_mix(0.0, 1.0, N // 2),
+             {"apply_columns", "__matmul__"}, "recovered operator is not a left inverse"),
+            (block, SequenceOperator.identity(2 * N), set(),
+             "projection output leaves the analysis range (")):
+        assert _rows_per_coordinate(frame, prule) is None
+        x, theta = gradings(frame)
+        proj = ProjectionOp(prule, (1.0,), 0.0)
+        calls.clear()
+        got = outcome(lambda: V_from_projection(frame, proj, x, theta, plan()),
+                      synthesis_sig)
+        assert set(calls) == general
+        assert got == outcome(lambda: ref_V_from_projection(frame, proj, x, theta,
+                                                            plan()), synthesis_sig)
+        assert got[0] == "error" and got[2].startswith(refusal)

@@ -175,6 +175,39 @@ def test_exf2_round_trip_builds_each_witness_once(monkeypatch):
     assert calls == Counter(projection_from_V=1, V_from_projection=1)
 
 
+@pytest.mark.parametrize("run", [run_exf1, run_exf2])
+def test_coordinate_round_trips_take_no_general_product(monkeypatch, run):
+    # exf1's diagonal and exf2's pair-collapse rules are block-local, so the
+    # round trip checks them per coordinate; the plan check's one sample
+    # product runs outside it and shows that the counter sees calls
+    calls = Counter()
+    scope = []
+    for cls, name in ((reconstruction.Compressed, "__matmul__"),
+                      (reconstruction.SequenceOperator, "apply_columns")):
+        orig = getattr(cls, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name, "round trip" if scope else "outside"] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    orig_verify = scenarios.verify_equivalences
+
+    def scoped(*args, **kwargs):
+        scope.append(True)
+        try:
+            return orig_verify(*args, **kwargs)
+        finally:
+            scope.pop()
+
+    monkeypatch.setattr(scenarios, "verify_equivalences", scoped)
+    result = run(ScenarioConfig(run.__name__[4:], r=1, truncation=64, levels=4))
+    assert result.passed
+    assert calls["__matmul__", "round trip"] == 0
+    assert calls["apply_columns", "round trip"] == 0
+    assert calls["__matmul__", "outside"] >= 1
+
+
 def test_level_rows_take_the_plan_check_constants(monkeypatch):
     # inside _graded_case, frame_bounds_analytic runs for the plan check only
     calls = Counter()

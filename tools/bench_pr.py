@@ -10,6 +10,10 @@ under gfbench/ is imported.  The file holds per-workload medians of each
 end-to-end metric over the seeds, attempted/failed/correct per seed with the
 run's failure map (`op:check` -> count, from the metadata line), the src/
 line count and the tier-1 wall time; the label names the measured change.
+per_layer.scenarios holds, as gfbench prints it, the metrics dict of one
+traced `scenarios` run (`--trace 1`, the first seed): span calls, busy and
+self time per layer and the derived ratios.  Its times carry the tracing
+overhead; the end-to-end figures come from the untraced runs alone.
 git_head is the commit checked out at the start and dirty says whether
 tracked files differed from it, so that the numbers are not that commit's.
 Standard library only.
@@ -48,10 +52,10 @@ def git(*args):
     return out.stdout.strip()
 
 
-def gfbench(workload, seed, seconds):
+def gfbench(workload, seed, seconds, trace=0):
     """The run's result line, with the failure map of its metadata line."""
     cmd = [sys.executable, "gfbench/run.py", "--workload", workload, "--seed",
-           str(seed), "--seconds", str(seconds), "--trace", "0"]
+           str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
     *_, meta, result = out.stdout.strip().splitlines()
     return dict(json.loads(result),
@@ -139,7 +143,9 @@ def main(argv=None):
               "seconds": args.seconds, "python": sys.version.split()[0],
               "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count(), "src_lines": src, "cold_start": cold_start(),
-              "tier1": tier1(), "workloads": workloads}
+              "tier1": tier1(), "workloads": workloads,
+              "per_layer": {"scenarios": gfbench("scenarios", args.seeds[0],
+                                                 args.seconds, trace=1)["metrics"]}}
     path = ROOT / ("BENCH_%s.json" % args.label)
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(path)
