@@ -17,8 +17,10 @@ power-of-two weights; other integer weights leave residuals of a few ulps.
 The round trip checks V U = I, P P = P and U V'' = P.  On a coordinate frame
 with a block-local rule (row j stores only functionals reading coordinate j,
 as the diagonal and pair rules do) V U is diagonal and P block diagonal by
-coordinate, so each check runs per coordinate, bit for bit as the whole
-products on real rules; other rules and dense frames take whole products.
+coordinate, so the first two checks run per coordinate, bit for bit as the
+whole products on real rules.  There V'' is P's row j over b_j, so U V'' = P
+holds by construction and only the finiteness of V'' is tested.  Other rules
+and dense frames take whole products.
 """
 
 from __future__ import annotations
@@ -441,17 +443,6 @@ def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optiona
     return int(bad[0]) + 1 if bad.size else None
 
 
-def _column_norms(mat: Compressed, grading: WeightGrading, level: int) -> np.ndarray:
-    """Level norms of the columns of a sparse matrix held by its transpose,
-    as graded_norm gives them up to the summation order.  The range check
-    compares these against a tolerance over every coordinate, so it takes
-    one bincount sum rather than gradings.column_norms' exact sum per
-    column."""
-    w = grading.weights(level)
-    terms = (np.abs(mat.data) * w[mat.indices]) ** 2
-    return np.sqrt(np.bincount(mat.rows(), weights=terms, minlength=mat.shape[0]))
-
-
 def _idempotence_defect(rule: SequenceOperator) -> float:
     p = rule._values
     return float(np.max(np.abs((p @ p - p).data), initial=0.0))
@@ -532,9 +523,11 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
     """Solve analysis(x) = P(d) for x, coordinate by coordinate.
 
     A coordinate frame whose projection gives all readers of a coordinate
-    one row is solved in closed form; otherwise a least-squares solve with a
-    residual check is used.  The recovered rule must be a left inverse of
-    the analysis map.
+    one row is solved in closed form, row j of V'' being that row over b_j,
+    so U V'' = P holds by construction; otherwise a least-squares solve is
+    checked against P as a whole and column by column.  Every entry of V''
+    must be finite, which is tested first, and V'' must be a left inverse
+    of the analysis map.
     """
     prule = proj.rule
     m = frame.functional_count
@@ -542,35 +535,38 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
         raise ValueError("projection maps %d coefficients to %d, the frame has "
                          "%d functionals" % (prule.in_dim, prule.out_dim, m))
     rows = _rows_per_coordinate(frame, prule)
-    target = prule.canonical_images
-    if rows is not None:
-        rule = SequenceOperator(rows, frame.b)
-        # column i of P holds once_j[i] on the readers of j = reads[i], where
-        # column i of U V'' holds (once_j[i] / b_j) b_j
-        b = frame.b[frame.reads[target.indices]]
-        residual = target.with_data(exact_div(target.data, b) * b - target.data)
-    else:
+    if rows is None:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large for a dense solve")
         g = frame.dense_matrix()
+        target = prule.canonical_images
         pmat = target.toarray().real.T
         vmat, *_ = np.linalg.lstsq(g, pmat, rcond=None)
+        rule = SequenceOperator.dense(vmat)
+    else:
+        rule = SequenceOperator(rows, frame.b)
+    with np.errstate(over="ignore"):
+        entries = rule._values
+    bad = np.flatnonzero(~np.isfinite(entries.data))
+    if bad.size:
+        raise ValueError("recovered operator entry (%d, %d) is not finite"
+                         % (entries.rows()[bad[0]] + 1, entries.indices[bad[0]] + 1))
+    if rows is None:
         resid = g @ vmat - pmat
         scale = max(float(np.linalg.norm(pmat)), 1.0)
         if np.linalg.norm(resid) > RANGE_TOL * scale:
             raise ValueError("projection output leaves the analysis range "
                              "(relative residual %.3g)"
                              % (np.linalg.norm(resid) / scale))
-        rule = SequenceOperator.dense(vmat)
         # U V must reproduce P column by column; both are held by their
         # transposes, (U V)^T = V^T U^T
         residual = rule.canonical_images @ frame.coefficient_rows().T - target
-    scale = np.maximum(_column_norms(target, theta_grading, 0), 1.0)
-    bad = np.flatnonzero(_column_norms(residual, theta_grading, 0)
-                         > RANGE_TOL * scale)
-    if bad.size:
-        raise ValueError("projection output leaves the analysis range "
-                         "at coefficient %d" % (bad[0] + 1))
+        scale = np.maximum(column_norms(target, theta_grading, 0), 1.0)
+        bad = np.flatnonzero(column_norms(residual, theta_grading, 0)
+                             > RANGE_TOL * scale)
+        if bad.size:
+            raise ValueError("projection output leaves the analysis range "
+                             "at coefficient %d" % (bad[0] + 1))
     j = _left_inverse_failure(frame, rule)
     if j is not None:
         raise ValueError("recovered operator is not a left inverse "
@@ -786,9 +782,9 @@ def verify_equivalences(frame: FrameSystem, op: SynthesisOp,
 
     P = U V is composed from the operator, whichever constructor made it,
     and must be idempotent; V'' is recovered from P, which V_from_projection
-    refuses unless U V'' = P and V'' is a left inverse.  The round trip
-    passes when the per-level bound tables of V and V'' agree within
-    relative tolerance.
+    refuses unless V'' is finite, U V'' = P and V'' is a left inverse.  The
+    round trip passes when the per-level bound tables of V and V'' agree
+    within relative tolerance.
     """
     proj = projection_from_V(frame, op, theta_grading)
     op2 = V_from_projection(frame, proj, x_grading, theta_grading, plan)

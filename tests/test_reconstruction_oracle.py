@@ -7,6 +7,7 @@ messages, for operators from every constructor and every frame form at a
 small size.
 """
 
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from gradedframes.frames import (
     DiagonalFrame,
     analyze,
 )
-from gradedframes.gradings import GradedVector, WeightGrading, graded_norm
+from gradedframes.gradings import GradedVector, WeightGrading, column_norms, graded_norm
 from gradedframes.multilevel import ContinuityData, IndexPlan
 from gradedframes.reconstruction import (
     BOUND_MATCH_TOL,
@@ -36,7 +37,6 @@ from gradedframes.reconstruction import (
     V_from_projection,
     _block_local,
     _bound_table,
-    _column_norms,
     _coordinate_defect,
     _detect_rule,
     _idempotence_defect,
@@ -190,6 +190,13 @@ def ref_coordinate_rows(frame, prule):
     return np.array(rows)
 
 
+def ref_finite(values):
+    """Refuse the first non-finite entry of a dense V'', row by row."""
+    for j, i in np.argwhere(~np.isfinite(values)):
+        raise ValueError("recovered operator entry (%d, %d) is not finite"
+                         % (j + 1, i + 1))
+
+
 def ref_V_from_projection(frame, proj, x, theta, plan):
     prule = proj.rule
     m = frame.functional_count
@@ -198,13 +205,17 @@ def ref_V_from_projection(frame, proj, x, theta, plan):
                          "%d functionals" % (prule.in_dim, prule.out_dim, m))
     rows = ref_coordinate_rows(frame, prule)
     if rows is not None:
-        rule = SequenceOperator(rows, ref_reads(frame)[1])
+        b = ref_reads(frame)[1]
+        with np.errstate(over="ignore"):
+            ref_finite(rows / b[:, None])
+        rule = SequenceOperator(rows, b)
     else:
         g = frame.dense_matrix()
         pmat = np.zeros((m, m))
         for i in range(1, m + 1):
             pmat[:, i - 1] = prule.apply(GradedVector.canonical(i)).to_dense(m).real
         vmat, *_ = np.linalg.lstsq(g, pmat, rcond=None)
+        ref_finite(vmat)
         resid = g @ vmat - pmat
         scale = max(float(np.linalg.norm(pmat)), 1.0)
         if np.linalg.norm(resid) > RANGE_TOL * scale:
@@ -662,69 +673,81 @@ def general_range_failure(frame, prule, rule, theta):
     RANGE_TOL, from the whole sparse product; None when none does."""
     target = prule.canonical_images
     residual = rule.canonical_images @ frame.coefficient_rows().T - target
-    scale = np.maximum(_column_norms(target, theta, 0), 1.0)
-    bad = np.flatnonzero(_column_norms(residual, theta, 0) > RANGE_TOL * scale)
+    scale = np.maximum(column_norms(target, theta, 0), 1.0)
+    bad = np.flatnonzero(column_norms(residual, theta, 0) > RANGE_TOL * scale)
     return int(bad[0]) + 1 if bad.size else None
-
-
-def general_V_from_rows(frame, prule, theta):
-    """The refusal the general checks give the closed-form V'' of a
-    projection with one row per coordinate, or None."""
-    rule = SequenceOperator(_rows_per_coordinate(frame, prule), frame.b)
-    bad = general_range_failure(frame, prule, rule, theta)
-    if bad is not None:
-        return "projection output leaves the analysis range at coefficient %d" % bad
-    j = _left_inverse_failure(dense_twin(frame), rule)
-    return None if j is None else \
-        "recovered operator is not a left inverse at coordinate %d" % j
 
 
 def range_cases():
     """name -> (coordinate frame, projection with one block-local row per
-    coordinate, first coefficient leaving the range)."""
+    coordinate, first non-finite entry (j, i) of the closed-form V'')."""
     diag, block = FRAMES["diagonal"], FRAMES["block"]
-    # once_j[i] / b_j overflows, so U V'' leaves P: the one way a projection
-    # with one block-local row per coordinate leaves the range of U
+    # once_j[i] / b_j overflows: the one way U V'' can leave P on this path
     tiny_diag = DiagonalFrame(np.where(J == 3, 1e-160, B_DIAG))
+    small_diag = DiagonalFrame(np.where(J == 3, 1e-10, B_DIAG))
     tiny_mixed = CoordinateFrame(MIXED.reads, [1.0, 4.0, 1e-160, 3.0])
     tiny_rows = [[1.0], [0.5, 0.5], [1e150, 0.0, -2.0], [1.0, 0.0]]
     return {
         "diagonal_identity": (diag, SequenceOperator.identity(N), None),
         "diagonal_overflow": (tiny_diag, SequenceOperator.diagonal(
-            np.where(J == 3, 1e150, 1.0), 1.0), 3),
+            np.where(J == 3, 1e150, 1.0), 1.0), (3, 3)),
+        # P's own column norm overflows as well, so the range scale is inf
+        "diagonal_overflow_huge": (small_diag, SequenceOperator.diagonal(
+            np.where(J == 3, 1e300, 1.0), 1.0), (3, 3)),
         "pair_even": (block, SequenceOperator.pair_mix(0.0, 1.0, N), None),
         "pair_average": (block, SequenceOperator.pair_mix(0.5, 0.5, N), None),
         "pair_zero": (block, SequenceOperator.zero_map(2 * N, 2 * N), None),
         "mixed": (MIXED, folded(MIXED, reader_rows(MIXED, tiny_rows[:2] + [
             [1 / 3, 1 / 3, 1 / 3], [-0.0, 1.0]])), None),
         "mixed_overflow": (tiny_mixed, folded(tiny_mixed, reader_rows(
-            tiny_mixed, tiny_rows)), 4),
+            tiny_mixed, tiny_rows)), (3, 4)),
     }
 
 
 @pytest.mark.parametrize("name", list(range_cases()))
 def test_coordinate_range_check_matches_general_path(name):
-    frame, prule, bad = range_cases()[name]
+    frame, prule, entry = range_cases()[name]
     x, theta = gradings(frame)
     rows = _rows_per_coordinate(frame, prule)
     assert rows is not None and _block_local(frame, rows)
-    # the overflow cases overflow on both paths alike
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = general_V_from_rows(frame, prule, theta)
-        try:
-            V_from_projection(frame, ProjectionOp(prule, (1.0,), 0.0), x, theta,
-                              plan())
-            got = None
-        except ValueError as exc:
-            got = str(exc)
-    assert got == want
-    if bad is None:
-        assert want is None or "analysis range" not in want
+    rule = SequenceOperator(rows, frame.b)
+    with np.errstate(over="ignore"):
+        values = rows.toarray() / frame.b[:, None]
+    first = next((tuple(int(k) + 1 for k in e)
+                  for e in np.argwhere(~np.isfinite(values))), None)
+    assert first == entry
+    if entry is None:
+        # U V'' = P by construction: the whole-product range check passes
+        assert general_range_failure(frame, prule, rule, theta) is None
+        j = _left_inverse_failure(dense_twin(frame), rule)
+        want = ("ok", None) if j is None else ("error", "ValueError",
+            "recovered operator is not a left inverse at coordinate %d" % j)
     else:
-        assert want == "projection output leaves the analysis range at coefficient %d" % bad
+        want = ("error", "ValueError",
+                "recovered operator entry (%d, %d) is not finite" % entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(lambda: V_from_projection(frame, ProjectionOp(prule, (1.0,), 0.0),
+                                                x, theta, plan()), lambda op: None)
+    assert got == want
+
+
+def test_dense_solve_names_a_non_finite_entry():
+    # 1 / 1e-310 overflows in the solve, where the whole residual reads inf
+    frame = DenseFrame([[1e-310]])
+    x, theta = gradings(frame)
+    proj = ProjectionOp(SequenceOperator.identity(1), (1.0,), 0.0)
+    with pytest.raises(ValueError) as err:
+        V_from_projection(frame, proj, x, theta, plan())
+    assert str(err.value) == "recovered operator entry (1, 1) is not finite"
+    with pytest.raises(ValueError) as ref:
+        ref_V_from_projection(frame, proj, x, theta, plan())
+    assert str(ref.value) == str(err.value)
 
 
 def counting_general_calls(monkeypatch):
+    """Count whole products, apply_columns calls and every read of
+    canonical_images, which is then built anew on each read."""
     calls = Counter()
     for cls, name in ((Compressed, "__matmul__"), (SequenceOperator, "apply_columns")):
         orig = getattr(cls, name)
@@ -734,7 +757,29 @@ def counting_general_calls(monkeypatch):
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
+    images = SequenceOperator.canonical_images.func
+
+    def counted_images(self):
+        calls["canonical_images"] += 1
+        return images(self)
+
+    monkeypatch.setattr(SequenceOperator, "canonical_images", property(counted_images))
     return calls
+
+
+@pytest.mark.parametrize("frame_name,rule_name", [("diagonal", "diagonal"),
+                                                  ("block", "pair_even")])
+def test_closed_form_V_from_projection_takes_no_general_product(monkeypatch,
+                                                                 frame_name, rule_name):
+    # exf1's diagonal and exf2's pair-collapse rule on frames weighted as theirs
+    frame = FRAMES[frame_name]
+    x, theta = gradings(frame)
+    op = synthesis_from_rule(rules_for(frame_name, frame)[rule_name], x, theta, plan())
+    proj = projection_from_V(frame, op, theta)
+    calls = counting_general_calls(monkeypatch)
+    op2 = V_from_projection(frame, proj, x, theta, plan())
+    assert calls == Counter()
+    assert op2.bounds.consts == op.bounds.consts
 
 
 def test_rules_that_are_not_block_local_keep_the_general_path(monkeypatch):
@@ -763,8 +808,9 @@ def test_rules_that_are_not_block_local_keep_the_general_path(monkeypatch):
     # refuses before either check
     for frame, prule, general, refusal in (
             (diag, SequenceOperator.pair_mix(0.0, 1.0, N // 2),
-             {"apply_columns", "__matmul__"}, "recovered operator is not a left inverse"),
-            (block, SequenceOperator.identity(2 * N), set(),
+             {"apply_columns", "__matmul__", "canonical_images"},
+             "recovered operator is not a left inverse"),
+            (block, SequenceOperator.identity(2 * N), {"canonical_images"},
              "projection output leaves the analysis range (")):
         assert _rows_per_coordinate(frame, prule) is None
         x, theta = gradings(frame)
