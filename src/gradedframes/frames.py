@@ -263,6 +263,21 @@ class FrameBounds:
                              % (self.lower, self.upper))
 
 
+def _weight_prefix(grading: WeightGrading, level: int, n: int) -> np.ndarray:
+    """Weights w_level(1..n), read from the cached full table; a grading
+    shorter than n refuses as weight_values does."""
+    grading._check_level(level)
+    grading._check_coordinate(n)
+    return grading.weights(level)[:n]
+
+
+def _reader_hypot(frame: CoordinateFrame, w: np.ndarray) -> np.ndarray:
+    """Per coordinate, the hypot of w over its readers (w for one each)."""
+    if frame.functional_count == frame.truncation:
+        return w
+    return np.hypot.reduceat(w, frame.reader_starts[:-1])
+
+
 def _functional_sizes(frame: FrameSystem, theta: WeightGrading,
                       theta_level: int) -> np.ndarray:
     """Per-coordinate Θ-weighted size of the functionals acting on it: b_j
@@ -270,13 +285,13 @@ def _functional_sizes(frame: FrameSystem, theta: WeightGrading,
     an X level is this divided by the X weights."""
     if not isinstance(frame, CoordinateFrame):
         raise FrameFormError("analytic bounds need a coordinate frame")
-    w = theta.weight_values(theta_level, np.arange(1, frame.functional_count + 1))
-    return frame.b * np.hypot.reduceat(w, frame.reader_starts[:-1])
+    w = _weight_prefix(theta, theta_level, frame.functional_count)
+    return frame.b * _reader_hypot(frame, w)
 
 
 def _ratios(size: np.ndarray, x: WeightGrading, x_level: int) -> np.ndarray:
     """Ratio sequence of functional sizes against the X weights at x_level."""
-    return size / x.weight_values(x_level, np.arange(1, size.size + 1))
+    return size / _weight_prefix(x, x_level, size.size)
 
 
 def _smallest_ratio(ratios: np.ndarray) -> tuple:
@@ -306,9 +321,8 @@ def frame_bounds_analytic(frame: FrameSystem, theta: WeightGrading,
     if x_upper is None:
         x_upper = x_lower
     n = frame.truncation
-    j = np.arange(1, n + 1)
-    v_lo = x_lower.weight_values(lower_level, j)
-    v_hi = x_upper.weight_values(upper_level, j)
+    v_lo = _weight_prefix(x_lower, lower_level, n)
+    v_hi = _weight_prefix(x_upper, upper_level, n)
     if np.any(v_lo > v_hi):
         raise ValueError("lower X weight must be dominated by the upper one")
     size = _functional_sizes(frame, theta, theta_level)
@@ -319,10 +333,8 @@ def frame_bounds_analytic(frame: FrameSystem, theta: WeightGrading,
 
 def _weighted_matrix(frame: FrameSystem, theta: WeightGrading, theta_level: int,
                      x: WeightGrading, x_level: int) -> np.ndarray:
-    m = frame.functional_count
-    n = frame.truncation
-    w = theta.weight_values(theta_level, np.arange(1, m + 1))
-    v = x.weight_values(x_level, np.arange(1, n + 1))
+    w = _weight_prefix(theta, theta_level, frame.functional_count)
+    v = _weight_prefix(x, x_level, frame.truncation)
     g = frame.dense_matrix()
     return (w[:, None] * g) / v[None, :]
 
@@ -352,9 +364,8 @@ def frame_bounds_numeric(frame: FrameSystem, theta: WeightGrading,
     if n > DENSE_LIMIT:
         raise ValueError("truncation %d too large for dense mode (limit %d)"
                          % (n, DENSE_LIMIT))
-    j = np.arange(1, n + 1)
-    v_lo = x_lower.weight_values(lower_level, j)
-    v_hi = x_upper.weight_values(upper_level, j)
+    v_lo = _weight_prefix(x_lower, lower_level, n)
+    v_hi = _weight_prefix(x_upper, upper_level, n)
 
     a_lo = _weighted_matrix(frame, theta, theta_level, x_lower, lower_level)
     if frame.functional_count < n:

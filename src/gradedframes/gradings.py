@@ -238,11 +238,18 @@ class WeightGrading:
         """Weights w_level(j) at the given 1-based coordinates."""
         self._check_level(level)
         idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and idx.max() > self.truncation:
-            raise TruncationError("coordinate %d beyond truncation %d"
-                                  % (int(idx.max()), self.truncation))
+        self._check_coordinate(int(idx.max(initial=0)))
         if idx.size and idx.min() < 1:
             raise ValueError("coordinates are 1-based")
+        return self._formula(level, idx)
+
+    def _check_coordinate(self, top: int):
+        if top > self.truncation:
+            raise TruncationError("coordinate %d beyond truncation %d"
+                                  % (top, self.truncation))
+
+    def _formula(self, level: int, idx: np.ndarray) -> np.ndarray:
+        """weight_values without its checks: level valid, idx in [1, truncation]."""
         if self.kind == "power":
             return idx.astype(float) ** int(level)
         if self.kind == "shifted_power":
@@ -288,10 +295,12 @@ class DualWeighting:
 
 def graded_norm(v: GradedVector, grading: WeightGrading, level: int) -> float:
     """sqrt(sum |v_j|^2 w_level(j)^2)."""
+    grading._check_level(level)
     if not v.indices.size:
-        grading._check_level(level)
         return 0.0
-    w = grading.weight_values(level, v.indices)
+    # a GradedVector's coordinates are sorted and >= 1: one check suffices
+    grading._check_coordinate(v.max_index)
+    w = grading._formula(level, v.indices)
     terms = (np.abs(v.values) * w) ** 2
     return math.sqrt(_fsum(terms))
 
@@ -326,7 +335,7 @@ def column_norms(mat: Compressed, grading, level: int) -> np.ndarray:
         rows = mat.indices[mat.indptr[col]:mat.indptr[col + 1]]
         raise TruncationError("coordinate %d beyond truncation %d"
                               % (int(rows.max()) + 1, base.truncation))
-    w = base.weight_values(level, mat.indices + 1)
+    w = base._formula(level, mat.indices + 1)
     terms = (((np.abs(mat.data) / w) if dual else (np.abs(mat.data) * w)) ** 2).tolist()
     ptr = mat.indptr.tolist()
     return np.array([math.sqrt(math.fsum(terms[a:b]))
@@ -335,10 +344,11 @@ def column_norms(mat: Compressed, grading, level: int) -> np.ndarray:
 
 def dual_norm(v: GradedVector, weighting: DualWeighting, level: int) -> float:
     """Norm with the reciprocal weights, sqrt(sum |v_j|^2 / w_level(j)^2)."""
+    weighting.base._check_level(level)
     if not v.indices.size:
-        weighting.base._check_level(level)
         return 0.0
-    w = weighting.base.weight_values(level, v.indices)
+    weighting.base._check_coordinate(v.max_index)
+    w = weighting.base._formula(level, v.indices)
     terms = (np.abs(v.values) / w) ** 2
     return math.sqrt(_fsum(terms))
 

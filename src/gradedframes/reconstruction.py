@@ -41,6 +41,7 @@ from .frames import (
     analyze,
     frame_bounds_analytic,
     frame_bounds_numeric,
+    _reader_hypot,
     _reader_sums,
 )
 from .gradings import (
@@ -486,8 +487,7 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
                                         / rule.divisor[rows])
         prule = SequenceOperator(once[frame.reads], np.ones(m))
         norm_rule = SequenceOperator(once, np.ones(n))
-        starts = frame.reader_starts[:-1]
-        out_weights = [np.hypot.reduceat(w, starts) for w in weights]
+        out_weights = [_reader_hypot(frame, w) for w in weights]
         defect = _coordinate_defect(once) if _block_local(frame, once) \
             else _idempotence_defect(prule)
     else:
@@ -552,12 +552,15 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
         raise ValueError("recovered operator entry (%d, %d) is not finite"
                          % (entries.rows()[bad[0]] + 1, entries.indices[bad[0]] + 1))
     if rows is None:
-        resid = g @ vmat - pmat
-        scale = max(float(np.linalg.norm(pmat)), 1.0)
-        if np.linalg.norm(resid) > RANGE_TOL * scale:
+        # both norms are taken in units of one power of two, P's largest
+        # entry rounded up, so neither overflows; normal values stay exact
+        _, top = math.frexp(float(np.max(np.abs(pmat))))
+        unit = math.ldexp(1.0, -max(top, 0))
+        resid = float(np.linalg.norm((g @ vmat - pmat) * unit))
+        scale = max(float(np.linalg.norm(pmat * unit)), unit)
+        if resid > RANGE_TOL * scale:
             raise ValueError("projection output leaves the analysis range "
-                             "(relative residual %.3g)"
-                             % (np.linalg.norm(resid) / scale))
+                             "(relative residual %.3g)" % (resid / scale))
         # U V must reproduce P column by column; both are held by their
         # transposes, (U V)^T = V^T U^T
         residual = rule.canonical_images @ frame.coefficient_rows().T - target

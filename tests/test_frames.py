@@ -16,7 +16,12 @@ from gradedframes.frames import (
     frame_bounds_numeric,
     runo_demo,
 )
-from gradedframes.gradings import GradedVector, WeightGrading, graded_norm
+from gradedframes.gradings import (
+    GradedVector,
+    TruncationError,
+    WeightGrading,
+    graded_norm,
+)
 
 SQRT2 = 1.4142135623730951
 
@@ -174,6 +179,22 @@ def test_analytic_rejects_dominance_violation():
     w = power_grading(3, 8)
     with pytest.raises(ValueError):
         frame_bounds_analytic(frame, w, 0, w, 2, 0)
+
+
+@pytest.mark.parametrize("shape", ["diagonal", "block"])
+def test_analytic_refuses_short_gradings(shape):
+    # n coordinates, m functionals: every full-length weight read must refuse
+    # a grading that stops one short, naming the coordinate it lacks
+    frame = alternating_diag(8, 1) if shape == "diagonal" else pair_block(8, 1)
+    n, m = frame.truncation, frame.functional_count
+    x, theta = power_grading(3, n), power_grading(2, m)
+    short_x, short_theta = power_grading(3, n - 1), power_grading(2, m - 1)
+    for args, size in [((theta, 0, short_x, 0, 1), n),
+                       ((theta, 0, x, 0, 1, short_x), n),
+                       ((short_theta, 0, x, 0, 1), m)]:
+        with pytest.raises(TruncationError, match="^coordinate %d beyond "
+                                                  "truncation %d$" % (size, size - 1)):
+            frame_bounds_analytic(frame, *args)
 
 
 def test_bounds_type_rejects_inverted_pair():

@@ -92,8 +92,15 @@ class TestWeightFamilies:
             graded_norm(vec((1, 1.0)), POWER, -1)
 
     def test_truncation_guard(self):
-        with pytest.raises(TruncationError):
-            graded_norm(vec((65, 1.0)), POWER, 0)
+        # the largest coordinate is named, wherever it was given, and the
+        # level is checked first
+        v = vec((70, 2.0), (3, 1.0), (65, 1.0))
+        for norm, weighting in [(graded_norm, POWER), (dual_norm, POWER.dual())]:
+            with pytest.raises(TruncationError,
+                               match="^coordinate 70 beyond truncation 64$"):
+                norm(v, weighting, 0)
+            with pytest.raises(LevelError, match="^level 13 out of range"):
+                norm(v, weighting, 13)
 
 
 class TestGradedVector:

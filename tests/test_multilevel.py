@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from gradedframes.frames import BlockFrame, DiagonalFrame
-from gradedframes.gradings import GradedVector, LevelError, WeightGrading
+from gradedframes.gradings import (
+    GradedVector,
+    LevelError,
+    TruncationError,
+    WeightGrading,
+)
 from gradedframes.multilevel import (
     ContinuityData,
     IndexPlan,
@@ -299,3 +304,17 @@ def test_selected_chain_reverifies_on_canonicals():
     selection = select_subsequence(plan, continuity)
     report = verify_selected_chain(frame, x, theta, selection, canonicals(16))
     assert report.passed
+
+
+@pytest.mark.parametrize("short", ["x", "theta"])
+def test_selected_chain_refuses_a_short_grading(short):
+    # the samples stay within the short grading, so only the optimal
+    # constants read past it
+    frame = alternating_diag(16, 2)
+    x = WeightGrading("power", 12, 15 if short == "x" else 16)
+    theta = WeightGrading("power", 10, 15 if short == "theta" else 16)
+    selection = select_subsequence(IndexPlan.shifted(10, 2),
+                                   ContinuityData((0, 3, 3, 5, 8), (1.0,) * 5))
+    with pytest.raises(TruncationError,
+                       match="^coordinate 16 beyond truncation 15$"):
+        verify_selected_chain(frame, x, theta, selection, canonicals(15))

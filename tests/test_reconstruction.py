@@ -12,7 +12,12 @@ from gradedframes.frames import (
     DiagonalFrame,
     analyze,
 )
-from gradedframes.gradings import GradedVector, WeightGrading, graded_norm
+from gradedframes.gradings import (
+    GradedVector,
+    TruncationError,
+    WeightGrading,
+    graded_norm,
+)
 from gradedframes.multilevel import ContinuityData, IndexPlan
 from gradedframes.reconstruction import (
     DualSystem,
@@ -403,6 +408,18 @@ def test_projection_folds_every_coordinate_frame(reads):
     assert np.array_equal(back.rule.divisor, frame.b)
 
 
+@pytest.mark.parametrize("shape", ["diagonal", "block"])
+def test_projection_refuses_a_short_theta_grading(shape):
+    frame = alternating_diag(8, 1) if shape == "diagonal" else pair_block(8, 1)
+    m = frame.functional_count
+    rule = reader_average_rule(frame)
+    op = synthesis_from_rule(rule, power_grading(2, 8), power_grading(1, m),
+                             IndexPlan.shifted(1, 0, upper_const=2.0))
+    with pytest.raises(ValueError, match="^weight tables shorter than the "
+                                         "operator dimensions$"):
+        projection_from_V(frame, op, power_grading(1, m - 1))
+
+
 def test_equivalences_keep_the_rule_of_a_uniform_threefold_frame():
     # 2,100 functionals exceed DENSE_LIMIT: the projection folds only from
     # a rule with a divisor, so one rebuilt from the dual must keep it
@@ -479,6 +496,17 @@ def test_V_from_projection_outside_range_rejected():
     frame = DenseFrame(np.array([[1.0], [0.0]]))
     proj = ProjectionOp(SequenceOperator.identity(2), (1.0,), 0.0)
     with pytest.raises(ValueError):
+        V_from_projection(frame, proj, power_grading(1, 1), power_grading(1, 2),
+                          IndexPlan.shifted(0, 0))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e100, 1e200])
+def test_V_from_projection_outside_range_names_the_residual_at_any_scale(s):
+    # at 1e200 the unscaled Frobenius norm of P overflows
+    frame = DenseFrame(np.array([[1.0], [0.0]]))
+    proj = ProjectionOp(SequenceOperator.dense(s * np.eye(2)), (1.0,), 0.0)
+    with pytest.raises(ValueError, match=r"^projection output leaves the analysis "
+                                         r"range \(relative residual 0\.707\)$"):
         V_from_projection(frame, proj, power_grading(1, 1), power_grading(1, 2),
                           IndexPlan.shifted(0, 0))
 
@@ -624,6 +652,18 @@ def test_block_dual_expansion_exact_zero():
     report = verify_dual_expansion(frame, op, x, theta, plan, [gamma])
     assert report.passed
     assert report.row(0, 0).zero_from == 6
+
+
+@pytest.mark.parametrize("short", ["x", "theta"])
+def test_dual_expansion_refuses_a_short_grading(short):
+    frame, x, theta, plan, op = exf1_setup(16, 2, 1)
+    if short == "x":
+        x = power_grading(x.levels, 15)
+    else:
+        theta = power_grading(theta.levels, 15)
+    with pytest.raises(TruncationError,
+                       match="^coordinate 16 beyond truncation 15$"):
+        verify_dual_expansion(frame, op, x, theta, plan, [GradedVector.canonical(2)])
 
 
 @pytest.mark.parametrize("verify", [verify_expansion, verify_dual_expansion],

@@ -22,7 +22,12 @@ from gradedframes.frames import (
     _functional_sizes,
     _ratios,
 )
-from gradedframes.gradings import LevelError, TruncationError, WeightGrading
+from gradedframes.gradings import (
+    LevelError,
+    TruncationError,
+    WeightGrading,
+    _weight_table,
+)
 from gradedframes.multilevel import (
     SLOPE_AGREE,
     SLOPE_FLAT,
@@ -260,7 +265,10 @@ def test_negative_candidate_bound_is_refused():
 # -- work -------------------------------------------------------------------------
 
 def _x_reads(monkeypatch, x):
-    """Record the length of every weight_values call on the grading x."""
+    """Record the length of every weight_values call on the grading x.  Full
+    tables are read through the weight cache, emptied first so that the first
+    read of each table costs one call whatever ran before."""
+    _weight_table.cache_clear()
     lengths = []
     original = WeightGrading.weight_values
 

@@ -10,10 +10,11 @@ under gfbench/ is imported.  The file holds per-workload medians of each
 end-to-end metric over the seeds, attempted/failed/correct per seed with the
 run's failure map (`op:check` -> count, from the metadata line), the src/
 line count and the tier-1 wall time; the label names the measured change.
-per_layer.scenarios holds, as gfbench prints it, the metrics dict of one
-traced `scenarios` run (`--trace 1`, the first seed): span calls, busy and
-self time per layer and the derived ratios.  Its times carry the tracing
-overhead; the end-to-end figures come from the untraced runs alone.
+per_layer.scenarios and per_layer.levels each hold, as gfbench prints it,
+the metrics dict of one traced run of that workload (`--trace 1`, the first
+seed): span calls, busy and self time per layer and the derived ratios.
+Their times carry the tracing overhead; the end-to-end figures come from the
+untraced runs alone.
 git_head is the commit checked out at the start and dirty says whether
 tracked files differed from it, so that the numbers are not that commit's.
 Standard library only.
@@ -40,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scenarios", "levels", "expansion")
+TRACED = ("scenarios", "levels")
 SCENARIOS = ("exf1", "exf2", "custom", "runo")
 TRUNCATIONS = (256, 1024, 4096, 16384)
 COLD_RUNS = 5
@@ -144,8 +146,9 @@ def main(argv=None):
               "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count(), "src_lines": src, "cold_start": cold_start(),
               "tier1": tier1(), "workloads": workloads,
-              "per_layer": {"scenarios": gfbench("scenarios", args.seeds[0],
-                                                 args.seconds, trace=1)["metrics"]}}
+              "per_layer": {name: gfbench(name, args.seeds[0], args.seconds,
+                                          trace=1)["metrics"]
+                            for name in TRACED}}
     path = ROOT / ("BENCH_%s.json" % args.label)
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(path)
