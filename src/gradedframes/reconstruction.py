@@ -552,8 +552,8 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
         raise ValueError("recovered operator entry (%d, %d) is not finite"
                          % (entries.rows()[bad[0]] + 1, entries.indices[bad[0]] + 1))
     if rows is None:
-        # both norms are taken in units of one power of two, P's largest
-        # entry rounded up, so neither overflows; normal values stay exact
+        # both norms in units of a power of two >= max(P's largest entry, 1):
+        # neither overflows, and normal-range values keep their bits
         _, top = math.frexp(float(np.max(np.abs(pmat))))
         unit = math.ldexp(1.0, -max(top, 0))
         resid = float(np.linalg.norm((g @ vmat - pmat) * unit))
