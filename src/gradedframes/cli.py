@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 from pathlib import Path
 
@@ -120,7 +121,9 @@ def _report(args) -> int:
     return 0 if loaded.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared afterwards."""
     parser = argparse.ArgumentParser(
         prog="gradedframes",
         description="Frame bound scenarios over graded sequence spaces.")

@@ -4,7 +4,9 @@ Two frame forms are supported.  Coordinate: functional i reads the single
 coordinate reads[i] and scales it by that coordinate's positive weight b_j.
 The diagonal frame (one reader per coordinate) and the paired block frame
 (two readers) only build reads; other reader counts are given as data.
-Dense: an explicit M x N matrix of functional values.
+Dense: an explicit M x N matrix of functional values.  analyze returns the
+coefficient vector {g_i(f)}; co-analysis has one body for one or many
+coefficient columns, and coanalyze is its one-column call.
 
 Frame bounds sandwich the analysis coefficients between two graded norms,
 
@@ -169,18 +171,6 @@ class DenseFrame(FrameSystem):
         return DenseFrame(self.matrix * c)
 
 
-@dataclass(frozen=True, eq=False)
-class AnalysisResult:
-    """Coefficient sequence {g_i(f)} over functional indices 1..M."""
-
-    coefficients: GradedVector
-    functional_count: int
-
-    def __post_init__(self):
-        if self.coefficients.max_index > self.functional_count:
-            raise ValueError("coefficient index beyond functional count")
-
-
 def check_support(frame: FrameSystem, f: GradedVector):
     """Refuse a sample reaching beyond the frame truncation."""
     if f.max_index > frame.truncation:
@@ -188,24 +178,22 @@ def check_support(frame: FrameSystem, f: GradedVector):
                          % (f.max_index, frame.truncation))
 
 
-def analyze(frame: FrameSystem, f: GradedVector) -> AnalysisResult:
-    """Apply every frame functional to f."""
+def analyze(frame: FrameSystem, f: GradedVector) -> GradedVector:
+    """Apply every frame functional to f: the coefficients {g_i(f)}, i <= M."""
     check_support(frame, f)
     if isinstance(frame, CoordinateFrame):
         pos = f.indices - 1
         lo = frame.reader_starts[pos]
         counts = frame.reader_starts[pos + 1] - lo
-        coeff = GradedVector(runs(lo, counts) + 1,
-                             np.repeat(frame.b[pos] * f.values, counts))
-    else:
-        out = frame.dense_matrix().astype(np.complex128) @ f.to_dense(frame.truncation)
-        coeff = GradedVector.from_dense(out).trim()
-    return AnalysisResult(coeff, frame.functional_count)
+        return GradedVector(runs(lo, counts) + 1,
+                            np.repeat(frame.b[pos] * f.values, counts))
+    out = frame.dense_matrix().astype(np.complex128) @ f.to_dense(frame.truncation)
+    return GradedVector.from_dense(out).trim()
 
 
 def analysis_norm(frame: FrameSystem, f: GradedVector, theta: WeightGrading,
                   level: int) -> float:
-    return graded_norm(analyze(frame, f).coefficients, theta, level)
+    return graded_norm(analyze(frame, f), theta, level)
 
 
 def coanalyze(frame: FrameSystem, c: GradedVector) -> GradedVector:
@@ -214,21 +202,26 @@ def coanalyze(frame: FrameSystem, c: GradedVector) -> GradedVector:
     if c.max_index > frame.functional_count:
         raise ValueError("coefficient support %d exceeds functional count %d"
                          % (c.max_index, frame.functional_count))
-    if isinstance(frame, CoordinateFrame):
-        _, coord, values = _reader_sums(frame, np.zeros(c.indices.size, np.int64),
-                                        c.indices - 1, c.values)
-        return GradedVector(coord + 1, values)
-    g = frame.dense_matrix().T.astype(np.complex128)
-    return GradedVector.from_dense(g @ c.to_dense(frame.functional_count)).trim()
+    _, coord, values = _coanalyze_columns(
+        frame, np.zeros(c.indices.size, np.int64), c.indices - 1, c.values, 1)
+    return GradedVector(coord + 1, values)
 
 
-def _reader_sums(frame: CoordinateFrame, col: np.ndarray, funcs: np.ndarray,
-                 values: np.ndarray) -> tuple:
-    """coanalyze of several coefficient columns given entry by entry: values[e]
+def _coanalyze_columns(frame: FrameSystem, col: np.ndarray, funcs: np.ndarray,
+                       values: np.ndarray, count: int) -> tuple:
+    """coanalyze of count coefficient columns given entry by entry: values[e]
     is the coefficient of the 0-based functional funcs[e] in column col[e],
     ordered by column and then functional.  Returns (column, 0-based
-    coordinate, value) for every coordinate a stored entry reads, zeros
-    included, ordered by column and then coordinate."""
+    coordinate, value) ordered by column and then coordinate: on a coordinate
+    frame exactly, for every coordinate a stored entry reads, zeros included;
+    on a dense frame from one matrix product (whose sums may round differently
+    for one column than for many), nonzero entries only."""
+    if not isinstance(frame, CoordinateFrame):
+        coeff = np.zeros((frame.functional_count, count), dtype=np.complex128)
+        coeff[funcs, col] = values
+        out = frame.dense_matrix().T.astype(np.complex128) @ coeff
+        col, coord = np.nonzero(out.T)
+        return col, coord, out[coord, col]
     key = col * frame.truncation + frame.reads[funcs]
     first = np.flatnonzero(np.diff(key, prepend=-1))
     col, coord = np.divmod(key[first], frame.truncation)
@@ -266,9 +259,9 @@ class FrameBounds:
 def _weight_prefix(grading: WeightGrading, level: int, n: int) -> np.ndarray:
     """Weights w_level(1..n), read from the cached full table; a grading
     shorter than n refuses as weight_values does."""
-    grading._check_level(level)
+    w = grading.weights(level)       # refuses a bad level first
     grading._check_coordinate(n)
-    return grading.weights(level)[:n]
+    return w[:n]
 
 
 def _reader_hypot(frame: CoordinateFrame, w: np.ndarray) -> np.ndarray:
@@ -331,14 +324,6 @@ def frame_bounds_analytic(frame: FrameSystem, theta: WeightGrading,
     return FrameBounds(lo, hi, witness_lower=i_lo, witness_upper=i_hi)
 
 
-def _weighted_matrix(frame: FrameSystem, theta: WeightGrading, theta_level: int,
-                     x: WeightGrading, x_level: int) -> np.ndarray:
-    w = _weight_prefix(theta, theta_level, frame.functional_count)
-    v = _weight_prefix(x, x_level, frame.truncation)
-    g = frame.dense_matrix()
-    return (w[:, None] * g) / v[None, :]
-
-
 def _unit_witness(direction: np.ndarray, scale: np.ndarray) -> GradedVector:
     f = direction / scale
     f = f / np.linalg.norm(f)
@@ -366,22 +351,16 @@ def frame_bounds_numeric(frame: FrameSystem, theta: WeightGrading,
                          % (n, DENSE_LIMIT))
     v_lo = _weight_prefix(x_lower, lower_level, n)
     v_hi = _weight_prefix(x_upper, upper_level, n)
-
-    a_lo = _weighted_matrix(frame, theta, theta_level, x_lower, lower_level)
-    if frame.functional_count < n:
-        _, s_lo, vh_lo = np.linalg.svd(a_lo, full_matrices=True)
-        lower = 0.0
-        wit_lo = _unit_witness(vh_lo[-1], v_lo)
-    else:
-        _, s_lo, vh_lo = np.linalg.svd(a_lo, full_matrices=False)
-        lower = float(s_lo[-1])
-        wit_lo = _unit_witness(vh_lo[-1], v_lo)
-
-    a_hi = _weighted_matrix(frame, theta, theta_level, x_upper, upper_level)
-    _, s_hi, vh_hi = np.linalg.svd(a_hi, full_matrices=False)
-    upper = float(s_hi[0])
-    wit_hi = _unit_witness(vh_hi[0], v_hi)
-    return FrameBounds(lower, upper, witness_lower=wit_lo, witness_upper=wit_hi)
+    m = frame.functional_count
+    # the Θ-weighted matrix, divided by each side's X weights
+    g = _weight_prefix(theta, theta_level, m)[:, None] * frame.dense_matrix()
+    _, s_lo, vh_lo = np.linalg.svd(g / v_lo, full_matrices=m < n)
+    _, s_hi, vh_hi = np.linalg.svd(g / v_hi, full_matrices=False)
+    # fewer functionals than coordinates leave a kernel: the lower bound is 0
+    lower = 0.0 if m < n else float(s_lo[-1])
+    return FrameBounds(lower, float(s_hi[0]),
+                       witness_lower=_unit_witness(vh_lo[-1], v_lo),
+                       witness_upper=_unit_witness(vh_hi[0], v_hi))
 
 
 @dataclass(frozen=True, eq=False)

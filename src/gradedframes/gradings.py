@@ -9,7 +9,9 @@ forms are supported:
     exponential     w_s(j) = exp(s * alpha_j)  (alpha nondecreasing, >= 0)
 
 The level-s norm of a finitely supported vector v is
-sqrt(sum_j |v_j|^2 * w_s(j)^2); the dual weighting replaces w by 1/w.
+sqrt(sum_j |v_j|^2 * w_s(j)^2); a DualWeighting only marks that the dual
+norm replaces w by 1/w, and both norms share one body.  A level that is not
+an integer in [0, S] is refused, by weights(level) as by weight_values.
 All sums are accumulated with math.fsum, so truncated prefix norms compare
 exactly against full norms.
 """
@@ -92,9 +94,9 @@ class GradedVector:
         return GradedVector(list(pairs.keys()), list(pairs.values()))
 
     @staticmethod
-    def from_dense(arr: Sequence[complex], start: int = 1) -> "GradedVector":
+    def from_dense(arr: Sequence[complex]) -> "GradedVector":
         a = np.asarray(arr)
-        return GradedVector(np.arange(start, start + a.size), a)
+        return GradedVector(np.arange(1, a.size + 1), a)
 
     # -- basic queries -----------------------------------------------------
 
@@ -258,7 +260,9 @@ class WeightGrading:
         return np.exp(level * a)
 
     def weights(self, level: int) -> np.ndarray:
-        """Full weight table over j = 1..truncation (read-only, cached)."""
+        """Full weight table over j = 1..truncation (read-only, cached); a
+        level that is not an integer in [0, levels] is refused."""
+        self._check_level(level)
         return _weight_table(self, int(level))
 
     def dual(self) -> "DualWeighting":
@@ -274,35 +278,34 @@ def _weight_table(grading: WeightGrading, level: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualWeighting:
-    """Pointwise reciprocal of a grading; dualizing twice returns the base."""
+    """Marks the pointwise reciprocal weights 1/w of a grading for dual_norm
+    and column_norms; dualizing twice returns the base."""
 
     base: WeightGrading
-
-    @property
-    def levels(self) -> int:
-        return self.base.levels
-
-    @property
-    def truncation(self) -> int:
-        return self.base.truncation
-
-    def weight_values(self, level: int, indices: np.ndarray) -> np.ndarray:
-        return 1.0 / self.base.weight_values(level, indices)
 
     def dual(self) -> WeightGrading:
         return self.base
 
 
-def graded_norm(v: GradedVector, grading: WeightGrading, level: int) -> float:
-    """sqrt(sum |v_j|^2 w_level(j)^2)."""
+def _terms(values: np.ndarray, w: np.ndarray, dual: bool) -> np.ndarray:
+    """Squared weighted moduli, (|v| w)^2, or (|v| / w)^2 when dual."""
+    return ((np.abs(values) / w) if dual else (np.abs(values) * w)) ** 2
+
+
+def _norm(v: GradedVector, grading: WeightGrading, level: int, dual: bool) -> float:
+    """The body of graded_norm and dual_norm: level, then coordinates."""
     grading._check_level(level)
     if not v.indices.size:
         return 0.0
     # a GradedVector's coordinates are sorted and >= 1: one check suffices
     grading._check_coordinate(v.max_index)
     w = grading._formula(level, v.indices)
-    terms = (np.abs(v.values) * w) ** 2
-    return math.sqrt(_fsum(terms))
+    return math.sqrt(_fsum(_terms(v.values, w, dual)))
+
+
+def graded_norm(v: GradedVector, grading: WeightGrading, level: int) -> float:
+    """sqrt(sum |v_j|^2 w_level(j)^2)."""
+    return _norm(v, grading, level, False)
 
 
 def stack_columns(vectors: Sequence[GradedVector], rows: int) -> Compressed:
@@ -336,7 +339,7 @@ def column_norms(mat: Compressed, grading, level: int) -> np.ndarray:
         raise TruncationError("coordinate %d beyond truncation %d"
                               % (int(rows.max()) + 1, base.truncation))
     w = base._formula(level, mat.indices + 1)
-    terms = (((np.abs(mat.data) / w) if dual else (np.abs(mat.data) * w)) ** 2).tolist()
+    terms = _terms(mat.data, w, dual).tolist()
     ptr = mat.indptr.tolist()
     return np.array([math.sqrt(math.fsum(terms[a:b]))
                      for a, b in zip(ptr, ptr[1:])], dtype=float)
@@ -344,13 +347,7 @@ def column_norms(mat: Compressed, grading, level: int) -> np.ndarray:
 
 def dual_norm(v: GradedVector, weighting: DualWeighting, level: int) -> float:
     """Norm with the reciprocal weights, sqrt(sum |v_j|^2 / w_level(j)^2)."""
-    weighting.base._check_level(level)
-    if not v.indices.size:
-        return 0.0
-    weighting.base._check_coordinate(v.max_index)
-    w = weighting.base._formula(level, v.indices)
-    terms = (np.abs(v.values) / w) ** 2
-    return math.sqrt(_fsum(terms))
+    return _norm(v, weighting.base, level, True)
 
 
 def lp_norm(v: GradedVector, p: float) -> float:

@@ -41,8 +41,8 @@ from .frames import (
     analyze,
     frame_bounds_analytic,
     frame_bounds_numeric,
+    _coanalyze_columns,
     _reader_hypot,
-    _reader_sums,
 )
 from .gradings import (
     GradedVector,
@@ -663,23 +663,6 @@ def _residuals(v: GradedVector, col, row, data, count: int) -> Compressed:
     return Compressed.from_triplets(col, row, diff, (count, width))
 
 
-def _coanalyze_columns(frame: FrameSystem, col, funcs, values, count: int) -> tuple:
-    """coanalyze of every column of the coefficient entries (col, funcs,
-    values), as (column, 0-based coordinate, value) ordered by column.
-
-    Coordinate frames give coanalyze's values and stored entries bit for bit.
-    A dense frame takes one matrix product, whose sums may round differently
-    from coanalyze's matrix-vector product, and keeps its nonzero entries.
-    """
-    if isinstance(frame, CoordinateFrame):
-        return _reader_sums(frame, col, funcs, values)
-    coeff = np.zeros((frame.functional_count, count), dtype=np.complex128)
-    coeff[funcs, col] = values
-    out = frame.dense_matrix().T.astype(np.complex128) @ coeff
-    col, coord = np.nonzero(out.T)
-    return col, coord, out[coord, col]
-
-
 def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
                   limit: int, n_grid: Optional[Sequence[int]], coefficients_of,
                   partial_of, out_grading, out_levels: tuple, tail_grading,
@@ -730,7 +713,7 @@ def verify_expansion(frame: FrameSystem, op: SynthesisOp,
     """
     rule = op.rule
     return _verify_tails(
-        samples, rule, rule.in_dim, n_grid, lambda f: analyze(frame, f).coefficients,
+        samples, rule, rule.in_dim, n_grid, partial(analyze, frame),
         lambda col, inputs, values, _: gather(rule._columns, inputs, values,
                                               rule.divisor, None, col),
         x_grading, plan.lower_levels, theta_grading, plan.upper_consts)

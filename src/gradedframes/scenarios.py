@@ -249,8 +249,7 @@ def run_exf2(cfg: ScenarioConfig) -> ScenarioResult:
                                        rule, rows)
     equiv = verify_equivalences(frame, op, x, theta, plan)
     proj = equiv.projection
-    coefficients = (analyze(frame, f).coefficients
-                    for f in _plan_samples(n)[:6])
+    coefficients = (analyze(frame, f) for f in _plan_samples(n)[:6])
     range_ok = all(proj.apply(d) == d for d in coefficients)
     continuity_ok = all(c <= SQRT2 * (1 + 1e-12) for c in proj.continuity)
 

@@ -124,14 +124,14 @@ def test_criterion_3_paired_frame_report_and_projection():
         size = int(rng.integers(1, 7))
         idx = np.sort(rng.choice(np.arange(1, n + 1), size=size, replace=False))
         f = GradedVector(idx, rng.normal(size=size) + 0j)
-        d = analyze(frame, f).coefficients
+        d = analyze(frame, f)
         pd = proj.apply(d)
         assert graded_norm(pd - d, theta, 0) <= 1e-9 * graded_norm(d, theta, 0)
         e = GradedVector(np.sort(rng.choice(np.arange(1, 2 * n + 1),
                                             size=size, replace=False)),
                          rng.normal(size=size) + 0j)
         pe = proj.apply(e)
-        back = analyze(frame, op.rule.apply(pe)).coefficients
+        back = analyze(frame, op.rule.apply(pe))
         scale = max(graded_norm(pe, theta, 0), 1e-30)
         assert graded_norm(back - pe, theta, 0) <= 1e-9 * scale
 

@@ -55,7 +55,7 @@ def ref_verify_expansion(frame, op, x, theta, plan, samples, n_grid=None):
     exact = op.rule.divisor is not None
     rows = []
     for pos, f in enumerate(samples):
-        coeff = analyze(frame, f).coefficients
+        coeff = analyze(frame, f)
         support = coeff.trim().max_index
         grid = tuple(n_grid) if n_grid is not None \
             else _default_grid(support, op.rule.in_dim)

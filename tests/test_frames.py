@@ -1,8 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
 from gradedframes.frames import (
-    AnalysisResult,
     BlockFrame,
     CoordinateFrame,
     DenseFrame,
@@ -18,6 +19,7 @@ from gradedframes.frames import (
 )
 from gradedframes.gradings import (
     GradedVector,
+    LevelError,
     TruncationError,
     WeightGrading,
     graded_norm,
@@ -98,24 +100,23 @@ def test_scaled_keeps_the_frame_form():
 def test_analyze_diagonal_single_coordinate():
     frame = DiagonalFrame(np.array([1.0, 2.0, 1.0, 4.0]))
     out = analyze(frame, GradedVector.canonical(2))
-    assert out.coefficients == GradedVector.canonical(2, 2.0)
-    assert out.functional_count == 4
+    assert out == GradedVector.canonical(2, 2.0)
 
 
 def test_analyze_block_duplicates_pair():
     out = analyze(pair_block(4, 1), GradedVector.canonical(1))
-    assert out.coefficients == GradedVector.from_pairs({1: 1.0, 2: 1.0})
+    assert out == GradedVector.from_pairs({1: 1.0, 2: 1.0})
 
 
 def test_analyze_block_uses_pair_weight():
     out = analyze(pair_block(4, 1), GradedVector.canonical(2, 3.0))
-    assert out.coefficients == GradedVector.from_pairs({3: 12.0, 4: 12.0})
+    assert out == GradedVector.from_pairs({3: 12.0, 4: 12.0})
 
 
 def test_analyze_dense_identity_is_identity():
     f = GradedVector.from_pairs({1: 0.5, 3: -2.0})
     out = analyze(DenseFrame(np.eye(4)), f)
-    assert out.coefficients == f
+    assert out == f
 
 
 def test_analyze_rejects_support_beyond_truncation():
@@ -123,17 +124,12 @@ def test_analyze_rejects_support_beyond_truncation():
         analyze(alternating_diag(4, 1), GradedVector.canonical(5))
 
 
-def test_analysis_result_rejects_overlong_coefficients():
-    with pytest.raises(ValueError):
-        AnalysisResult(GradedVector.canonical(3), 2)
-
-
 def test_analyze_linear_on_dyadic_inputs():
     frame = alternating_diag(16, 2)
     f = GradedVector.from_pairs({1: 0.25, 4: 1.5})
     g = GradedVector.from_pairs({4: 0.75, 9: -2.0})
-    lhs = analyze(frame, f * 2.0 + g).coefficients
-    rhs = analyze(frame, f).coefficients * 2.0 + analyze(frame, g).coefficients
+    lhs = analyze(frame, f * 2.0 + g)
+    rhs = analyze(frame, f) * 2.0 + analyze(frame, g)
     assert lhs == rhs
 
 
@@ -257,6 +253,42 @@ def test_numeric_rejects_oversized_truncation():
     w = power_grading(1, 2049)
     with pytest.raises(ValueError):
         frame_bounds_numeric(frame, w, 0, w, 0, 0)
+    # the dense limit is refused before any grading is read
+    short = power_grading(1, 1)
+    with pytest.raises(ValueError, match=r"^truncation 2049 too large for dense "
+                                         r"mode \(limit 2048\)$"):
+        frame_bounds_numeric(DenseFrame(np.ones((1, 2049))), short, 0, short, 0, 0)
+
+
+# 5 functionals on 4 coordinates; each short grading lacks a different size
+_NUM_FRAME = DenseFrame(np.arange(1.0, 21.0).reshape(5, 4))
+_X, _THETA = power_grading(2, 4), power_grading(2, 5)
+_SHORT_LO, _SHORT_HI, _SHORT_THETA = (power_grading(2, 3), power_grading(2, 2),
+                                      power_grading(2, 4))
+
+
+@pytest.mark.parametrize("args, error, message", [
+    # X lower, X upper, then Θ: the first short grading read is named
+    ((_THETA, 0, _SHORT_LO, 0, 1), TruncationError,
+     "coordinate 4 beyond truncation 3"),
+    ((_THETA, 0, _X, 0, 1, _SHORT_HI), TruncationError,
+     "coordinate 4 beyond truncation 2"),
+    ((_SHORT_THETA, 0, _X, 0, 1), TruncationError,
+     "coordinate 5 beyond truncation 4"),
+    ((_SHORT_THETA, 0, _SHORT_LO, 0, 1, _SHORT_HI), TruncationError,
+     "coordinate 4 beyond truncation 3"),
+    ((_SHORT_THETA, 0, _X, 0, 1, _SHORT_HI), TruncationError,
+     "coordinate 4 beyond truncation 2"),
+    # a grading's level is checked before its length
+    ((_SHORT_THETA, 0, _SHORT_LO, 3, 1), LevelError,
+     "level 3 out of range [0, 2]"),
+    ((_THETA, 3, _SHORT_LO, 0, 1), TruncationError,
+     "coordinate 4 beyond truncation 3"),
+    ((_THETA, 3, _X, 0, 1), LevelError, "level 3 out of range [0, 2]"),
+])
+def test_numeric_refusals_name_x_before_theta(args, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        frame_bounds_numeric(_NUM_FRAME, *args)
 
 
 def test_scaling_covariance_spot():
@@ -290,7 +322,7 @@ def test_injectivity_when_lower_bound_positive():
     got = frame_bounds_analytic(frame, w, 0, w, 0, 1)
     assert got.lower > 0
     f = GradedVector.from_pairs({3: 1e-7, 11: -2.0})
-    assert not analyze(frame, f).coefficients.trim().is_zero()
+    assert not analyze(frame, f).trim().is_zero()
 
 
 # -- dense subset extension --------------------------------------------------------
@@ -412,7 +444,7 @@ def test_coordinate_frame_matches_its_dense_form(build):
     for _ in range(20):
         f = GradedVector(np.sort(rng.choice(12, 4, replace=False)) + 1,
                          rng.normal(size=4))
-        assert analyze(frame, f).coefficients == analyze(dense, f).coefficients
+        assert analyze(frame, f) == analyze(dense, f)
         m = frame.functional_count
         c = GradedVector(np.sort(rng.choice(m, 6, replace=False)) + 1,
                          rng.normal(size=6) + 1j * rng.normal(size=6))
@@ -465,7 +497,7 @@ def test_analysis_maps_match_per_form_reference_bitwise():
     for frame in (alternating_diag(12, 1), pair_block(12, 1)):
         for _ in range(200):
             f, c = sample(12), sample(frame.functional_count)
-            pairs = ((analyze(frame, f).coefficients, ref_analyze(frame, f)),
+            pairs = ((analyze(frame, f), ref_analyze(frame, f)),
                      (coanalyze(frame, c), ref_coanalyze(frame, c)))
             for got, want in pairs:
                 assert np.array_equal(got.indices, want.indices)

@@ -91,6 +91,14 @@ class TestWeightFamilies:
         with pytest.raises(LevelError):
             graded_norm(vec((1, 1.0)), POWER, -1)
 
+    def test_weights_refuses_a_fractional_level(self):
+        # weights(2.5) once returned the level-2 table; it now refuses the
+        # level as weight_values does
+        for read in (POWER.weights, lambda s: POWER.weight_values(s, [1, 2])):
+            with pytest.raises(LevelError,
+                               match=r"^level 2\.5 out of range \[0, 12\]$"):
+                read(2.5)
+
     def test_truncation_guard(self):
         # the largest coordinate is named, wherever it was given, and the
         # level is checked first

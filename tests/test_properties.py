@@ -86,9 +86,8 @@ def test_analyze_linear(data, scale):
     g = GradedVector(idx, [t[2] / 8.0 for t in data])
     for frame in (DiagonalFrame(np.arange(1, 33).astype(float) ** 2),
                   BlockFrame(np.arange(1, 33).astype(float))):
-        lhs = analyze(frame, f * float(scale) + g).coefficients
-        rhs = analyze(frame, f).coefficients * float(scale) \
-            + analyze(frame, g).coefficients
+        lhs = analyze(frame, f * float(scale) + g)
+        rhs = analyze(frame, f) * float(scale) + analyze(frame, g)
         assert lhs == rhs
 
 
@@ -148,7 +147,7 @@ def test_reconstruction_left_inverse():
         rule = SequenceOperator.diagonal(np.ones(N), frame.b)
         for _ in range(CASES // 3 + 1):
             f = random_vector(rng, dyadic=bool(rng.integers(2)))
-            back = rule.apply(analyze(frame, f).coefficients)
+            back = rule.apply(analyze(frame, f))
             assert back.allclose(f, 1e-10)
 
 

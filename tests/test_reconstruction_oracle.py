@@ -139,7 +139,7 @@ def ref_projection_from_V(frame, op, theta):
                          % (rule.in_dim, rule.out_dim, m, n))
     for j in range(1, n + 1):
         e = GradedVector.canonical(j)
-        back = rule.apply(analyze(frame, e).coefficients)
+        back = rule.apply(analyze(frame, e))
         if not back.allclose(e, LEFT_INVERSE_TOL):
             raise ValueError("reconstruction is not a left inverse at coordinate %d" % j)
     reads = ref_reads(frame)
@@ -226,14 +226,14 @@ def ref_V_from_projection(frame, proj, x, theta, plan):
     for i in range(1, m + 1):
         e = GradedVector.canonical(i)
         target = prule.apply(e)
-        got = analyze(frame, rule.apply(e)).coefficients
+        got = analyze(frame, rule.apply(e))
         scale = max(graded_norm(target, theta, 0), 1.0)
         if graded_norm(got - target, theta, 0) > RANGE_TOL * scale:
             raise ValueError("projection output leaves the analysis range "
                              "at coefficient %d" % i)
     for j in range(1, frame.truncation + 1):
         e = GradedVector.canonical(j)
-        back = rule.apply(analyze(frame, e).coefficients)
+        back = rule.apply(analyze(frame, e))
         if not back.allclose(e, LEFT_INVERSE_TOL):
             raise ValueError("recovered operator is not a left inverse "
                              "at coordinate %d" % j)
