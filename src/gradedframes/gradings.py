@@ -231,6 +231,13 @@ class WeightGrading:
         if not math.isfinite(top):
             raise LevelError("weight at level %d, coordinate %d is not finite"
                              % (self.levels, self.truncation))
+        # the dataclass field hash, taken once: every weights() lookup
+        # hashes the grading, and an exponential one holds a long alpha table
+        object.__setattr__(self, "_hash", hash((self.kind, self.levels, self.truncation,
+                                                self.shift, self.alphas)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _check_level(self, level: int):
         if int(level) != level or not 0 <= level <= self.levels:

@@ -635,17 +635,24 @@ def _expansion_row(pos: int, level: int, grid: tuple, profile: tuple,
 
 
 def _prefixes_and_tails(v: GradedVector, grid: tuple) -> tuple:
-    """v.prefix(n) for every n in grid as entries (column, 0-based
-    coordinate, value) ordered by column, and v.tail(n) as the columns of a
-    matrix held by its transpose; stored zeros included."""
-    stop = np.searchsorted(v.indices, grid, side="right")
+    """One column per distinct prefix of v over the grid, in the order the
+    grid first reaches them: v.prefix(n) as entries (column, 0-based
+    coordinate, value) ordered by column, v.tail(n) as the columns of a
+    matrix held by its transpose, stored zeros included, and back, the
+    column of every grid point.  In that order the first column to fail
+    belongs to the first grid point that fails, as when each point had its
+    own column."""
+    stop, first, back = np.unique(np.searchsorted(v.indices, grid, side="right"),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    stop, back = stop[order], np.argsort(order)[back]
     cols = np.arange(stop.size)
     head = runs(np.zeros_like(stop), stop)
     rest = runs(stop, v.support_size - stop)
     tails = Compressed.from_triplets(np.repeat(cols, v.support_size - stop),
                                      v.indices[rest] - 1, v.values[rest],
                                      (stop.size, max(v.max_index, 1)))
-    return (np.repeat(cols, stop), v.indices[head] - 1, v.values[head]), tails
+    return (np.repeat(cols, stop), v.indices[head] - 1, v.values[head]), tails, back
 
 
 def _residuals(v: GradedVector, col, row, data, count: int) -> Compressed:
@@ -669,10 +676,13 @@ def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
                   consts: Sequence[float]) -> ExpansionReport:
     """Tail profiles of one side of a dual pair, the body of both verifiers.
 
-    Column q of one matrix holds the coefficient prefix of length grid[q];
-    partial_of(col, inputs, values, count) maps all of them at once, and each
-    level k takes one column_norms call on the residuals (out_grading at
-    out_levels[k]) and one on the tails (tail_grading at k, times consts[k]).
+    One matrix holds a column per distinct coefficient prefix the grid
+    reaches, in first-appearance order; partial_of(col, inputs, values,
+    count) maps all of them at once, and each level k takes one column_norms
+    call on the residuals (out_grading at out_levels[k]) and one on the tails
+    (tail_grading at k, times consts[k]), spread back over the grid.  Grid
+    points sharing a prefix share its column, so every value is the one a
+    column of its own would give.
     Past the support a residual must be exactly zero when the rule divides,
     and at most 1e-12 max(|sample|, 1) otherwise.
     """
@@ -683,15 +693,15 @@ def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
         coeff = coefficients_of(v)
         support = coeff.trim().max_index
         grid = given or _default_grid(support, limit)
-        (col, inputs, values), tails = _prefixes_and_tails(coeff, grid)
-        residuals = _residuals(v, *partial_of(col, inputs, values, len(grid)),
-                               len(grid))
+        (col, inputs, values), tails, back = _prefixes_and_tails(coeff, grid)
+        count = tails.shape[0]
+        residuals = _residuals(v, *partial_of(col, inputs, values, count), count)
         alone = None if exact else stack_columns([v], max(v.max_index, 1))
         for k, (level, c_k) in enumerate(zip(out_levels, consts)):
             floor = 0.0 if exact \
                 else 1e-12 * max(column_norms(alone, out_grading, level)[0], 1.0)
-            profile = tuple(column_norms(residuals, out_grading, level).tolist())
-            bounds = tuple((c_k * column_norms(tails, tail_grading, k)).tolist())
+            profile = tuple(column_norms(residuals, out_grading, level)[back].tolist())
+            bounds = tuple((c_k * column_norms(tails, tail_grading, k))[back].tolist())
             rows.append(_expansion_row(pos, k, grid, profile, bounds, support, floor))
     return ExpansionReport(all(r.ok for r in rows), tuple(rows))
 

@@ -12,6 +12,7 @@ the last bits of the dual profiles only.
 import numpy as np
 import pytest
 
+from gradedframes import reconstruction
 from gradedframes.compressed import Compressed
 from gradedframes.frames import (
     BlockFrame,
@@ -409,6 +410,54 @@ def test_dual_refuses_prefixes_beyond_the_functionals_as_before():
                                                   (0, 4, 2 * N, N + 3)))
     assert got == ("error", "ValueError",
                    "prefix length %d out of range [0, %d]" % (2 * N, N))
+
+
+def test_first_grid_point_to_fail_names_the_refusal():
+    # coefficient 1 reconstructs at coordinate 20 and coefficient 2 at 30,
+    # both past the X truncation of 8: the refusal names what the first
+    # grid point's residual reaches, whatever the order of the prefixes
+    frame = FRAMES["diag-dyadic"]
+    x, theta = WeightGrading("power", LEVELS, 30), setting(frame)[1]
+    short = WeightGrading("power", LEVELS, 8)
+    plan = PLANS["loose"]
+    cols = [GradedVector([20], [1.0]), GradedVector([30], [1.0])] \
+        + [GradedVector.zero()] * (N - 2)
+    op = synthesis_from_rule(SequenceOperator.from_columns(cols, 30), x, theta, plan)
+    f = [GradedVector([1, 2], [1.0, 1.0])]
+    for grid, top in (((2, 1), 30), ((1, 2), 20)):
+        got = _both(lambda: verify_expansion(frame, op, short, theta, plan, f, grid),
+                    lambda: ref_verify_expansion(frame, op, short, theta, plan, f,
+                                                 grid))
+        assert got == ("error", "TruncationError",
+                       "coordinate %d beyond truncation 8" % top)
+
+
+@pytest.mark.parametrize("verify", [verify_expansion, verify_dual_expansion])
+def test_one_norm_column_per_distinct_prefix(verify, monkeypatch):
+    # a sample with s stored coefficients has at most s + 1 distinct
+    # prefixes, however many grid points the default grid holds
+    widths = []
+
+    def counting(mat, grading, level):
+        widths.append(mat.shape[0])
+        return column_norms(mat, grading, level)
+
+    monkeypatch.setattr(reconstruction, "column_norms", counting)
+    checked = 0
+    for frame_name, rule_name, plan_name in CASES:
+        frame = FRAMES[frame_name]
+        x, theta = setting(frame)
+        plan = PLANS[plan_name]
+        op = synthesis_from_rule(rules_for(frame)[rule_name], x, theta, plan)
+        coefficients = analyze if verify is verify_expansion \
+            else lambda _, g: op.rule.transpose_apply(g)
+        for v in samples():
+            widths.clear()
+            report = verify(frame, op, x, theta, plan, [v])
+            if len(report.rows[0].grid) >= 13:
+                checked += 1
+                assert max(widths) <= coefficients(frame, v).support_size + 1
+    assert checked >= len(CASES)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

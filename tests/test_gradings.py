@@ -85,6 +85,16 @@ class TestWeightFamilies:
                            match="level %d, coordinate %d" % (levels + 1, truncation)):
             WeightGrading(kind, levels + 1, truncation, **extra)
 
+    def test_equal_exponential_gradings_share_one_table(self):
+        # the hash is taken once at construction; equality stays by value
+        alphas = np.linspace(0.0, 3.0, 64)
+        a = WeightGrading("exponential", 4, 64, alphas=tuple(alphas))
+        b = WeightGrading("exponential", 4, 64, alphas=list(alphas))
+        assert a == b and hash(a) == hash(b)
+        assert a.weights(2) is b.weights(2)
+        c = WeightGrading("exponential", 4, 64, alphas=tuple(2 * alphas))
+        assert c != a and c.weights(2) is not a.weights(2)
+
     def test_level_out_of_range(self):
         with pytest.raises(LevelError):
             POWER.weights(13)

@@ -10,9 +10,10 @@ under gfbench/ is imported.  The file holds per-workload medians of each
 end-to-end metric over the seeds, attempted/failed/correct per seed with the
 run's failure map (`op:check` -> count, from the metadata line), the src/
 line count and the tier-1 wall time; the label names the measured change.
-per_layer.scenarios and per_layer.levels each hold, as gfbench prints it,
-the metrics dict of one traced run of that workload (`--trace 1`, the first
-seed): span calls, busy and self time per layer and the derived ratios.
+per_layer.scenarios, per_layer.levels and per_layer.expansion each hold, as
+gfbench prints it, the metrics dict of one traced run of that workload
+(`--trace 1`, the first seed): span calls, busy and self time per layer and
+the derived ratios.
 Their times carry the tracing overhead; the end-to-end figures come from the
 untraced runs alone.
 git_head is the commit checked out at the start and dirty says whether
@@ -41,7 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scenarios", "levels", "expansion")
-TRACED = ("scenarios", "levels")
+TRACED = ("scenarios", "levels", "expansion")
 SCENARIOS = ("exf1", "exf2", "custom", "runo")
 TRUNCATIONS = (256, 1024, 4096, 16384)
 COLD_RUNS = 5
