@@ -339,8 +339,8 @@ def column_norms(mat: Compressed, grading, level: int) -> np.ndarray:
     dual = isinstance(grading, DualWeighting)
     base = grading.base if dual else grading
     base._check_level(level)
-    beyond = np.flatnonzero(mat.indices >= base.truncation)
-    if beyond.size:
+    if mat.indices.max(initial=-1) >= base.truncation:
+        beyond = np.flatnonzero(mat.indices >= base.truncation)
         col = int(np.searchsorted(mat.indptr, beyond[0], side="right")) - 1
         rows = mat.indices[mat.indptr[col]:mat.indptr[col + 1]]
         raise TruncationError("coordinate %d beyond truncation %d"

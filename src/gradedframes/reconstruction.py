@@ -39,10 +39,11 @@ from .frames import (
     FrameFormError,
     FrameSystem,
     analyze,
-    frame_bounds_analytic,
     frame_bounds_numeric,
     _coanalyze_columns,
+    _functional_sizes,
     _reader_hypot,
+    _weight_prefix,
 )
 from .gradings import (
     GradedVector,
@@ -622,18 +623,6 @@ def _given_grid(n_grid: Optional[Sequence[int]], limit: int) -> Optional[tuple]:
     return grid
 
 
-def _expansion_row(pos: int, level: int, grid: tuple, profile: tuple,
-                   bounds: tuple, support: int, floor: float) -> ExpansionRow:
-    """Judge one tail profile: within its bounds everywhere, and at most
-    floor from the first grid point covering the support on."""
-    ok = all(r <= max(b * (1 + 1e-12), floor) for r, b in zip(profile, bounds))
-    zero_from = next((n for n, r in zip(grid, profile)
-                      if n >= support and r <= floor), None)
-    tail_ok = all(r <= floor for n, r in zip(grid, profile) if n >= support)
-    ok = ok and tail_ok and (zero_from is not None or support > max(grid))
-    return ExpansionRow(pos, level, grid, profile, bounds, support, zero_from, ok)
-
-
 def _prefixes_and_tails(v: GradedVector, grid: tuple) -> tuple:
     """One column per distinct prefix of v over the grid, in the order the
     grid first reaches them: v.prefix(n) as entries (column, 0-based
@@ -683,8 +672,10 @@ def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
     (tail_grading at k, times consts[k]), spread back over the grid.  Grid
     points sharing a prefix share its column, so every value is the one a
     column of its own would give.
-    Past the support a residual must be exactly zero when the rule divides,
-    and at most 1e-12 max(|sample|, 1) otherwise.
+    A row passes when every residual is within its bound or the floor and
+    every grid point covering the support (zero_from is the first) is at
+    most the floor, judged on the column arrays; the floor is 0 when the
+    rule divides and 1e-12 max(|sample|, 1) otherwise.
     """
     exact = rule.divisor is not None
     given = _given_grid(n_grid, limit)
@@ -693,6 +684,7 @@ def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
         coeff = coefficients_of(v)
         support = coeff.trim().max_index
         grid = given or _default_grid(support, limit)
+        covered = np.asarray(grid) >= support
         (col, inputs, values), tails, back = _prefixes_and_tails(coeff, grid)
         count = tails.shape[0]
         residuals = _residuals(v, *partial_of(col, inputs, values, count), count)
@@ -700,9 +692,15 @@ def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
         for k, (level, c_k) in enumerate(zip(out_levels, consts)):
             floor = 0.0 if exact \
                 else 1e-12 * max(column_norms(alone, out_grading, level)[0], 1.0)
-            profile = tuple(column_norms(residuals, out_grading, level)[back].tolist())
-            bounds = tuple((c_k * column_norms(tails, tail_grading, k))[back].tolist())
-            rows.append(_expansion_row(pos, k, grid, profile, bounds, support, floor))
+            r = column_norms(residuals, out_grading, level)
+            b = c_k * column_norms(tails, tail_grading, k)
+            vanish = covered & (r[back] <= floor)
+            ok = bool(np.all(r <= np.maximum(b * (1 + 1e-12), floor))) \
+                and np.array_equal(vanish, covered)
+            first = np.flatnonzero(vanish)
+            rows.append(ExpansionRow(pos, k, grid, tuple(r[back].tolist()),
+                                     tuple(b[back].tolist()), support,
+                                     grid[first[0]] if first.size else None, ok))
     return ExpansionReport(all(r.ok for r in rows), tuple(rows))
 
 
@@ -737,19 +735,20 @@ def verify_dual_expansion(frame: FrameSystem, op: SynthesisOp,
 
     A functional with coefficient vector g expands through the dual values
     c_i = g(f_i).  The residual after n terms is measured in the dual norm
-    at the plan's upper level and compared with the synthesis-transpose
-    bound times the dual-coefficient tail norm.  Coordinate frames give
-    coanalyze and dual_norm's values point by point bit for bit; dense
-    frames co-analyze with one matrix product and may differ in the last
-    bits.  A given grid is refused when it is empty or reaches outside
-    [0, functional count].
+    at the plan's upper level t_k and compared with tilde_k, the analysis
+    map's upper frame bound at (Θ level k, X level t_k), which bounds
+    co-analysis of the tail, times the dual-coefficient tail norm.
+    Coordinate frames give coanalyze and dual_norm's values point by point
+    bit for bit; dense frames co-analyze with one matrix product and may
+    differ in the last bits.  A given grid is refused when it is empty or
+    reaches outside [0, functional count].
     """
     tilde = []
     for k in range(plan.budget + 1):
         t_k = plan.upper_levels[k]
+        w = _weight_prefix(x_grading, t_k, frame.truncation)
         try:
-            tilde.append(frame_bounds_analytic(frame, theta_grading, k,
-                                               x_grading, t_k, t_k).upper)
+            tilde.append(float(np.max(_functional_sizes(frame, theta_grading, k) / w)))
         except FrameFormError:
             tilde.append(frame_bounds_numeric(frame, theta_grading, k,
                                               x_grading, t_k, t_k).upper)

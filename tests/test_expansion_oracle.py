@@ -1,12 +1,14 @@
 """Expansion verification against per-grid-point reference loops.
 
 verify_expansion and verify_dual_expansion check a sample's whole grid with
-a few sparse operations and one column_norms call per level and matrix.  The
-references below are the loops they replace: one partial reconstruction (or
-co-analysis), one GradedVector and one norm call per sample, grid point and
-level.  Coordinate frames must agree bit for bit, verdicts and refusals
-included; dense frames co-analyze with one matrix product and may differ in
-the last bits of the dual profiles only.
+a few sparse operations and one column_norms call per level and matrix, and
+judge each row on arrays.  The references below are the loops they replace:
+one partial reconstruction (or co-analysis), one GradedVector and one norm
+call per sample, grid point and level, judged point by point by
+ref_expansion_row, and the dual constants taken from frame_bounds_analytic.
+Coordinate frames must agree bit for bit, verdicts and refusals included;
+dense frames co-analyze with one matrix product and may differ in the last
+bits of the dual profiles only.
 """
 
 import numpy as np
@@ -36,10 +38,10 @@ from gradedframes.gradings import (
 from gradedframes.multilevel import IndexPlan
 from gradedframes.reconstruction import (
     ExpansionReport,
+    ExpansionRow,
     SequenceOperator,
     _check_prefix,
     _default_grid,
-    _expansion_row,
     synthesis_from_rule,
     synthesize,
     verify_dual_expansion,
@@ -50,6 +52,17 @@ N = 12
 LEVELS = 5
 
 # -- per-grid-point reference loops ------------------------------------------------
+
+
+def ref_expansion_row(pos, level, grid, profile, bounds, support, floor):
+    """Judge one tail profile: within its bounds everywhere, and at most
+    floor from the first grid point covering the support on."""
+    ok = all(r <= max(b * (1 + 1e-12), floor) for r, b in zip(profile, bounds))
+    zero_from = next((n for n, r in zip(grid, profile)
+                      if n >= support and r <= floor), None)
+    tail_ok = all(r <= floor for n, r in zip(grid, profile) if n >= support)
+    ok = ok and tail_ok and (zero_from is not None or support > max(grid))
+    return ExpansionRow(pos, level, grid, profile, bounds, support, zero_from, ok)
 
 
 def ref_verify_expansion(frame, op, x, theta, plan, samples, n_grid=None):
@@ -68,7 +81,8 @@ def ref_verify_expansion(frame, op, x, theta, plan, samples, n_grid=None):
             floor = 0.0 if exact else 1e-12 * max(graded_norm(f, x, s_k), 1.0)
             profile = tuple(graded_norm(r, x, s_k) for r in residuals)
             bounds = tuple(b_k * graded_norm(t, theta, k) for t in tails)
-            rows.append(_expansion_row(pos, k, grid, profile, bounds, support, floor))
+            rows.append(ref_expansion_row(pos, k, grid, profile, bounds, support,
+                                          floor))
     return ExpansionReport(all(r.ok for r in rows), tuple(rows))
 
 
@@ -96,7 +110,8 @@ def ref_verify_dual_expansion(frame, op, x, theta, plan, dual_samples, n_grid=No
             floor = 0.0 if exact else 1e-12 * max(dual_norm(g, x.dual(), t_k), 1.0)
             profile = tuple(dual_norm(r, x.dual(), t_k) for r in residuals)
             bounds = tuple(tilde[k] * dual_norm(t, theta.dual(), k) for t in tails)
-            rows.append(_expansion_row(pos, k, grid, profile, bounds, support, floor))
+            rows.append(ref_expansion_row(pos, k, grid, profile, bounds, support,
+                                          floor))
     return ExpansionReport(all(r.ok for r in rows), tuple(rows))
 
 
@@ -200,7 +215,8 @@ def samples():
 
 
 def grids(m):
-    return (None, (0, 5, 2, 2, m, 1), (m,))
+    # (0, 1) ends before every sample's support; (m, m, 0) starts covered
+    return (None, (0, 5, 2, 2, m, 1), (m,), (0, 1), (m, m, 0))
 
 
 def dual_grids(m):
@@ -393,6 +409,28 @@ def test_dual_residual_past_the_x_truncation_raises_as_before():
                                                       grid))
         assert got == ("error", "TruncationError",
                        "coordinate %d beyond truncation %d" % (N + 2, N))
+
+
+def test_dual_constants_read_x_before_theta():
+    # tilde reads the X weights at (Θ level k, X level t_k) before the Θ
+    # weights, so a grading bad on both sides refuses with X's error
+    frame = FRAMES["block-dyadic"]
+    x, theta = setting(frame)
+    op = synthesis_from_rule(rules_for(frame)["even-pick"], x, theta, PLANS["loose"])
+    m = frame.functional_count
+    cases = (
+        (x, WeightGrading("power", 1, m), IndexPlan.shifted(2, 4),
+         ("error", "LevelError", "level 6 out of range [0, %d]" % LEVELS)),
+        (WeightGrading("power", LEVELS, 10), WeightGrading("power", LEVELS, m - 1),
+         PLANS["loose"],
+         ("error", "TruncationError", "coordinate %d beyond truncation 10" % N)),
+    )
+    for x_bad, theta_bad, plan, refusal in cases:
+        got = _both(lambda: verify_dual_expansion(frame, op, x_bad, theta_bad, plan,
+                                                  samples()),
+                    lambda: ref_verify_dual_expansion(frame, op, x_bad, theta_bad,
+                                                      plan, samples()))
+        assert got == refusal
 
 
 def test_dual_refuses_prefixes_beyond_the_functionals_as_before():
