@@ -13,7 +13,6 @@ from .gradings import (
     dual_norm,
     graded_norm,
     lp_norm,
-    pairing,
 )
 from .frames import (
     BlockFrame,
@@ -60,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DualWeighting", "GradedVector", "WeightGrading", "dual_norm",
-    "graded_norm", "lp_norm", "pairing",
+    "graded_norm", "lp_norm",
     "BlockFrame", "CoordinateFrame", "DenseFrame", "DiagonalFrame",
     "FrameBounds", "FrameSystem",
     "analyze", "coanalyze", "frame_bounds_analytic", "frame_bounds_numeric",

@@ -51,6 +51,14 @@ def exact_div(values: np.ndarray, div) -> np.ndarray:
     return values.real / div + 1j * (values.imag / div)
 
 
+def _sums(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sums of values by group, each from zero in the given order, as the
+    products sum them."""
+    if np.iscomplexobj(values):
+        return _sums(group, values.real, size) + 1j * _sums(group, values.imag, size)
+    return np.bincount(group, values, size)
+
+
 def _sum_repeats(key: np.ndarray, vals: np.ndarray) -> tuple:
     """Sorted distinct keys with the sums of their values, each taken from
     zero in the given order; strictly increasing keys and their values pass
@@ -63,9 +71,7 @@ def _sum_repeats(key: np.ndarray, vals: np.ndarray) -> tuple:
     first = _firsts(key)
     group = np.cumsum(first) - 1
     key = key[np.flatnonzero(first)]
-    if np.iscomplexobj(vals):
-        return key, np.bincount(group, vals.real) + 1j * np.bincount(group, vals.imag)
-    return key, np.bincount(group, vals)
+    return key, _sums(group, vals, key.size)
 
 
 def gather(mat: "Compressed", pos, values, out_div, in_div, col=None) -> tuple:

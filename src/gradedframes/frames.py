@@ -37,11 +37,21 @@ from .gradings import (
 
 # Numeric bounds build a dense weighted matrix; refuse beyond this many columns.
 DENSE_LIMIT = 2048
+# runo_demo's witness family: exponent offset and the prefix lengths read.
+RUNO_EPSILON = 0.05
+RUNO_PREFIXES = (10, 100, 1000, 10000)
 
 
 class FrameFormError(ValueError):
     """Operation not defined for this frame form, or a frame whose weights
     overflow."""
+
+
+def _real(arr, name: str) -> np.ndarray:
+    """arr as floats; complex input is refused, not cast to its real part."""
+    if np.iscomplexobj(arr):
+        raise ValueError("%s must be real, not complex" % name)
+    return np.asarray(arr, dtype=float)
 
 
 def _readonly(arr, dtype=float) -> np.ndarray:
@@ -76,7 +86,7 @@ class CoordinateFrame(FrameSystem):
     b: np.ndarray
 
     def __post_init__(self):
-        b = _readonly(self.b)
+        b = _readonly(_real(self.b, "b"))
         if b.ndim != 1 or b.size < 1:
             raise ValueError("b must be a nonempty vector")
         if not np.all(np.isfinite(b)):
@@ -115,11 +125,6 @@ class CoordinateFrame(FrameSystem):
         return Compressed(np.arange(m + 1), self.reads, self.b[self.reads],
                           (m, self.truncation))
 
-    def scaled(self, c: float) -> "CoordinateFrame":
-        out = object.__new__(type(self))
-        CoordinateFrame.__init__(out, self.reads, self.b * c)
-        return out
-
 
 class DiagonalFrame(CoordinateFrame):
     """Functional i reads coordinate i with positive weight b_i."""
@@ -146,7 +151,7 @@ class DenseFrame(FrameSystem):
     matrix: np.ndarray
 
     def __post_init__(self):
-        g = _readonly(self.matrix)
+        g = _readonly(_real(self.matrix, "matrix"))
         if g.ndim != 2 or 0 in g.shape:
             raise ValueError("matrix must be 2-d and nonempty")
         if not np.all(np.isfinite(g)):
@@ -166,9 +171,6 @@ class DenseFrame(FrameSystem):
 
     def dense_matrix(self) -> np.ndarray:
         return self.matrix
-
-    def scaled(self, c: float) -> "DenseFrame":
-        return DenseFrame(self.matrix * c)
 
 
 def check_support(frame: FrameSystem, f: GradedVector):
@@ -375,14 +377,13 @@ class RunoReport:
     l2_sum_converges: bool
 
 
-def runo_demo(p: float, q: float, samples: Sequence[GradedVector],
-              epsilon: float = 0.05,
-              prefix_grid: Sequence[int] = (10, 100, 1000, 10000)) -> RunoReport:
+def runo_demo(p: float, q: float, samples: Sequence[GradedVector]) -> RunoReport:
     """Verify |c|_q <= |c|_2 <= |c|_p on the samples and grow a witness family.
 
-    The witness prefixes come from c_j = j**(-1/(p+epsilon)), which sums to a
-    convergent series in the square but a divergent one in the p-th power, so
-    its prefixes stay in an l2 ball while leaving every l^p ball.
+    The witness prefixes, read at the lengths RUNO_PREFIXES, come from
+    c_j = j**(-1/(p+RUNO_EPSILON)), which sums to a convergent series in the
+    square but a divergent one in the p-th power, so its prefixes stay in an
+    l2 ball while leaving every l^p ball.
     """
     if not (1.0 < p < 2.0):
         raise ValueError("p must lie in (1, 2)")
@@ -390,27 +391,19 @@ def runo_demo(p: float, q: float, samples: Sequence[GradedVector],
         raise ValueError("q must lie in (2, inf)")
     slack = 1 + 1e-12
     chain_rows = []
-    ok_all = True
     for i, c in enumerate(samples):
-        nq = lp_norm(c, q)
-        n2 = lp_norm(c, 2.0)
-        np_ = lp_norm(c, p)
-        ok = nq <= n2 * slack and n2 <= np_ * slack
-        ok_all = ok_all and ok
-        chain_rows.append((i, nq, n2, np_, ok))
+        nq, n2, np_ = lp_norm(c, q), lp_norm(c, 2.0), lp_norm(c, p)
+        chain_rows.append((i, nq, n2, np_, nq <= n2 * slack and n2 <= np_ * slack))
 
-    t = 1.0 / (p + epsilon)
-    witness_rows = []
-    top = max(prefix_grid)
-    j = np.arange(1, top + 1, dtype=float)
-    terms = j ** (-t)
+    t = 1.0 / (p + RUNO_EPSILON)
+    terms = np.arange(1, RUNO_PREFIXES[-1] + 1, dtype=float) ** (-t)
     sq = np.cumsum(terms ** 2)
     pp = np.cumsum(terms ** p)
-    for n in sorted(prefix_grid):
-        witness_rows.append((int(n), math.sqrt(sq[n - 1]), pp[n - 1] ** (1.0 / p)))
+    witness_rows = [(n, math.sqrt(sq[n - 1]), pp[n - 1] ** (1.0 / p))
+                    for n in RUNO_PREFIXES]
     growing = all(a[2] < b[2] for a, b in zip(witness_rows, witness_rows[1:]))
     return RunoReport(
-        passed=ok_all and growing,
+        passed=all(row[4] for row in chain_rows) and growing,
         chain_rows=tuple(chain_rows),
         witness_rows=tuple(witness_rows),
         witness_exponent=t,

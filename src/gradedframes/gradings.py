@@ -108,12 +108,6 @@ class GradedVector:
     def max_index(self) -> int:
         return int(self.indices[-1]) if self.indices.size else 0
 
-    def value_at(self, j: int) -> complex:
-        pos = np.searchsorted(self.indices, j)
-        if pos < self.indices.size and self.indices[pos] == j:
-            return complex(self.values[pos])
-        return 0.0 + 0.0j
-
     def to_dense(self, n: int) -> np.ndarray:
         out = np.zeros(n, dtype=np.complex128)
         if self.indices.size:
@@ -122,9 +116,6 @@ class GradedVector:
                                       % (self.max_index, n))
             out[self.indices - 1] = self.values
         return out
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0))
 
     # -- algebra -----------------------------------------------------------
 
@@ -149,9 +140,6 @@ class GradedVector:
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + other.scale(-1.0)
-
-    def __neg__(self) -> "GradedVector":
-        return self.scale(-1.0)
 
     def prefix(self, n: int) -> "GradedVector":
         """Restriction to coordinates <= n."""
@@ -365,14 +353,3 @@ def lp_norm(v: GradedVector, p: float) -> float:
         return 0.0
     terms = np.abs(v.values) ** p
     return _fsum(terms) ** (1.0 / p)
-
-
-def pairing(functional: GradedVector, v: GradedVector) -> complex:
-    """Bilinear coordinate pairing <u, v> = sum_j u_j v_j."""
-    common = np.intersect1d(functional.indices, v.indices)
-    if not common.size:
-        return 0.0 + 0.0j
-    a = functional.values[np.searchsorted(functional.indices, common)]
-    b = v.values[np.searchsorted(v.indices, common)]
-    prods = a * b
-    return complex(math.fsum(prods.real.tolist()), math.fsum(prods.imag.tolist()))

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .compressed import Compressed, exact_div, gather, runs, union_values
+from .compressed import Compressed, _sums, exact_div, gather, runs, union_values
 from .frames import (
     DENSE_LIMIT,
     CoordinateFrame,
@@ -42,6 +42,7 @@ from .frames import (
     frame_bounds_numeric,
     _coanalyze_columns,
     _functional_sizes,
+    _real,
     _reader_hypot,
     _weight_prefix,
 )
@@ -85,7 +86,7 @@ class SequenceOperator:
             raise ValueError("dimensions must be positive")
         d = self.divisor
         if d is not None:
-            d = np.array(d, dtype=float)
+            d = np.array(_real(d, "divisor"))
             if d.shape != (num.shape[0],):
                 raise ValueError("divisor must have length %d" % num.shape[0])
             if np.any(d == 0):
@@ -156,17 +157,17 @@ class SequenceOperator:
     def diagonal(mult, div) -> "SequenceOperator":
         """out_j = in_j * mult_j / div_j."""
         n = max(np.size(mult), np.size(div))
-        m = np.broadcast_to(np.asarray(mult, dtype=float), (n,))
-        d = np.broadcast_to(np.asarray(div, dtype=float), (n,))
+        m = np.broadcast_to(_real(mult, "mult"), (n,))
+        d = np.broadcast_to(_real(div, "div"), (n,))
         return SequenceOperator(Compressed(np.arange(n + 1), np.arange(n), m, (n, n)), d)
 
     @staticmethod
     def pair_collapse(co_odd, co_even, div) -> "SequenceOperator":
         """out_j = (co_odd_j in_{2j-1} + co_even_j in_{2j}) / div_j."""
-        d = np.asarray(div, dtype=float)
+        d = _real(div, "div")
         n = d.size
-        o = np.broadcast_to(np.asarray(co_odd, dtype=float), (n,))
-        e = np.broadcast_to(np.asarray(co_even, dtype=float), (n,))
+        o = np.broadcast_to(_real(co_odd, "co_odd"), (n,))
+        e = np.broadcast_to(_real(co_even, "co_even"), (n,))
         return SequenceOperator(
             Compressed(np.arange(0, 2 * n + 1, 2), np.arange(2 * n),
                        np.stack([o, e], axis=1).ravel(), (n, 2 * n)), d)
@@ -185,7 +186,7 @@ class SequenceOperator:
 
     @staticmethod
     def dense(matrix) -> "SequenceOperator":
-        m = np.asarray(matrix, dtype=float)
+        m = _real(matrix, "matrix")
         if m.ndim != 2 or 0 in m.shape:
             raise ValueError("matrix must be 2-d and nonempty")
         return SequenceOperator(Compressed(np.arange(0, m.size + 1, m.shape[1]),
@@ -417,14 +418,6 @@ def _block_local(frame: FrameSystem, num: Compressed) -> bool:
     coordinate."""
     return (isinstance(frame, CoordinateFrame)
             and np.array_equal(frame.reads[num.indices], num.rows()))
-
-
-def _sums(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sums of values by group, each from zero in the given order, as the
-    compressed products sum them."""
-    if np.iscomplexobj(values):
-        return _sums(group, values.real, size) + 1j * _sums(group, values.imag, size)
-    return np.bincount(group, values, size)
 
 
 def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optional[int]:
@@ -672,10 +665,11 @@ def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
     (tail_grading at k, times consts[k]), spread back over the grid.  Grid
     points sharing a prefix share its column, so every value is the one a
     column of its own would give.
-    A row passes when every residual is within its bound or the floor and
-    every grid point covering the support (zero_from is the first) is at
-    most the floor, judged on the column arrays; the floor is 0 when the
-    rule divides and 1e-12 max(|sample|, 1) otherwise.
+    A row passes when every residual is within its bound or the floor (0
+    when the rule divides, 1e-12 max(|sample|, 1) otherwise), judged on the
+    column arrays.  A grid point covering the support has a tail of stored
+    zeros only, bound 0 (NaN, which fails, when c_k is inf), so a passing
+    row has it at most the floor; zero_from is the first such point.
     """
     exact = rule.divisor is not None
     given = _given_grid(n_grid, limit)
@@ -695,8 +689,7 @@ def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
             r = column_norms(residuals, out_grading, level)
             b = c_k * column_norms(tails, tail_grading, k)
             vanish = covered & (r[back] <= floor)
-            ok = bool(np.all(r <= np.maximum(b * (1 + 1e-12), floor))) \
-                and np.array_equal(vanish, covered)
+            ok = bool(np.all(r <= np.maximum(b * (1 + 1e-12), floor)))
             first = np.flatnonzero(vanish)
             rows.append(ExpansionRow(pos, k, grid, tuple(r[back].tolist()),
                                      tuple(b[back].tolist()), support,

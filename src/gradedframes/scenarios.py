@@ -225,8 +225,7 @@ def run_exf1(cfg: ScenarioConfig) -> ScenarioResult:
     passed = (case_ok and equiv.passed
               and strict_base.verdict == "NotStrict"
               and strict_variant.verdict == "Strict")
-    notes = () if equiv.passed else tuple(equiv.notes)
-    return ScenarioResult(cfg, passed, tuple(rows), notes)
+    return ScenarioResult(cfg, passed, tuple(rows), tuple(equiv.notes))
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,12 @@ def ref_expansion_row(pos, level, grid, profile, bounds, support, floor):
     ok = all(r <= max(b * (1 + 1e-12), floor) for r, b in zip(profile, bounds))
     zero_from = next((n for n, r in zip(grid, profile)
                       if n >= support and r <= floor), None)
+    # The verifiers judge by the first check alone.  A point covering the
+    # support has a coefficient tail of stored zeros only, so its bound is 0
+    # (NaN when the constant is inf) and that check already demands r <= floor
+    # there.  The reference keeps tail_ok, so the two judges stay independent.
     tail_ok = all(r <= floor for n, r in zip(grid, profile) if n >= support)
-    ok = ok and tail_ok and (zero_from is not None or support > max(grid))
+    ok =ok and tail_ok and (zero_from is not None or support > max(grid))
     return ExpansionRow(pos, level, grid, profile, bounds, support, zero_from, ok)
 
 

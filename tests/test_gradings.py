@@ -16,7 +16,6 @@ from gradedframes.gradings import (
     dual_norm,
     graded_norm,
     lp_norm,
-    pairing,
     stack_columns,
 )
 
@@ -134,9 +133,9 @@ class TestGradedVector:
         a = vec((1, 1.0), (3, 2.0))
         b = vec((3, -2.0), (5, 1.0))
         s = a + b
-        assert s.value_at(1) == 1.0 and s.value_at(3) == 0.0 and s.value_at(5) == 1.0
+        assert np.array_equal(s.to_dense(5), [1.0, 0.0, 0.0, 0.0, 1.0])
         assert (a - a).trim() == GradedVector.zero()
-        assert (2.0 * a).value_at(3) == 4.0
+        assert (2.0 * a).to_dense(3)[2] == 4.0
 
     def test_prefix_tail_partition(self):
         a = vec((2, 1.0), (5, -1.0), (9, 3.0))
@@ -233,20 +232,6 @@ class TestDuality:
         dual = POWER.dual()
         assert dual.dual() is POWER
         assert isinstance(dual, DualWeighting)
-
-    def test_pairing_cauchy_schwarz(self):
-        rng = np.random.default_rng(11)
-        dual = DualWeighting(POWER)
-        for _ in range(100):
-            size = rng.integers(1, 10)
-            idx_u = rng.choice(np.arange(1, 64), size=size, replace=False)
-            idx_v = rng.choice(np.arange(1, 64), size=size, replace=False)
-            u = GradedVector(idx_u, rng.normal(size=size) + 1j * rng.normal(size=size))
-            v = GradedVector(idx_v, rng.normal(size=size) + 1j * rng.normal(size=size))
-            for s in (0, 1, 4):
-                lhs = abs(pairing(u, v))
-                rhs = dual_norm(u, dual, s) * graded_norm(v, POWER, s)
-                assert lhs <= rhs * (1 + 1e-12)
 
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from gradedframes.gradings import (
 from gradedframes.multilevel import (
     ContinuityData,
     IndexPlan,
+    RatioWitness,
     SelectionResult,
     StrictnessVerdict,
     classify_strictness,
@@ -200,7 +203,8 @@ def test_strictness_verdict_stable_under_scaling():
     x = WeightGrading("power", 10, 64)
     theta = WeightGrading("power", 2, 64)
     base = classify_strictness(frame, x, theta, n_max=10)
-    scaled = classify_strictness(frame.scaled(5.0), x, theta, n_max=10)
+    scaled = classify_strictness(DiagonalFrame(5.0 * frame.b), x, theta,
+                                 n_max=10)
     assert base.verdict == scaled.verdict == "NotStrict"
     assert [w.coordinates for w in base.witnesses] == \
         [w.coordinates for w in scaled.witnesses]
@@ -237,6 +241,33 @@ def test_classify_rejects_candidates_beyond_budget():
 def test_not_strict_verdict_requires_complete_witnesses():
     with pytest.raises(ValueError):
         StrictnessVerdict("NotStrict", witnesses=(), n_max=2)
+
+
+def _witness(candidate):
+    return RatioWitness(1, candidate, "upper_unbounded", (2,), (1.0,), 1.0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: IndexPlan((0.5,), (1,), (1.0,), (1.0,)), "levels must be integers"),
+    (lambda: IndexPlan((), (), (), ()),
+     "plan entries must be nonempty and of equal length"),
+    (lambda: IndexPlan((0, 1), (1, 2), (1.0,), (1.0, 1.0)),
+     "plan entries must be nonempty and of equal length"),
+    (lambda: ContinuityData((-1,), (1.0,)), "continuity levels must be nonnegative"),
+    (lambda: ContinuityData((0,), (0.0,)), "continuity constants must be positive"),
+    (lambda: SelectionResult((0, 3), (1, 2), (1, 2), (1.0, 1.0), (1.0, 1.0),
+                             (0, 1), (0, 1)),
+     "lower level must not exceed the upper level"),
+    (lambda: StrictnessVerdict("Maybe"), "unknown verdict 'Maybe'"),
+    (lambda: StrictnessVerdict("NotStrict", witnesses=(_witness(0), _witness(2)),
+                               n_max=2),
+     "witnesses must cover every candidate up to n_max"),
+], ids=["plan-fractional-level", "plan-empty", "plan-short-consts",
+        "continuity-negative-level", "continuity-zero-const",
+        "selection-lower-above-upper", "verdict-unknown", "witnesses-gap"])
+def test_level_types_name_what_they_refuse(build, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        build()
 
 
 # -- subsequence selection --------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedframes.frames import (
     BlockFrame,
+    CoordinateFrame,
     DiagonalFrame,
     analyze,
     frame_bounds_analytic,
@@ -105,7 +106,8 @@ def test_scaling_covariance_and_witness_invariance():
         hi = k + int(rng.integers(0, 3))
         c = float(rng.uniform(0.25, 8.0))
         base = frame_bounds_analytic(frame, theta, k, x, k, hi)
-        scaled = frame_bounds_analytic(frame.scaled(c), theta, k, x, k, hi)
+        scaled = frame_bounds_analytic(CoordinateFrame(frame.reads, c * frame.b),
+                                       theta, k, x, k, hi)
         assert scaled.lower == pytest.approx(c * base.lower, rel=1e-12)
         assert scaled.upper == pytest.approx(c * base.upper, rel=1e-12)
         assert scaled.witness_lower == base.witness_lower

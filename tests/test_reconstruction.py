@@ -90,10 +90,37 @@ def test_zero_divisor_rejected():
         SequenceOperator.diagonal(np.ones(3), np.array([1.0, 0.0, 1.0]))
 
 
+def test_empty_numerator_rejected():
+    with pytest.raises(ValueError, match="^dimensions must be positive$"):
+        SequenceOperator(Compressed.zero(0, 3))
+
+
+@pytest.mark.parametrize("matrix", [np.ones(3), np.zeros((0, 2))], ids=["1-d", "empty"])
+def test_dense_rule_needs_a_nonempty_matrix(matrix):
+    with pytest.raises(ValueError, match="^matrix must be 2-d and nonempty$"):
+        SequenceOperator.dense(matrix)
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda z: SequenceOperator(np.eye(2), z), "divisor"),
+    (lambda z: SequenceOperator.diagonal(z, np.ones(2)), "mult"),
+    (lambda z: SequenceOperator.diagonal(np.ones(2), z), "div"),
+    (lambda z: SequenceOperator.pair_collapse(z, np.ones(2), np.ones(2)), "co_odd"),
+    (lambda z: SequenceOperator.pair_collapse(np.ones(2), z, np.ones(2)), "co_even"),
+    (lambda z: SequenceOperator.pair_collapse(np.ones(2), np.ones(2), z), "div"),
+    (lambda z: SequenceOperator.dense(np.diag(z)), "matrix"),
+], ids=["divisor", "diagonal-mult", "diagonal-div", "pair-odd", "pair-even",
+        "pair-div", "dense"])
+def test_complex_coefficients_are_refused_not_made_real(build, name):
+    # a cast to float would keep [1, 2] and drop the imaginary part
+    with pytest.raises(ValueError, match="^%s must be real, not complex$" % name):
+        build(np.array([1.0, 2.0 + 1.0j]))
+
+
 def test_identity_and_zero_apply():
     v = GradedVector.from_pairs({1: 1.0, 3: -2.0})
     assert SequenceOperator.identity(4).apply(v) == v
-    assert SequenceOperator.zero_map(4, 4).apply(v).is_zero()
+    assert not np.any(SequenceOperator.zero_map(4, 4).apply(v).values)
 
 
 def test_diagonal_apply_divides_exactly():
@@ -105,7 +132,7 @@ def test_diagonal_apply_divides_exactly():
 def test_pair_collapse_even_selection():
     rule = even_pick_rule(pair_block(4, 1))
     assert rule.apply(GradedVector.canonical(2)) == GradedVector.canonical(1)
-    assert rule.apply(GradedVector.canonical(1)).trim().is_zero()
+    assert not np.any(rule.apply(GradedVector.canonical(1)).values)
 
 
 def test_pair_mix_duplicates_combined_value():
@@ -202,13 +229,22 @@ def test_short_weight_table_rejected():
         SequenceOperator.identity(8).weighted_norm(np.ones(4), np.ones(8))
 
 
+def test_weighted_norm_refuses_a_large_operator_with_shared_inputs():
+    n = DENSE_LIMIT + 1
+    # input 1 feeds outputs 1 and 2, so the rows are not orthogonal
+    rule = SequenceOperator(Compressed.from_triplets([0, 1], [0, 0], [1.0, 1.0], (n, n)))
+    with pytest.raises(ValueError, match="^operator too large for dense norm "
+                                         "computation$"):
+        rule.weighted_norm(np.ones(n), np.ones(n))
+
+
 # -- dual systems and synthesis -------------------------------------------------
 
 def test_dual_from_even_selection_rule():
     frame = pair_block(3, 1)
     dual = build_dual_from_V(even_pick_rule(frame))
     assert len(dual) == 6
-    assert dual[0].trim().is_zero()
+    assert not np.any(dual[0].values)
     assert dual[1] == GradedVector.canonical(1)
     assert dual[3] == GradedVector.canonical(2, 1.0 / frame.b_pair[1])
 
@@ -277,7 +313,7 @@ def test_synthesize_prefix_bounds():
                              IndexPlan.shifted(2, 1))
     d = analyze(frame, GradedVector.from_pairs({1: 1.0, 2: 1.0}))
     assert synthesize(op, d, 2) == GradedVector.from_pairs({1: 1.0, 2: 1.0})
-    assert synthesize(op, d, 0).is_zero()
+    assert not np.any(synthesize(op, d, 0).values)
     with pytest.raises(ValueError):
         synthesize(op, d, 9)
 
@@ -305,6 +341,13 @@ def test_zero_rule_bound_table_rejected():
     with pytest.raises(ValueError):
         synthesis_from_rule(SequenceOperator.zero_map(4, 4), power_grading(2, 4),
                             power_grading(2, 4), IndexPlan.shifted(1, 0))
+
+
+@pytest.mark.parametrize("c", [math.inf, math.nan])
+def test_synthesis_op_refuses_a_non_finite_bound(c):
+    with pytest.raises(ValueError, match="^synthesis bound table contains "
+                                         "non-finite entries$"):
+        SynthesisOp(SequenceOperator.identity(2), ContinuityData((0, 1), (1.0, c)))
 
 
 # -- projections ----------------------------------------------------------------
@@ -441,6 +484,24 @@ def test_projection_op_validation():
         ProjectionOp(SequenceOperator.identity(2), (1.0,), 1e-6)
 
 
+def test_projection_refuses_a_large_frame_it_cannot_fold():
+    n = DENSE_LIMIT + 1
+    # a left inverse without a divisor takes the dense composition
+    op = SynthesisOp(SequenceOperator(Compressed.identity(n)), ContinuityData((0,), (1.0,)))
+    with pytest.raises(ValueError, match="^truncation too large to compose a "
+                                         "dense projection$"):
+        projection_from_V(DiagonalFrame(np.ones(n)), op, power_grading(0, n))
+
+
+def test_V_from_projection_refuses_a_large_dense_solve():
+    n = DENSE_LIMIT + 1
+    # a projection without a divisor is not solved row by row
+    proj = ProjectionOp(SequenceOperator(Compressed.identity(n)), (1.0,), 0.0)
+    with pytest.raises(ValueError, match="^truncation too large for a dense solve$"):
+        V_from_projection(DiagonalFrame(np.ones(n)), proj, power_grading(0, n),
+                          power_grading(0, n), IndexPlan.shifted(0, 0))
+
+
 # -- reconstruction from a projection --------------------------------------------
 
 def test_V_from_identity_projection_inverts_diagonal():
@@ -548,6 +609,9 @@ def test_expansion_profile_frozen_example():
     assert row1.profile == (2.23606797749979, 2.0, 0.0, 0.0)
     assert row1.tail_bounds == (4.123105625617661, 4.0, 0.0, 0.0)
     assert row1.zero_from == 2
+    with pytest.raises(KeyError) as err:
+        report.row(1, 0)
+    assert err.value.args == ((1, 0),)
 
 
 def test_expansion_exact_zero_beyond_support():

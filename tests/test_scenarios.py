@@ -371,6 +371,17 @@ def test_cli_report_missing_file(tmp_path, capsys):
     assert main(["report", str(tmp_path / "absent.csv")]) == 2
 
 
+def test_cli_report_without_pass_record_exits_2(exf2_small, tmp_path, capsys):
+    text = emit_report(exf2_small, "csv")
+    lines = [line for line in text.splitlines(keepends=True)
+             if not line.startswith("# passed=")]
+    assert len(lines) == len(text.splitlines()) - 1
+    path = tmp_path / "nopass.csv"
+    path.write_text("".join(lines), encoding="ascii")
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err == "error: report lacks a pass/fail record\n"
+
+
 @pytest.mark.parametrize("fmt,old,new", [
     ("csv", "# schema_version=1", "# schema_version=abc"),
     ("csv", "# schema_version=1", "# schema_version=7"),
@@ -415,6 +426,25 @@ def test_cli_ini_config_with_flag_override(tmp_path, capsys):
     assert doc["config"]["truncation"] == 32
     assert doc["config"]["r"] == 1
     assert doc["config"]["levels"] == 3
+
+
+def test_cli_missing_config_file_exits_2(tmp_path, capsys):
+    ini = tmp_path / "absent.ini"
+    assert main(["run", "runo", "--config", str(ini)]) == 2
+    assert capsys.readouterr().err == \
+        "error: config file %s not found or unreadable\n" % ini
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[scenario]\nname = bogus\n", "unknown scenario 'bogus' in config"),
+    ("[report]\nformat = xml\n", "unknown report format 'xml'"),
+], ids=["scenario-bogus", "format-xml"])
+def test_cli_ini_unknown_value_exits_2(tmp_path, capsys, text, message):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(text)
+    assert main(["run", "runo", "--config", str(ini)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s\n" % message)
 
 
 def test_cli_ini_unknown_section(tmp_path, capsys):
