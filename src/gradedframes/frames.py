@@ -21,7 +21,7 @@ serve as an oracle for the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -80,10 +80,12 @@ class CoordinateFrame(FrameSystem):
 
     reads is nondecreasing and covers every coordinate, so the readers of
     coordinate j are the functionals reader_starts[j] .. reader_starts[j+1]-1.
+    The frame keeps its Θ reader tables (see reader_hypot).
     """
 
     reads: np.ndarray
     b: np.ndarray
+    _reader_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         b = _readonly(_real(self.b, "b"))
@@ -111,6 +113,20 @@ class CoordinateFrame(FrameSystem):
     def reader_starts(self) -> np.ndarray:
         """First reader of every coordinate, then the functional count."""
         return np.searchsorted(self.reads, np.arange(self.b.size + 1))
+
+    def reader_hypot(self, theta: WeightGrading, level: int) -> np.ndarray:
+        """Per coordinate, the hypot of its readers' Θ weights at level, built
+        once per (theta, level), read-only; one reader each: the prefix."""
+        m = self.functional_count
+        if m == self.truncation:
+            return _weight_prefix(theta, level, m)
+        table = self._reader_tables.get((theta, level))
+        if table is None:
+            table = np.hypot.reduceat(_weight_prefix(theta, level, m),
+                                      self.reader_starts[:-1])
+            table.setflags(write=False)
+            self._reader_tables[theta, level] = table
+        return table
 
     @property
     def truncation(self) -> int:
@@ -266,13 +282,6 @@ def _weight_prefix(grading: WeightGrading, level: int, n: int) -> np.ndarray:
     return w[:n]
 
 
-def _reader_hypot(frame: CoordinateFrame, w: np.ndarray) -> np.ndarray:
-    """Per coordinate, the hypot of w over its readers (w for one each)."""
-    if frame.functional_count == frame.truncation:
-        return w
-    return np.hypot.reduceat(w, frame.reader_starts[:-1])
-
-
 def _functional_sizes(frame: FrameSystem, theta: WeightGrading,
                       theta_level: int) -> np.ndarray:
     """Per-coordinate Θ-weighted size of the functionals acting on it: b_j
@@ -280,8 +289,7 @@ def _functional_sizes(frame: FrameSystem, theta: WeightGrading,
     an X level is this divided by the X weights."""
     if not isinstance(frame, CoordinateFrame):
         raise FrameFormError("analytic bounds need a coordinate frame")
-    w = _weight_prefix(theta, theta_level, frame.functional_count)
-    return frame.b * _reader_hypot(frame, w)
+    return frame.b * frame.reader_hypot(theta, theta_level)
 
 
 def _ratios(size: np.ndarray, x: WeightGrading, x_level: int) -> np.ndarray:

@@ -42,6 +42,15 @@ def _fsum(terms: np.ndarray) -> float:
     return math.fsum(terms.tolist())
 
 
+def _coordinates(indices) -> np.ndarray:
+    """indices as int64, a non-integer refused by name, not truncated."""
+    idx = np.asarray(indices)
+    whole = idx.dtype.kind not in "fc" or np.isfinite(idx) & (idx == np.floor(idx.real))
+    if not np.all(whole):
+        raise ValueError("non-integer coordinate %s" % idx.ravel()[np.argmin(whole)])
+    return idx.astype(np.int64, copy=False)
+
+
 class GradedVector:
     """Finitely supported sequence with 1-based integer coordinates.
 
@@ -53,8 +62,8 @@ class GradedVector:
 
     def __init__(self, indices: Iterable[int], values: Iterable[complex]):
         # private copies: the caller may still write to the arrays it passed
-        idx = np.array(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                       dtype=np.int64)
+        idx = _coordinates(np.array(indices if isinstance(indices, np.ndarray)
+                                    else list(indices)))
         val = np.array(list(values) if not isinstance(values, np.ndarray) else values,
                        dtype=np.complex128)
         if idx.shape != val.shape or idx.ndim != 1:
@@ -234,7 +243,7 @@ class WeightGrading:
     def weight_values(self, level: int, indices: np.ndarray) -> np.ndarray:
         """Weights w_level(j) at the given 1-based coordinates."""
         self._check_level(level)
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = _coordinates(indices)
         self._check_coordinate(int(idx.max(initial=0)))
         if idx.size and idx.min() < 1:
             raise ValueError("coordinates are 1-based")
@@ -282,9 +291,9 @@ class DualWeighting:
         return self.base
 
 
-def _terms(values: np.ndarray, w: np.ndarray, dual: bool) -> np.ndarray:
+def _terms(moduli: np.ndarray, w: np.ndarray, dual: bool) -> np.ndarray:
     """Squared weighted moduli, (|v| w)^2, or (|v| / w)^2 when dual."""
-    return ((np.abs(values) / w) if dual else (np.abs(values) * w)) ** 2
+    return ((moduli / w) if dual else (moduli * w)) ** 2
 
 
 def _norm(v: GradedVector, grading: WeightGrading, level: int, dual: bool) -> float:
@@ -295,7 +304,7 @@ def _norm(v: GradedVector, grading: WeightGrading, level: int, dual: bool) -> fl
     # a GradedVector's coordinates are sorted and >= 1: one check suffices
     grading._check_coordinate(v.max_index)
     w = grading._formula(level, v.indices)
-    return math.sqrt(_fsum(_terms(v.values, w, dual)))
+    return math.sqrt(_fsum(_terms(np.abs(v.values), w, dual)))
 
 
 def graded_norm(v: GradedVector, grading: WeightGrading, level: int) -> float:
@@ -315,29 +324,35 @@ def stack_columns(vectors: Sequence[GradedVector], rows: int) -> Compressed:
     return Compressed(indptr, indices, data, (len(vectors), rows))
 
 
-def column_norms(mat: Compressed, grading, level: int) -> np.ndarray:
-    """graded_norm of every column of a sparse matrix held by its transpose
-    (column c is row c of mat) without duplicate entries, coordinate r + 1
-    at index r; dual_norm when grading is a DualWeighting.
-
-    Each column sums its own terms with math.fsum, so every value is bit for
-    bit what graded_norm (dual_norm) gives for that column, and a column
-    beyond the truncation raises its TruncationError.
-    """
+def column_norms(mat: Compressed, grading, levels: Sequence[int]) -> np.ndarray:
+    """graded_norm (dual_norm for a DualWeighting) of every column of a
+    sparse matrix held by its transpose (column c is row c of mat) without
+    duplicate entries, coordinate r + 1 at index r: row i at levels[i].
+    Refusals come as from one call per level, in order; each (level, column)
+    pair sums its own terms with math.fsum, bit for bit graded_norm's."""
     dual = isinstance(grading, DualWeighting)
     base = grading.base if dual else grading
-    base._check_level(level)
+    levels = list(levels)
+    if not levels:
+        return np.zeros((0, mat.shape[0]))
+    base._check_level(levels[0])
     if mat.indices.max(initial=-1) >= base.truncation:
         beyond = np.flatnonzero(mat.indices >= base.truncation)
         col = int(np.searchsorted(mat.indptr, beyond[0], side="right")) - 1
         rows = mat.indices[mat.indptr[col]:mat.indptr[col + 1]]
         raise TruncationError("coordinate %d beyond truncation %d"
                               % (int(rows.max()) + 1, base.truncation))
-    w = base._formula(level, mat.indices + 1)
-    terms = _terms(mat.data, w, dual).tolist()
-    ptr = mat.indptr.tolist()
-    return np.array([math.sqrt(math.fsum(terms[a:b]))
-                     for a, b in zip(ptr, ptr[1:])], dtype=float)
+    for level in levels[1:]:
+        base._check_level(level)
+    idx = mat.indices + 1
+    w = np.array([base._formula(level, idx) for level in levels])
+    terms = _terms(np.abs(mat.data), w, dual).ravel().tolist()
+    # level i's terms start at i * nnz: one segment per (level, column)
+    offsets = np.arange(len(levels))[:, None] * mat.indices.size
+    lo = (offsets + mat.indptr[:-1]).ravel().tolist()
+    hi = (offsets + mat.indptr[1:]).ravel().tolist()
+    norms = [math.sqrt(math.fsum(terms[a:b])) for a, b in zip(lo, hi)]
+    return np.array(norms, dtype=float).reshape(len(levels), mat.indptr.size - 1)
 
 
 def dual_norm(v: GradedVector, weighting: DualWeighting, level: int) -> float:

@@ -180,7 +180,8 @@ def _verify_entries(frame: FrameSystem, x_grading: WeightGrading,
     None when the frame form has no analytic route.
 
     The samples form the columns of one sparse matrix S and their analysis
-    coefficients one product, so each level costs one column_norms call.
+    coefficients one product; one column_norms call takes the mid norms at
+    every entry's level and one the X norms at every distinct outer level.
     Within an entry a failing sample is reported before a slack violation.
     """
     for f in samples:
@@ -188,9 +189,9 @@ def _verify_entries(frame: FrameSystem, x_grading: WeightGrading,
     stacked = stack_columns(samples, frame.truncation)
     # both held by their transposes: (U S)^T = S^T U^T
     coefficients = stacked @ frame.coefficient_rows().T
-    mids = [column_norms(coefficients, theta_grading, m) for m, *_ in entries]
+    mids = column_norms(coefficients, theta_grading, [m for m, *_ in entries])
     x_levels = dict.fromkeys(level for _, s, t, _, _ in entries for level in (s, t))
-    outer = {level: column_norms(stacked, x_grading, level) for level in x_levels}
+    outer = dict(zip(x_levels, column_norms(stacked, x_grading, x_levels)))
     tol = 1 + REL_SLACK
     first_violation = None
     checks = []

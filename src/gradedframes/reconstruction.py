@@ -43,7 +43,6 @@ from .frames import (
     _coanalyze_columns,
     _functional_sizes,
     _real,
-    _reader_hypot,
     _weight_prefix,
 )
 from .gradings import (
@@ -475,13 +474,16 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
     if isinstance(frame, CoordinateFrame) and rule.divisor is not None:
         # every functional reading coordinate j sees the row (b_j M_j) / d_j
         # of P = U V; the norm of P is that of one row per coordinate with
-        # the hypot of the readers' weights as its output weight
+        # the hypot of the readers' weights (named short before any is read)
+        # as its output weight
+        if theta_grading.truncation < m:
+            raise ValueError("weight tables shorter than the operator dimensions")
         rows = rule._rows
         once = rule.numerator.with_data((frame.b[rows] * rule.numerator.data)
                                         / rule.divisor[rows])
         prule = SequenceOperator(once[frame.reads], np.ones(m))
         norm_rule = SequenceOperator(once, np.ones(n))
-        out_weights = [_reader_hypot(frame, w) for w in weights]
+        out_weights = [frame.reader_hypot(theta_grading, k) for k in range(len(weights))]
         defect = _coordinate_defect(once) if _block_local(frame, once) \
             else _idempotence_defect(prule)
     else:
@@ -558,8 +560,8 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
         # U V must reproduce P column by column; both are held by their
         # transposes, (U V)^T = V^T U^T
         residual = rule.canonical_images @ frame.coefficient_rows().T - target
-        scale = np.maximum(column_norms(target, theta_grading, 0), 1.0)
-        bad = np.flatnonzero(column_norms(residual, theta_grading, 0)
+        scale = np.maximum(column_norms(target, theta_grading, (0,))[0], 1.0)
+        bad = np.flatnonzero(column_norms(residual, theta_grading, (0,))[0]
                              > RANGE_TOL * scale)
         if bad.size:
             raise ValueError("projection output leaves the analysis range "
@@ -660,19 +662,21 @@ def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
 
     One matrix holds a column per distinct coefficient prefix the grid
     reaches, in first-appearance order; partial_of(col, inputs, values,
-    count) maps all of them at once, and each level k takes one column_norms
-    call on the residuals (out_grading at out_levels[k]) and one on the tails
-    (tail_grading at k, times consts[k]), spread back over the grid.  Grid
-    points sharing a prefix share its column, so every value is the one a
-    column of its own would give.
+    count) maps all of them at once.  Per sample one column_norms call
+    takes the residuals at every level of out_levels (out_grading), one the
+    tails at every level k (tail_grading, times consts[k]) and, for a rule
+    without a divisor, one the sample for its floor; the values are spread
+    back over the grid.  Grid points sharing a prefix share its column, so
+    every value is the one a column of its own would give.
     A row passes when every residual is within its bound or the floor (0
     when the rule divides, 1e-12 max(|sample|, 1) otherwise), judged on the
-    column arrays.  A grid point covering the support has a tail of stored
-    zeros only, bound 0 (NaN, which fails, when c_k is inf), so a passing
-    row has it at most the floor; zero_from is the first such point.
+    level-by-column arrays.  A grid point covering the support has a tail
+    of stored zeros only, bound 0 (NaN, which fails, when c_k is inf), so a
+    passing row has it at most the floor; zero_from is the first such point.
     """
     exact = rule.divisor is not None
     given = _given_grid(n_grid, limit)
+    consts = np.asarray(consts, dtype=float)[:, None]
     rows = []
     for pos, v in enumerate(samples):
         coeff = coefficients_of(v)
@@ -682,18 +686,19 @@ def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
         (col, inputs, values), tails, back = _prefixes_and_tails(coeff, grid)
         count = tails.shape[0]
         residuals = _residuals(v, *partial_of(col, inputs, values, count), count)
-        alone = None if exact else stack_columns([v], max(v.max_index, 1))
-        for k, (level, c_k) in enumerate(zip(out_levels, consts)):
-            floor = 0.0 if exact \
-                else 1e-12 * max(column_norms(alone, out_grading, level)[0], 1.0)
-            r = column_norms(residuals, out_grading, level)
-            b = c_k * column_norms(tails, tail_grading, k)
-            vanish = covered & (r[back] <= floor)
-            ok = bool(np.all(r <= np.maximum(b * (1 + 1e-12), floor)))
-            first = np.flatnonzero(vanish)
-            rows.append(ExpansionRow(pos, k, grid, tuple(r[back].tolist()),
-                                     tuple(b[back].tolist()), support,
-                                     grid[first[0]] if first.size else None, ok))
+        floor = 0.0 if exact else 1e-12 * np.maximum(column_norms(
+            stack_columns([v], max(v.max_index, 1)), out_grading, out_levels), 1.0)
+        r = column_norms(residuals, out_grading, out_levels)
+        b = consts * column_norms(tails, tail_grading, range(len(consts)))
+        ok = np.all(r <= np.maximum(b * (1 + 1e-12), floor), axis=1)
+        r, b = r[:, back], b[:, back]
+        vanish = covered & (r <= floor)
+        first = np.where(vanish.any(axis=1), vanish.argmax(axis=1), -1)
+        for k in range(len(consts)):
+            rows.append(ExpansionRow(pos, k, grid, tuple(r[k].tolist()),
+                                     tuple(b[k].tolist()), support,
+                                     grid[first[k]] if first[k] >= 0 else None,
+                                     bool(ok[k])))
     return ExpansionReport(all(r.ok for r in rows), tuple(rows))
 
 

@@ -1,8 +1,8 @@
 """Expansion verification against per-grid-point reference loops.
 
 verify_expansion and verify_dual_expansion check a sample's whole grid with
-a few sparse operations and one column_norms call per level and matrix, and
-judge each row on arrays.  The references below are the loops they replace:
+a few sparse operations and one column_norms call per matrix over every
+level, and judge each row on arrays.  The references below are the loops they replace:
 one partial reconstruction (or co-analysis), one GradedVector and one norm
 call per sample, grid point and level, judged point by point by
 ref_expansion_row, and the dual constants taken from frame_bounds_analytic.
@@ -480,9 +480,9 @@ def test_one_norm_column_per_distinct_prefix(verify, monkeypatch):
     # prefixes, however many grid points the default grid holds
     widths = []
 
-    def counting(mat, grading, level):
+    def counting(mat, grading, levels):
         widths.append(mat.shape[0])
-        return column_norms(mat, grading, level)
+        return column_norms(mat, grading, levels)
 
     monkeypatch.setattr(reconstruction, "column_norms", counting)
     checked = 0
@@ -530,8 +530,8 @@ def test_column_norms_take_dual_weights_as_dual_norm():
     mat = Compressed(indptr, np.concatenate([c.indices - 1 for c in cols]),
                      np.concatenate([c.values for c in cols]), (len(cols), 9))
     for level in range(4):
-        got = column_norms(mat, theta.dual(), level)
+        got = column_norms(mat, theta.dual(), [level])[0]
         want = [dual_norm(c, theta.dual(), level) for c in cols]
         assert _hex(got) == _hex(want)
     with pytest.raises(TruncationError, match="coordinate 9 beyond truncation 8"):
-        column_norms(mat, WeightGrading("power", 3, 8).dual(), 0)
+        column_norms(mat, WeightGrading("power", 3, 8).dual(), (0,))

@@ -169,9 +169,11 @@ def test_analytic_block_r1_gives_sqrt2():
 
 
 def test_analytic_rejects_dense_form():
+    # a dense frame has no reader tables: the analytic route refuses it
     w = power_grading(2, 4)
-    with pytest.raises(FrameFormError):
-        frame_bounds_analytic(DenseFrame(np.eye(4)), w, 0, w, 0, 1)
+    with pytest.raises(FrameFormError, match="need a coordinate frame"):
+        frame_bounds_analytic(DenseFrame(np.eye(4)), w, 1, w, 0, 1)
+    assert not hasattr(DenseFrame(np.eye(4)), "reader_hypot")
 
 
 def test_analytic_rejects_dominance_violation():
@@ -532,3 +534,51 @@ def test_analysis_maps_match_per_form_reference_bitwise():
             for got, want in pairs:
                 assert np.array_equal(got.indices, want.indices)
                 assert got.values.tobytes() == want.values.tobytes()
+
+
+# -- Θ reader tables ---------------------------------------------------------
+
+READER_FRAMES = {
+    "diagonal": lambda: alternating_diag(12, 1),
+    "block": lambda: pair_block(12, 1),
+    "threefold": lambda: triple_repeat(12),
+}
+
+
+def theta_gradings(m):
+    return [power_grading(4, m), WeightGrading("shifted_power", 4, m, shift=3),
+            WeightGrading("exponential", 4, m,
+                          alphas=tuple(np.linspace(0.0, 2.5, m) ** 1.5))]
+
+
+@pytest.mark.parametrize("name", sorted(READER_FRAMES))
+def test_reader_tables_match_a_fresh_hypot_bit_for_bit(name):
+    frame = READER_FRAMES[name]()
+    m = frame.functional_count
+    for theta in theta_gradings(m):
+        for k in range(theta.levels + 1):
+            want = np.hypot.reduceat(theta.weights(k)[:m], frame.reader_starts[:-1])
+            got = frame.reader_hypot(theta, k)
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1.0
+            if name == "diagonal":
+                # one reader per coordinate: the weight prefix itself
+                assert np.shares_memory(got, theta.weights(k))
+            else:
+                # built once: the second read is the same table
+                assert frame.reader_hypot(theta, k) is got
+    assert len(frame._reader_tables) == (0 if name == "diagonal" else 3 * 5)
+
+
+@pytest.mark.parametrize("name", sorted(READER_FRAMES))
+def test_reader_tables_refuse_bad_levels_and_keep_nothing(name):
+    frame = READER_FRAMES[name]()
+    theta = power_grading(4, frame.functional_count)
+    for level in (-1, 5, 1.5):
+        with pytest.raises(LevelError, match="^level %s out of range" % level):
+            frame.reader_hypot(theta, level)
+    with pytest.raises(TruncationError):
+        frame.reader_hypot(power_grading(4, frame.functional_count - 1), 1)
+    assert frame._reader_tables == {}

@@ -108,6 +108,14 @@ class TestWeightFamilies:
                                match=r"^level 2\.5 out of range \[0, 12\]$"):
                 read(2.5)
 
+    def test_weight_values_refuse_non_integer_coordinates(self):
+        # weight_values(1, [2.5]) once returned the weight at coordinate 2
+        g = WeightGrading("power", 3, 8)
+        for idx, name in (([2.5], "2.5"), (np.array([1.0, 7.999]), "7.999")):
+            with pytest.raises(ValueError, match="^non-integer coordinate %s$" % name):
+                g.weight_values(1, idx)
+        assert g.weight_values(1, np.array([2.0, 3.0])).tolist() == [2.0, 3.0]
+
     def test_truncation_guard(self):
         # the largest coordinate is named, wherever it was given, and the
         # level is checked first
@@ -174,6 +182,17 @@ class TestGradedVector:
         for idx in ([0, 1], [2, 0], [-1]):
             with pytest.raises(ValueError, match="coordinates are 1-based"):
                 GradedVector(idx, [1.0] * len(idx))
+
+    def test_non_integer_coordinates_refused_by_name(self):
+        # GradedVector([1.5, 2.7], ...) once stored the coordinates [1, 2]
+        for idx, name in (([1.5, 2.7], "1.5"), (np.array([3.0, 4.25]), "4.25"),
+                          ([2.0, float("nan")], "nan"), ([float("inf")], "inf"),
+                          ([1 + 2j], r"\(1\+2j\)")):
+            with pytest.raises(ValueError, match="^non-integer coordinate %s$" % name):
+                GradedVector(idx, [1.0] * len(idx))
+        # whole floats are coordinates; integers keep their dtype check only
+        assert GradedVector(np.array([2.0, 5.0]), [1.0, 2.0]) == vec((2, 1.0), (5, 2.0))
+        assert GradedVector([], []).indices.dtype == np.int64
 
 
 class TestNorms:
@@ -338,17 +357,35 @@ EXP = WeightGrading("exponential", levels=5, truncation=64,
                     alphas=tuple(0.3 * math.log(j) for j in range(1, 65)))
 
 
+def norm_rows(vectors, grading, levels):
+    """graded_norm (dual_norm for a DualWeighting) of every vector at every
+    level, one row per level."""
+    norm = dual_norm if isinstance(grading, DualWeighting) else graded_norm
+    return [[norm(v, grading, level) for v in vectors] for level in levels]
+
+
+def first_refusal(call):
+    try:
+        call()
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
 class TestColumnNorms:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(complex_vectors(), max_size=5),
-           st.sampled_from((POWER, EXP)), st.integers(0, 5))
+           st.sampled_from((POWER, EXP, POWER.dual(), EXP.dual())),
+           st.lists(st.integers(0, 5), max_size=6))
     @example([GradedVector.zero(), vec((3, 1.5 - 2j), (64, 0.25j)),
-              vec((2, 0.0), (7, math.ldexp(1.0, -540)), (9, -3.0))], POWER, 4)
-    def test_matches_graded_norm_bit_for_bit(self, vectors, grading, level):
-        got = column_norms(stack_columns(vectors, 64), grading, level)
-        assert got.shape == (len(vectors),)
-        for value, v in zip(got.tolist(), vectors):
-            assert value == graded_norm(v, grading, level)
+              vec((2, 0.0), (7, math.ldexp(1.0, -540)), (9, -3.0))], POWER, [4])
+    @example([vec((3, 1.5 - 2j), (64, 0.25j))], EXP.dual(), [5, 0, 5, 2])
+    @example([vec((3, 1.5 - 2j))], POWER, [])
+    def test_matches_graded_norm_bit_for_bit(self, vectors, grading, levels):
+        # level lists come unsorted, with repeats, or empty: row i is levels[i]
+        got = column_norms(stack_columns(vectors, 64), grading, levels)
+        assert got.shape == (len(levels), len(vectors))
+        assert got.tolist() == norm_rows(vectors, grading, levels)
 
     def test_refuses_like_graded_norm(self):
         short = WeightGrading("power", levels=3, truncation=8)
@@ -358,10 +395,37 @@ class TestColumnNorms:
         with pytest.raises(TruncationError) as want:
             graded_norm(vectors[1], short, 1)
         with pytest.raises(TruncationError) as got:
-            column_norms(mat, short, 1)
+            column_norms(mat, short, [1])
         assert str(got.value) == str(want.value)
         for level in (-1, 4, 1.5):
             with pytest.raises(LevelError):
                 graded_norm(GradedVector.zero(), short, level)
             with pytest.raises(LevelError):
-                column_norms(stack_columns([], 8), short, level)
+                column_norms(stack_columns([], 8), short, [level])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from((0, 2, 3, -1, 4, 1.5)), max_size=4),
+           st.booleans(), st.booleans())
+    def test_refusal_order_is_that_of_one_call_per_level(self, levels, beyond, dual):
+        # one call refuses with the type and message the first failing
+        # one-level call raised, in the order of the levels; an empty list
+        # checks nothing
+        short = WeightGrading("power", levels=3, truncation=8)
+        grading = short.dual() if dual else short
+        top = 12 if beyond else 8
+        mat = stack_columns([vec((2, 1.0)), vec((5, 1.0), (top, 2.0))], 16)
+        want = None
+        for level in levels:
+            want = first_refusal(lambda: column_norms(mat, grading, [level]))
+            if want is not None:
+                break
+        assert first_refusal(lambda: column_norms(mat, grading, levels)) == want
+
+    def test_refusal_order_pinned(self):
+        short = WeightGrading("power", levels=3, truncation=8)
+        mat = stack_columns([vec((2, 1.0)), vec((5, 1.0), (12, 2.0))], 16)
+        assert first_refusal(lambda: column_norms(mat, short, [1, 5])) == (
+            TruncationError, "coordinate 12 beyond truncation 8")
+        assert first_refusal(lambda: column_norms(mat, short, [5, 1])) == (
+            LevelError, "level 5 out of range [0, 3]")
+        assert column_norms(mat, short, []).shape == (0, 2)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from gradedframes.gradings import (
     WeightGrading,
     graded_norm,
 )
-from gradedframes.multilevel import ContinuityData, IndexPlan
+from gradedframes.multilevel import (
+    ContinuityData,
+    IndexPlan,
+    classify_strictness,
+    select_subsequence,
+    verify_pre_f_frame,
+    verify_selected_chain,
+)
 from gradedframes.reconstruction import (
     DualSystem,
     ProjectionOp,
@@ -461,6 +469,50 @@ def test_projection_refuses_a_short_theta_grading(shape):
     with pytest.raises(ValueError, match="^weight tables shorter than the "
                                          "operator dimensions$"):
         projection_from_V(frame, op, power_grading(1, m - 1))
+
+
+def test_projection_refuses_a_much_shorter_theta_grading_by_name():
+    # a block frame read its reader hypot from a short table first and
+    # raised an IndexError once a reader fell beyond it
+    frame = pair_block(8, 1)
+    m = frame.functional_count
+    op = synthesis_from_rule(reader_average_rule(frame), power_grading(2, 8),
+                             power_grading(1, m), IndexPlan.shifted(1, 0, upper_const=2.0))
+    with pytest.raises(ValueError, match="^weight tables shorter than the "
+                                         "operator dimensions$"):
+        projection_from_V(frame, op, power_grading(1, m - 3))
+
+
+class CountingTables(dict):
+    """A reader-table memo that counts how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = Counter()
+
+    def __setitem__(self, key, value):
+        self.builds[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_each_reader_table_is_built_once_per_frame():
+    frame = pair_block(16, 1)
+    n, m = frame.truncation, frame.functional_count
+    tables = frame.__dict__["_reader_tables"] = CountingTables()
+    x, theta = power_grading(6, n), power_grading(3, m)
+    plan = IndexPlan.shifted(3, 1, lower_const=0.5, upper_const=50.0)
+    samples = [GradedVector([1, 4], [1.0, -2.0]), GradedVector([7], [0.5j])]
+    verify_pre_f_frame(frame, x, theta, plan, samples)
+    classify_strictness(frame, x, theta, 4)
+    selection = select_subsequence(plan, ContinuityData((0, 1, 3, 3), (1.0,) * 4))
+    verify_selected_chain(frame, x, theta, selection, samples)
+    op = synthesis_from_rule(reader_average_rule(frame), x, theta, plan)
+    projection_from_V(frame, op, theta)
+    dual = [GradedVector([2, 5], [1.0, 3.0])]
+    first = verify_dual_expansion(frame, op, x, theta, plan, dual)
+    again = verify_dual_expansion(frame, op, x, theta, plan, dual)
+    assert first.rows[0].tail_bounds == again.rows[0].tail_bounds
+    assert tables.builds == {(theta, k): 1 for k in range(theta.levels + 1)}
 
 
 def test_equivalences_keep_the_rule_of_a_uniform_threefold_frame():

@@ -673,8 +673,8 @@ def general_range_failure(frame, prule, rule, theta):
     RANGE_TOL, from the whole sparse product; None when none does."""
     target = prule.canonical_images
     residual = rule.canonical_images @ frame.coefficient_rows().T - target
-    scale = np.maximum(column_norms(target, theta, 0), 1.0)
-    bad = np.flatnonzero(column_norms(residual, theta, 0) > RANGE_TOL * scale)
+    scale = np.maximum(column_norms(target, theta, (0,))[0], 1.0)
+    bad = np.flatnonzero(column_norms(residual, theta, (0,))[0] > RANGE_TOL * scale)
     return int(bad[0]) + 1 if bad.size else None
 
 
