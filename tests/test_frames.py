@@ -172,7 +172,7 @@ def test_analytic_rejects_dense_form():
     # a dense frame has no reader tables: the analytic route refuses it
     w = power_grading(2, 4)
     with pytest.raises(FrameFormError, match="need a coordinate frame"):
-        frame_bounds_analytic(DenseFrame(np.eye(4)), w, 1, w, 0, 1)
+        frame_bounds_analytic(DenseFrame(np.eye(4)), w, 0, w, 0, 1)
     assert not hasattr(DenseFrame(np.eye(4)), "reader_hypot")
 
 
