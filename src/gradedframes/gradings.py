@@ -38,6 +38,11 @@ class TruncationError(ValueError):
     """Coordinate beyond the truncation bound."""
 
 
+# a sum of p-th powers at or above this lost at most 2^-150 of itself to
+# terms that underflowed into subnormals
+_LP_FLOOR = math.ldexp(1.0, -900)
+
+
 def _fsum(terms: np.ndarray) -> float:
     return math.fsum(terms.tolist())
 
@@ -366,5 +371,13 @@ def lp_norm(v: GradedVector, p: float) -> float:
         raise ValueError("p out of range, need 1 < p < inf")
     if not v.indices.size:
         return 0.0
-    terms = np.abs(v.values) ** p
-    return _fsum(terms) ** (1.0 / p)
+    moduli = np.abs(v.values)
+    total = _fsum(moduli ** p)
+    # underflow and overflow of |v_j|^p are silent: a sum in range lost
+    # nothing that shows; otherwise power the moduli scaled by the largest
+    if _LP_FLOOR <= total < math.inf:
+        return total ** (1.0 / p)
+    top = moduli.max()
+    if top == 0.0:
+        return 0.0
+    return top * _fsum((moduli / top) ** p) ** (1.0 / p)

@@ -212,6 +212,23 @@ class TestNorms:
         assert lp_norm(f, 3.0) == pytest.approx(2 ** (1 / 3), abs=1e-15)
         assert lp_norm(f, 1.5) == pytest.approx(2 ** (2 / 3), abs=1e-15)
 
+    def test_lp_norm_scale_free(self):
+        # |x|^p once underflowed into subnormals (or overflowed to inf):
+        # lp_norm(3.7844e-107 e1, 3) read above lp_norm(3.7844e-107 e1, 2)
+        for x, p, q in ((3.7844e-107, 1.5, 3.0), (8.68767e-42, 1.5, 7.746),
+                        (1.65216e-157, 1.5, 3.0), (5e-324, 1.01, 16.0)):
+            f = vec((1, x))
+            lq, l2, lp = lp_norm(f, q), lp_norm(f, 2.0), lp_norm(f, p)
+            assert lq <= l2 * (1 + 1e-12) and l2 <= lp * (1 + 1e-12)
+            assert lq == x
+        assert lp_norm(vec((1, 1.1754943508222875e-38)), 8.375) == 1.1754943508222875e-38
+        assert lp_norm(vec((3, 1e-107), (7, -1e-107)), 3.0) == pytest.approx(
+            2 ** (1 / 3) * 1e-107, rel=1e-15)
+        assert lp_norm(vec((1, 0.0), (2, 0.0)), 3.0) == 0.0
+        with np.errstate(over="ignore"):
+            assert lp_norm(vec((1, 1e300), (2, 1e300)), 2.0) == pytest.approx(
+                math.sqrt(2) * 1e300, rel=1e-15)
+
     def test_lp_norm_range_check(self):
         f = vec((1, 1.0))
         for bad in (1.0, 0.5, math.inf):
