@@ -63,7 +63,7 @@ def _sum_repeats(key: np.ndarray, vals: np.ndarray) -> tuple:
     """Sorted distinct keys with the sums of their values, each taken from
     zero in the given order; strictly increasing keys and their values pass
     through unchanged."""
-    if key.size < 2 or np.all(key[1:] > key[:-1]):
+    if key.size < 2 or (key[1:] > key[:-1]).all():
         return key, vals
     # a stable sort keeps the given order within every key
     order = np.argsort(key, kind="stable")
@@ -125,7 +125,7 @@ class Compressed:
         row; the entries of one row keep their given order."""
         rows = np.asarray(rows, dtype=np.int64)
         cols, vals = np.asarray(cols), np.asarray(vals)
-        if rows.size > 1 and np.any(rows[1:] < rows[:-1]):
+        if rows.size > 1 and (rows[1:] < rows[:-1]).any():
             order = np.argsort(rows, kind="stable")
             rows, cols, vals = rows[order], cols[order], vals[order]
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)

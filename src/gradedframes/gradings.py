@@ -12,8 +12,8 @@ The level-s norm of a finitely supported vector v is
 sqrt(sum_j |v_j|^2 * w_s(j)^2); a DualWeighting only marks that the dual
 norm replaces w by 1/w, and both norms share one body.  A level that is not
 an integer in [0, S] is refused, by weights(level) as by weight_values.
-All sums are accumulated with math.fsum, so truncated prefix norms compare
-exactly against full norms.
+Every sum is correctly rounded (math.fsum's; see _segment_sums), so
+truncated prefix norms compare exactly against full norms.
 """
 
 from __future__ import annotations
@@ -50,9 +50,10 @@ def _fsum(terms: np.ndarray) -> float:
 def _coordinates(indices) -> np.ndarray:
     """indices as int64, a non-integer refused by name, not truncated."""
     idx = np.asarray(indices)
-    whole = idx.dtype.kind not in "fc" or np.isfinite(idx) & (idx == np.floor(idx.real))
-    if not np.all(whole):
-        raise ValueError("non-integer coordinate %s" % idx.ravel()[np.argmin(whole)])
+    if idx.dtype.kind in "fc":
+        whole = np.isfinite(idx) & (idx == np.floor(idx.real))
+        if not whole.all():
+            raise ValueError("non-integer coordinate %s" % idx.ravel()[np.argmin(whole)])
     return idx.astype(np.int64, copy=False)
 
 
@@ -75,16 +76,14 @@ class GradedVector:
             raise ValueError("indices and values must be 1-d and of equal length")
         if idx.size and idx.min() < 1:
             raise ValueError("coordinates are 1-based")
-        # strictly increasing input is already sorted and duplicate-free
-        unsorted = idx.size > 1 and not np.all(idx[1:] > idx[:-1])
-        if unsorted and idx.size != np.unique(idx).size:
-            raise ValueError("duplicate coordinate")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("entries must be finite")
-        if unsorted:
+        # strictly increasing input is sorted and duplicate-free; else sort it
+        if idx.size > 1 and not (idx[1:] > idx[:-1]).all():
             order = np.argsort(idx)
-            idx = idx[order]
-            val = val[order]
+            idx, val = idx[order], val[order]
+            if (idx[1:] == idx[:-1]).any():
+                raise ValueError("duplicate coordinate")
+        if not np.isfinite(val).all():
+            raise ValueError("entries must be finite")
         idx.setflags(write=False)
         val.setflags(write=False)
         object.__setattr__(self, "indices", idx)
@@ -323,7 +322,7 @@ def stack_columns(vectors: Sequence[GradedVector], rows: int) -> Compressed:
     vectors[i].  Every support must lie within rows."""
     indptr = np.cumsum([0] + [f.indices.size for f in vectors])
     indices = np.concatenate([np.zeros(0, dtype=np.int64)]
-                             + [f.indices - 1 for f in vectors])
+                             + [f.indices for f in vectors]) - 1
     data = np.concatenate([np.zeros(0, dtype=np.complex128)]
                           + [f.values for f in vectors])
     return Compressed(indptr, indices, data, (len(vectors), rows))
@@ -333,8 +332,9 @@ def column_norms(mat: Compressed, grading, levels: Sequence[int]) -> np.ndarray:
     """graded_norm (dual_norm for a DualWeighting) of every column of a
     sparse matrix held by its transpose (column c is row c of mat) without
     duplicate entries, coordinate r + 1 at index r: row i at levels[i].
-    Refusals come as from one call per level, in order; each (level, column)
-    pair sums its own terms with math.fsum, bit for bit graded_norm's."""
+    Refusals come as from one call per level, in order.  Every (level,
+    column) pair's sum is math.fsum's, by _segment_sums, and its np.sqrt
+    math.sqrt's: bit for bit graded_norm's."""
     dual = isinstance(grading, DualWeighting)
     base = grading.base if dual else grading
     levels = list(levels)
@@ -351,13 +351,41 @@ def column_norms(mat: Compressed, grading, levels: Sequence[int]) -> np.ndarray:
         base._check_level(level)
     idx = mat.indices + 1
     w = np.array([base._formula(level, idx) for level in levels])
-    terms = _terms(np.abs(mat.data), w, dual).ravel().tolist()
-    # level i's terms start at i * nnz: one segment per (level, column)
-    offsets = np.arange(len(levels))[:, None] * mat.indices.size
-    lo = (offsets + mat.indptr[:-1]).ravel().tolist()
-    hi = (offsets + mat.indptr[1:]).ravel().tolist()
-    norms = [math.sqrt(math.fsum(terms[a:b])) for a, b in zip(lo, hi)]
-    return np.array(norms, dtype=float).reshape(len(levels), mat.indptr.size - 1)
+    terms = _terms(np.abs(mat.data), w, dual).ravel()
+    # level i's terms follow level i - 1's: one segment per (level, column)
+    sums = _segment_sums(terms, np.tile(np.diff(mat.indptr), len(levels)))
+    return np.sqrt(sums).reshape(len(levels), mat.indptr.size - 1)
+
+
+def _segment_sums(terms: np.ndarray, counts: np.ndarray,
+                  acc=np.longdouble) -> np.ndarray:
+    """math.fsum of each back-to-back segment of counts[i] terms >= 0, bit
+    for bit, from one np.add.reduceat in acc.  A sum S of k >= 1 doubles in
+    any order is within (k-1)(eps/2) S (1 + O(k eps)) of the exact sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2;
+    no partial sum under- or overflows long double), so within e = (k+1)
+    eps S; r = double(S) is the correctly rounded sum when, with delta =
+    S - r exact, delta + e and e - delta are below half the gaps up and down
+    from r (exact in double, or 0 for the least gap), compared in acc.
+    Every other sum (empty, non-finite, overflowing, r the largest double,
+    near a tie) goes to math.fsum, as almost every multi-term one does where
+    long double is double (MSVC, Apple arm64)."""
+    sums = np.zeros(counts.size)
+    full = np.flatnonzero(counts)
+    starts = np.cumsum(counts) - counts
+    big = np.add.reduceat(terms.astype(acc), starts[full])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = big.astype(float)
+        delta = big - r
+        e = big * ((counts[full] + 1) * float(np.finfo(acc).eps))
+        up = (np.nextafter(r, np.inf) - r) / 2
+        down = (r - np.nextafter(r, -np.inf)) / 2
+        keep = (r < np.finfo(float).max) & (e < up - delta) & (e < down + delta)
+    sums[full[keep]] = r[keep]
+    rest = full[~keep]
+    for i, a, k in zip(rest.tolist(), starts[rest].tolist(), counts[rest].tolist()):
+        sums[i] = math.fsum(terms[a:a + k].tolist())
+    return sums
 
 
 def dual_norm(v: GradedVector, weighting: DualWeighting, level: int) -> float:

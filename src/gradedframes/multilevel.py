@@ -314,14 +314,19 @@ def _tail_positions(n: int):
     return pos if len(pos) == 3 else [n - 3, n - 2, n - 1]
 
 
-def _tail_slope(js, vs):
-    """(certified, slope) of three tail points (js, vs): their log-log
-    slopes must agree pairwise within SLOPE_AGREE."""
+def _log_spacings(js) -> tuple:
+    return math.log(js[1] / js[0]), math.log(js[2] / js[1]), math.log(js[2] / js[0])
+
+
+def _tail_slope(logs, vs):
+    """(certified, slope) of three tail points, _log_spacings of their
+    coordinates and values vs: the log-log slopes must agree pairwise within
+    SLOPE_AGREE."""
     if any(v <= 0 for v in vs):
         return False, 0.0
-    s01 = math.log(vs[1] / vs[0]) / math.log(js[1] / js[0])
-    s12 = math.log(vs[2] / vs[1]) / math.log(js[2] / js[1])
-    s02 = math.log(vs[2] / vs[0]) / math.log(js[2] / js[0])
+    s01 = math.log(vs[1] / vs[0]) / logs[0]
+    s12 = math.log(vs[2] / vs[1]) / logs[1]
+    s02 = math.log(vs[2] / vs[0]) / logs[2]
     if max(s01, s12, s02) - min(s01, s12, s02) > SLOPE_AGREE:
         return False, 0.0
     return True, s02
@@ -335,7 +340,7 @@ def certified_power_profile(indices: np.ndarray, values: np.ndarray):
     pos = _tail_positions(indices.size)
     if pos is None:
         return False, 0.0
-    return _tail_slope(indices[pos].astype(float), values[pos])
+    return _tail_slope(_log_spacings(indices[pos].astype(float)), values[pos])
 
 
 def _parity_classes(count: int):
@@ -355,8 +360,8 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
     family per candidate.  Uncertifiable tails yield Undetermined.
 
     A candidate reads only each parity class's tail points and witness head
-    (first four members), with X weights built once per call; the admitted
-    candidate alone forms its whole ratio sequence.
+    (first four members), with X weights and tail log spacings taken once
+    per call; the admitted candidate alone forms its whole ratio sequence.
     """
     budget = theta_grading.levels
     if n_max is None:
@@ -366,11 +371,12 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
     if n_max > x_grading.levels:
         raise LevelError("candidate bound %d beyond X level budget %d"
                          % (n_max, x_grading.levels))
-    classes = []     # (head coordinates, tail coordinates or None)
+    classes = []     # (head coordinates, tail coordinates or None, their logs)
     for cls in _parity_classes(frame.truncation):
         pos = _tail_positions(cls.size)
-        classes.append((cls[:4].tolist(), None if pos is None else cls[pos].tolist()))
-    coords = [j for head, tail in classes for j in head + (tail or [])]
+        tail = None if pos is None else cls[pos].tolist()
+        classes.append((cls[:4].tolist(), tail, tail and _log_spacings(tail)))
+    coords = [j for head, tail, _ in classes for j in head + (tail or [])]
     read = np.array(coords)
     rows = {}        # candidate n -> X weights at `read`, built on first use
     certificates = []
@@ -383,9 +389,9 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
                 rows[n] = x_grading.weight_values(n, read)
             ratio = dict(zip(coords, (size_read / rows[n]).tolist()))
             slopes = []
-            for head, tail in classes:
+            for head, tail, logs in classes:
                 certified, slope = (False, 0.0) if tail is None else _tail_slope(
-                    tail, [ratio[j] for j in tail])
+                    logs, [ratio[j] for j in tail])
                 if not certified:
                     return StrictnessVerdict(
                         "Undetermined", n_max=n_max,

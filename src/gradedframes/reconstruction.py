@@ -88,7 +88,7 @@ class SequenceOperator:
             d = np.array(_real(d, "divisor"))
             if d.shape != (num.shape[0],):
                 raise ValueError("divisor must have length %d" % num.shape[0])
-            if np.any(d == 0):
+            if (d == 0).any():
                 raise ValueError("zero divisor")
             d.setflags(write=False)
         for arr in (num.data, num.indices, num.indptr):
@@ -130,7 +130,7 @@ class SequenceOperator:
         """Start of every nonempty row when no input feeds two outputs, so
         that the rows are orthogonal; None otherwise."""
         num = self.numerator
-        if np.any(np.bincount(num.indices, minlength=self.in_dim) > 1):
+        if (np.bincount(num.indices, minlength=self.in_dim) > 1).any():
             return None
         return num.indptr[:-1][np.diff(num.indptr) > 0]
 
@@ -329,7 +329,7 @@ def _detect_rule(dual: DualSystem) -> SequenceOperator:
     n = dual.truncation
     mat = dual.matrix.eliminate_zeros()
     counts = np.diff(mat.indptr)
-    if m % n == 0 and np.all(counts <= 1) and np.all(mat.data.imag == 0):
+    if m % n == 0 and (counts <= 1).all() and (mat.data.imag == 0).all():
         # one entry per nonempty column, so rows and cols align entrywise
         owner = np.arange(m) // (m // n)
         cols = np.flatnonzero(counts)
@@ -648,7 +648,7 @@ def _residuals(v: GradedVector, col, row, data, count: int) -> Compressed:
     own = (np.arange(count)[:, None] * width + (v.indices - 1)).ravel()
     keys, a, b = union_values(own, np.tile(v.values, count), col * width + row, data)
     diff = a - b
-    if not (np.all(np.isfinite(data)) and np.all(np.isfinite(diff))):
+    if not (np.isfinite(data).all() and np.isfinite(diff).all()):
         raise ValueError("entries must be finite")
     col, row = np.divmod(keys, width)
     return Compressed.from_triplets(col, row, diff, (count, width))
@@ -673,9 +673,14 @@ def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
     level-by-column arrays.  A grid point covering the support has a tail
     of stored zeros only, bound 0 (NaN, which fails, when c_k is inf), so a
     passing row has it at most the floor; zero_from is the first such point.
+    With no samples the levels are refused as a one-sample call refuses them.
     """
     exact = rule.divisor is not None
     given = _given_grid(n_grid, limit)
+    if not samples:
+        empty = stack_columns([], 1)
+        column_norms(empty, out_grading, out_levels)
+        column_norms(empty, tail_grading, range(len(consts)))
     consts = np.asarray(consts, dtype=float)[:, None]
     rows = []
     for pos, v in enumerate(samples):
@@ -690,7 +695,7 @@ def _verify_tails(samples: Sequence[GradedVector], rule: SequenceOperator,
             stack_columns([v], max(v.max_index, 1)), out_grading, out_levels), 1.0)
         r = column_norms(residuals, out_grading, out_levels)
         b = consts * column_norms(tails, tail_grading, range(len(consts)))
-        ok = np.all(r <= np.maximum(b * (1 + 1e-12), floor), axis=1)
+        ok = (r <= np.maximum(b * (1 + 1e-12), floor)).all(axis=1)
         r, b = r[:, back], b[:, back]
         vanish = covered & (r <= floor)
         first = np.where(vanish.any(axis=1), vanish.argmax(axis=1), -1)

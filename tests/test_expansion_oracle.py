@@ -358,6 +358,26 @@ def test_empty_grid_is_refused(verify):
         verify(frame, op, x, theta, plan, samples(), ())
 
 
+@pytest.mark.parametrize("lower,want", [
+    ((0, 0, 9), "level 9 out of range [0, 3]"),
+    # X levels in range: the tails' Θ levels refuse next
+    ((0, 0, 1), "level 1 out of range [0, 0]"),
+])
+@pytest.mark.parametrize("rule_name", ["average", "average-matrix"])
+def test_no_samples_refuse_levels_as_one_sample_does(lower, want, rule_name):
+    # with no samples the plan is still checked against the gradings
+    frame = DiagonalFrame(np.ones(6))
+    x = WeightGrading("power", 3, 6)
+    theta = WeightGrading("power", 0, 6)
+    op = synthesis_from_rule(rules_for(frame)[rule_name], x, theta,
+                             IndexPlan.shifted(0, 0))
+    plan = IndexPlan(lower, (0, 0, 9), (1.0,) * 3, (1.0,) * 3)
+    none = outcome(lambda: verify_expansion(frame, op, x, theta, plan, []))
+    one = outcome(lambda: verify_expansion(frame, op, x, theta, plan,
+                                           [GradedVector([2], [1.0])]))
+    assert none == one == ("error", "LevelError", want)
+
+
 def test_samples_beyond_the_frame_are_refused_as_before():
     frame = FRAMES["diag-dyadic"]
     x, theta = setting(frame)

@@ -1,11 +1,13 @@
 """Norm and weight-family behaviour, pinned against hand-evaluated values."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gradedframes import gradings
 from gradedframes.gradings import (
     DualWeighting,
     GradedVector,
@@ -193,6 +195,45 @@ class TestGradedVector:
         # whole floats are coordinates; integers keep their dtype check only
         assert GradedVector(np.array([2.0, 5.0]), [1.0, 2.0]) == vec((2, 1.0), (5, 2.0))
         assert GradedVector([], []).indices.dtype == np.int64
+
+    def test_refusals_on_doubly_invalid_input_pinned(self):
+        # the first of: non-integer coordinate, shape, 1-based, duplicate,
+        # non-finite entry
+        nan, inf = float("nan"), float("inf")
+        shape = "indices and values must be 1-d and of equal length"
+        for idx, val, message in (
+                ([1.5, 2], [1.0], "non-integer coordinate 1.5"),
+                ([2.0, nan, 2.0], [1.0, 2.0, 3.0], "non-integer coordinate nan"),
+                ([1 + 1j, 1 + 1j], [1.0, 1.0], "non-integer coordinate (1+1j)"),
+                ([[1, 2]], [[1.0, 2.0]], shape),
+                ([0, 1], [1.0], shape),
+                ([2, 2], [1.0], shape),
+                ([], [1.0], shape),
+                ([3, 0, 3], [1.0, 2.0, 3.0], "coordinates are 1-based"),
+                ([-1, -1], [1.0, 1.0], "coordinates are 1-based"),
+                ([0], [nan], "coordinates are 1-based"),
+                ([2, 2], [nan, 1.0], "duplicate coordinate"),
+                ([5, 2, 5], [1.0, inf, 1.0], "duplicate coordinate"),
+                (np.array([4.0, 1.0, 4.0]), [1.0, 2.0, 3.0], "duplicate coordinate"),
+                (np.array([4, 1, 4], dtype=np.int32), [1.0, nan, 3.0],
+                 "duplicate coordinate"),
+                ([3, 1], [1.0, inf], "entries must be finite")):
+            assert first_refusal(lambda: GradedVector(idx, val)) == (ValueError,
+                                                                     message)
+
+    @pytest.mark.parametrize("idx", ([9, 2, 5], np.array([9, 2, 5], dtype=np.int32),
+                                     np.array([2.0, 5.0, 9.0]), np.array([2, 5, 9]),
+                                     range(2, 10, 3)))
+    def test_stored_arrays_sorted_private_and_read_only(self, idx):
+        val = np.array([3.0, 1.0, -2j]) if len(idx) == 3 else [1.0] * len(idx)
+        a = GradedVector(idx, val)
+        assert a.indices.dtype == np.int64 and a.values.dtype == np.complex128
+        assert (a.indices[1:] > a.indices[:-1]).all()
+        assert not a.indices.flags.writeable and not a.values.flags.writeable
+        assert not np.shares_memory(a.indices, idx)
+        assert not np.shares_memory(a.values, val)
+        pairs = dict(zip(np.asarray(idx).tolist(), np.asarray(val).tolist()))
+        assert [pairs[j] for j in a.indices.tolist()] == a.values.tolist()
 
 
 class TestNorms:
@@ -446,3 +487,162 @@ class TestColumnNorms:
         assert first_refusal(lambda: column_norms(mat, short, [5, 1])) == (
             LevelError, "level 5 out of range [0, 3]")
         assert column_norms(mat, short, []).shape == (0, 2)
+
+
+@contextlib.contextmanager
+def fsum_calls():
+    """The lengths of the math.fsum calls made within the block."""
+    fsum, calls = math.fsum, []
+    gradings.math.fsum = lambda xs: calls.append(len(xs)) or fsum(xs)
+    try:
+        yield calls
+    finally:
+        gradings.math.fsum = fsum
+
+
+def fsum_outcome(terms):
+    try:
+        return math.fsum(terms)
+    except OverflowError as err:
+        return OverflowError, str(err)
+
+
+def segment_sums_outcome(terms, counts, *acc):
+    try:
+        return gradings._segment_sums(np.array(terms, dtype=float),
+                                      np.array(counts, dtype=np.int64),
+                                      *acc).tolist()
+    except OverflowError as err:
+        return OverflowError, str(err)
+
+
+def fsum_segments(segments):
+    """Per-segment math.fsum, or the first OverflowError it raises."""
+    out = []
+    for seg in segments:
+        got = fsum_outcome(seg)
+        if isinstance(got, tuple):
+            return got
+        out.append(got)
+    return out
+
+
+# nonnegative doubles of every binade, subnormals and zero included
+wide_terms = st.one_of(
+    st.builds(math.ldexp, st.integers(0, 2 ** 53), st.integers(-1126, 970)),
+    st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+    st.sampled_from((0.0, 5e-324, 2.2250738585072014e-308, 1.0)))
+
+
+@st.composite
+def near_ties(draw):
+    """1 + k 2^-53 (a tie whenever k is odd) in pieces, with an optional
+    term far below the long-double resolution that decides the tie."""
+    k = draw(st.integers(0, 15))
+    seg = [1.0] + [math.ldexp(1.0, -53)] * k + draw(
+        st.lists(st.sampled_from((math.ldexp(1.0, -120), math.ldexp(1.0, -1074),
+                                  math.ldexp(3.0, -54))), max_size=1))
+    return draw(st.permutations(seg))
+
+
+segment_lists = st.lists(st.one_of(st.lists(wide_terms, max_size=16), near_ties()),
+                         max_size=12)
+
+
+@st.composite
+def wide_vectors(draw):
+    """Up to 16 entries whose squares span subnormals to overflow, or
+    1 + k 2^-54 with an optional 2^-120 from powers of two, exactly."""
+    if draw(st.booleans()):
+        vals = draw(st.lists(st.builds(math.ldexp, st.integers(1, 2 ** 26),
+                                       st.integers(-560, 485)), max_size=16))
+    else:
+        vals = [1.0] + [math.ldexp(1.0, -27)] * draw(st.integers(0, 14)) \
+            + draw(st.lists(st.just(math.ldexp(1.0, -60)), max_size=1))
+    return GradedVector(draw(st.permutations(range(1, len(vals) + 1))), vals)
+
+
+class TestCertifiedSums:
+    """column_norms sums in long double and keeps a rounded sum only under
+    its error-bound certificate; everything else goes to math.fsum."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(wide_vectors(), max_size=5), st.sampled_from((POWER, POWER.dual())),
+           st.lists(st.integers(0, 3), max_size=3))
+    def test_column_norms_match_fsum_bit_for_bit(self, vectors, grading, levels):
+        mat = stack_columns(vectors, 64)
+        with np.errstate(over="ignore"):
+            try:
+                want = norm_rows(vectors, grading, levels)
+            except OverflowError as err:
+                want = OverflowError, str(err)
+            try:
+                got = column_norms(mat, grading, levels).tolist()
+            except OverflowError as err:
+                got = OverflowError, str(err)
+        assert got == want
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(segment_lists)
+    @example([[1.0, math.ldexp(1.0, -53)], [], [1.0, math.ldexp(1.0, -53),
+                                                math.ldexp(1.0, -120)]])
+    @example([[2.0 ** 1023, 2.0 ** 1023], [1.0]])
+    def test_segment_sums_match_fsum_bit_for_bit(self, segments):
+        terms = [t for seg in segments for t in seg]
+        counts = [len(seg) for seg in segments]
+        assert segment_sums_outcome(terms, counts) == fsum_segments(segments)
+
+    def test_non_finite_and_overflowing_sums_pinned(self):
+        top = np.finfo(float).max
+        inf, nan = float("inf"), float("nan")
+        sums = segment_sums_outcome([inf, 1.0, nan, 1.0, inf, nan, 2.0],
+                                    [2, 2, 2, 0, 1])
+        assert sums[0] == inf and sums[3:] == [0.0, 2.0]
+        assert math.isnan(sums[1]) and math.isnan(sums[2])
+        # a sum up to half an ulp above the largest double rounds to it and
+        # passes; from the tie on, fsum refuses it
+        assert segment_sums_outcome([top, math.ldexp(1.0, 969)], [2]) == [top]
+        assert segment_sums_outcome([top / 2, top / 2], [2]) == [top]
+        with pytest.raises(OverflowError):
+            math.fsum([top, math.ldexp(1.0, 970)])
+        assert segment_sums_outcome([1.0, top, math.ldexp(1.0, 970)], [1, 2]) \
+            == fsum_outcome([top, math.ldexp(1.0, 970)])
+        # in column_norms: a square that overflows is inf, a finite sum of
+        # squares that overflows raises as graded_norm does
+        with np.errstate(over="ignore"):
+            assert column_norms(stack_columns([vec((1, 1e200))], 2), POWER,
+                                [0]).tolist() == [[inf]]
+        v = vec((1, 1e154), (2, 1e154))
+        with pytest.raises(OverflowError) as want:
+            graded_norm(v, POWER, 0)
+        with pytest.raises(OverflowError) as got:
+            column_norms(stack_columns([v], 2), POWER, [0])
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(segment_lists)
+    def test_double_accumulator_falls_back_and_stays_exact(self, segments):
+        # with a plain-double accumulator (eps 2^-52), as where long double
+        # is double, the certificate cannot pass a sum that rounded, so
+        # every multi-term segment goes to math.fsum and the sums stay exact
+        terms = [t for seg in segments for t in seg]
+        counts = [len(seg) for seg in segments]
+        want = fsum_segments(segments)
+        with fsum_calls() as calls:
+            got = segment_sums_outcome(terms, counts, np.float64)
+        assert got == want
+        if not isinstance(want, tuple):
+            assert len([c for c in calls if c > 1]) == len([c for c in counts if c > 1])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0 ** -52,
+                        reason="long double is plain double here")
+    def test_long_double_certifies_ordinary_sums(self):
+        # a 16-term sum lands within the certificate's margin of a tie about
+        # once in 60 draws; the rest need no fsum
+        rng = np.random.default_rng(7)
+        vectors = [GradedVector(np.arange(1, 17), rng.standard_normal(16))
+                   for _ in range(32)]
+        with fsum_calls() as calls:
+            got = column_norms(stack_columns(vectors, 64), POWER, range(5))
+        assert len(calls) < 16
+        assert got.tolist() == norm_rows(vectors, POWER, range(5))
