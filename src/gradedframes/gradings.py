@@ -13,7 +13,10 @@ sqrt(sum_j |v_j|^2 * w_s(j)^2); a DualWeighting only marks that the dual
 norm replaces w by 1/w, and both norms share one body.  A level that is not
 an integer in [0, S] is refused, by weights(level) as by weight_values.
 Every sum is correctly rounded (math.fsum's; see _segment_sums), so
-truncated prefix norms compare exactly against full norms.
+truncated prefix norms compare exactly against full norms.  A norm whose
+terms would overflow or whose sum underflows is taken again with powers of
+two taken out (Blue, ACM TOMS 4(1), 1978; Anderson, ACM TOMS 44(1), 2017),
+and one above the largest double is refused with NormOverflowError.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .compressed import Compressed, union_values
+from .compressed import Compressed, runs, union_values
 
 KINDS = ("power", "shifted_power", "exponential")
 
@@ -38,9 +41,28 @@ class TruncationError(ValueError):
     """Coordinate beyond the truncation bound."""
 
 
-# a sum of p-th powers at or above this lost at most 2^-150 of itself to
-# terms that underflowed into subnormals
-_LP_FLOOR = math.ldexp(1.0, -900)
+class NormOverflowError(ValueError):
+    """Norm whose true value lies above the largest double."""
+
+
+# a sum of fewer than 2^54 squares or p-th powers at or above this lost
+# at most 2^-120 of itself to terms that underflowed into subnormals
+_FLOOR = math.ldexp(1.0, -900)
+# products below this square to terms whose sum stays finite for any
+# support that fits in memory (fewer than 2^58 entries)
+_CEIL = math.ldexp(1.0, 480)
+# a sum of p-th powers below this stays finite, rounding included
+_LP_CEIL = math.ldexp(1.0, 1023)
+# the exponent a zero entry takes in _scaled_terms: below every other one
+_NO_EXPONENT = -8192
+# np.abs rounds a complex entry's modulus below the smallest normal double
+# to a multiple of 2^-1074, which a weight would magnify; times 2^_LIFT it
+# is normal, and rounded to 53 bits
+_TINY = math.ldexp(1.0, -1022)
+_LIFT = 600
+# frexp's exponent of the doubles below 2^1024
+_MAX_EXPONENT = 1024
+_OVERFLOW = "norm exceeds the largest double"
 
 
 def _fsum(terms: np.ndarray) -> float:
@@ -61,10 +83,11 @@ class GradedVector:
     """Finitely supported sequence with 1-based integer coordinates.
 
     Entries are complex and immutable after construction.  Explicitly stored
-    zeros are kept; use trim() to drop them.
+    zeros are kept; use trim() to drop them.  The moduli |values| and
+    their largest entry are kept from the first norm on.
     """
 
-    __slots__ = ("indices", "values")
+    __slots__ = ("indices", "values", "_abs")
 
     def __init__(self, indices: Iterable[int], values: Iterable[complex]):
         # private copies: the caller may still write to the arrays it passed
@@ -88,6 +111,7 @@ class GradedVector:
         val.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
+        object.__setattr__(self, "_abs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedVector is immutable")
@@ -271,17 +295,22 @@ class WeightGrading:
         """Full weight table over j = 1..truncation (read-only, cached); a
         level that is not an integer in [0, levels] is refused."""
         self._check_level(level)
-        return _weight_table(self, int(level))
+        return _weight_table(self, int(level))[1]
 
     def dual(self) -> "DualWeighting":
         return DualWeighting(self)
 
 
 @lru_cache(maxsize=256)
-def _weight_table(grading: WeightGrading, level: int) -> np.ndarray:
-    w = grading.weight_values(level, np.arange(1, grading.truncation + 1))
-    w.setflags(write=False)
-    return w
+def _weight_table(grading: WeightGrading, level: int) -> tuple:
+    """(table, view): table[j] = w_level(j) for j = 1..truncation after a
+    leading 1.0, so 1-based coordinates index it directly; view = table[1:],
+    the one array weights(level) returns.  Both read-only."""
+    table = np.empty(grading.truncation + 1)
+    table[0] = 1.0
+    table[1:] = grading.weight_values(level, np.arange(1, grading.truncation + 1))
+    table.setflags(write=False)
+    return table, table[1:]
 
 
 @dataclass(frozen=True)
@@ -295,20 +324,98 @@ class DualWeighting:
         return self.base
 
 
-def _terms(moduli: np.ndarray, w: np.ndarray, dual: bool) -> np.ndarray:
-    """Squared weighted moduli, (|v| w)^2, or (|v| / w)^2 when dual."""
-    return ((moduli / w) if dual else (moduli * w)) ** 2
+def _moduli(v: GradedVector) -> tuple:
+    """|v| (read-only), its largest entry and whether no entry is _rounded,
+    of a nonempty v, kept by v from the first call on; a modulus above the
+    largest double is refused."""
+    held = v._abs
+    if held is None:
+        moduli = np.abs(v.values)
+        lst = moduli.tolist()
+        top = max(lst)
+        if top == math.inf:
+            raise NormOverflowError(_OVERFLOW)
+        moduli.setflags(write=False)
+        exact = min(lst) >= _TINY or not _rounded(v.values, moduli).any()
+        held = moduli, top, exact
+        object.__setattr__(v, "_abs", held)
+    return held
+
+
+def _rounded(values: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Complex entries, both parts nonzero, whose modulus np.abs rounded to
+    a multiple of 2^-1074."""
+    return (moduli < _TINY) & (values.real != 0.0) & (values.imag != 0.0)
+
+
+def _products(moduli: np.ndarray, w: np.ndarray, dual: bool) -> np.ndarray:
+    """Weighted moduli, |v| w, or |v| / w when dual."""
+    return (moduli / w) if dual else (moduli * w)
 
 
 def _norm(v: GradedVector, grading: WeightGrading, level: int, dual: bool) -> float:
-    """The body of graded_norm and dual_norm: level, then coordinates."""
-    grading._check_level(level)
+    """The body of graded_norm and dual_norm: level, then coordinates.
+    Weights are >= 1 and nondecreasing in j, so top * w(last) (top when
+    dual) bounds every product: below _CEIL no square overflows, and a sum
+    at or above _FLOOR (or of zero entries) lost nothing to underflow.
+    Anything else, and a vector with a _rounded entry, is summed from
+    _scaled_terms."""
+    # a level not in [0, levels] misses the cache and weight_values
+    # refuses it, before anything else is checked
+    table = _weight_table(grading, level)[0]
     if not v.indices.size:
         return 0.0
     # a GradedVector's coordinates are sorted and >= 1: one check suffices
-    grading._check_coordinate(v.max_index)
-    w = grading._formula(level, v.indices)
-    return math.sqrt(_fsum(_terms(np.abs(v.values), w, dual)))
+    last = v.indices.item(-1)
+    grading._check_coordinate(last)
+    w = table.take(v.indices)
+    moduli, top, exact = _moduli(v)
+    if exact and (top if dual else top * table.item(last)) < _CEIL:
+        total = _fsum(_products(moduli, w, dual) ** 2)
+        if total >= _FLOOR or top == 0.0:
+            return math.sqrt(total)
+    terms, shift = _scaled_terms(moduli, w, dual, None if exact else v.values)
+    root = math.sqrt(_fsum(terms))
+    if math.frexp(root)[1] + shift > _MAX_EXPONENT:
+        raise NormOverflowError(_OVERFLOW)
+    return math.ldexp(root, shift)
+
+
+def _scaled_terms(moduli: np.ndarray, w: np.ndarray, dual: bool,
+                  values=None, starts=None):
+    """The squared products (|v| w)^2 (|v| / w when dual) of one segment,
+    or of the nonempty back-to-back segments that begin at starts, each
+    segment's divided by 4^shift; returns (terms, shift), shift an int or
+    one per segment.  Every modulus and weight splits by frexp into a
+    fraction and a power of two, and the product of fractions, in [1/4,
+    2), goes back by ldexp to its power of two less shift before squaring;
+    where the entries' values are given, a _rounded modulus splits from
+    |2^_LIFT v| instead, its exponent less _LIFT.  shift brings the exponent of the segment's largest product
+    into [-479, 481], and is 0 where it already lies there, as it does
+    wherever _norm's in-range sum is taken (every product below _CEIL, a
+    sum of fewer than 2^58 squares at or above _FLOOR): such terms are
+    _norm's own, and the squares stay below 2^964.  Power-of-two scaling
+    is exact in range: the norm is 2^shift sqrt(correctly rounded sum of
+    the terms), to within the rounding of subnormal terms, at most
+    2^-1075 each against a largest term of at least 2^-962 (Blue's and
+    Anderson's safe scaling)."""
+    mm, em = np.frexp(moduli)
+    if values is not None:
+        lift = np.flatnonzero(_rounded(values, moduli))
+        mm[lift], em[lift] = np.frexp(np.abs(values[lift] * math.ldexp(1.0, _LIFT)))
+        em[lift] -= _LIFT
+    mw, ew = np.frexp(w)
+    frac, exp = (mm / mw, em - ew) if dual else (mm * mw, em + ew)
+    exp[mm == 0.0] = _NO_EXPONENT
+    if starts is None:
+        top = max(exp.tolist())
+        shift = top - min(max(top, -479), 481)
+        exp -= shift
+        return np.ldexp(frac, exp) ** 2, shift
+    top = np.maximum.reduceat(exp, starts)
+    shift = top - np.minimum(np.maximum(top, -479), 481)
+    counts = np.diff(starts, append=exp.size)
+    return np.ldexp(frac, exp - np.repeat(shift, counts)) ** 2, shift
 
 
 def graded_norm(v: GradedVector, grading: WeightGrading, level: int) -> float:
@@ -334,14 +441,20 @@ def column_norms(mat: Compressed, grading, levels: Sequence[int]) -> np.ndarray:
     duplicate entries, coordinate r + 1 at index r: row i at levels[i].
     Refusals come as from one call per level, in order.  Every (level,
     column) pair's sum is math.fsum's, by _segment_sums, and its np.sqrt
-    math.sqrt's: bit for bit graded_norm's."""
+    math.sqrt's.  As in _norm, weights >= 1 and nondecreasing in j and in
+    the level bound every product by the largest modulus times the weight
+    at the largest level and row (the largest modulus when dual); past
+    _CEIL, the pairs with a product at or above it, those whose sum of
+    nonzero entries is below _FLOOR, and the columns with a _rounded entry
+    are summed from _scaled_terms: bit for bit graded_norm's."""
     dual = isinstance(grading, DualWeighting)
     base = grading.base if dual else grading
     levels = list(levels)
     if not levels:
         return np.zeros((0, mat.shape[0]))
     base._check_level(levels[0])
-    if mat.indices.max(initial=-1) >= base.truncation:
+    last = mat.indices.max(initial=-1)
+    if last >= base.truncation:
         beyond = np.flatnonzero(mat.indices >= base.truncation)
         col = int(np.searchsorted(mat.indptr, beyond[0], side="right")) - 1
         rows = mat.indices[mat.indptr[col]:mat.indptr[col + 1]]
@@ -349,12 +462,61 @@ def column_norms(mat: Compressed, grading, levels: Sequence[int]) -> np.ndarray:
                               % (int(rows.max()) + 1, base.truncation))
     for level in levels[1:]:
         base._check_level(level)
-    idx = mat.indices + 1
-    w = np.array([base._formula(level, idx) for level in levels])
-    terms = _terms(np.abs(mat.data), w, dual).ravel()
+    w = np.array([_weight_table(base, level)[1].take(mat.indices)
+                  for level in levels])
+    moduli = np.abs(mat.data)
+    rounded = bool(mat.data.imag.any()) and _rounded(mat.data, moduli).any()
+    bound = moduli.max(initial=0.0).item()
+    if not dual:
+        bound *= _weight_table(base, max(levels))[0].item(last + 1)
+    high = not bound < _CEIL
+    if high:
+        with np.errstate(over="ignore"):
+            prods = _products(moduli, w, dual)
+        big = ~(prods < _CEIL)
+        prods[big] = _CEIL
+    else:
+        prods = _products(moduli, w, dual)
     # level i's terms follow level i - 1's: one segment per (level, column)
-    sums = _segment_sums(terms, np.tile(np.diff(mat.indptr), len(levels)))
-    return np.sqrt(sums).reshape(len(levels), mat.indptr.size - 1)
+    counts = np.diff(mat.indptr)
+    sums = _segment_sums((prods ** 2).ravel(),
+                         counts[None].repeat(len(levels), 0).ravel())
+    out = np.sqrt(sums).reshape(len(levels), counts.size)
+    redo = sums.reshape(out.shape) < _FLOOR
+    low = redo.any()
+    if low:
+        # a zero sum is exact where every entry of the column is zero
+        full = np.flatnonzero(counts)
+        tops = np.zeros(counts.size)
+        tops[full] = np.maximum.reduceat(moduli, mat.indptr[full])
+        redo &= tops > 0.0
+    if high:
+        level, entry = np.nonzero(big)
+        redo[level, np.searchsorted(mat.indptr, entry, side="right") - 1] = True
+    if rounded:
+        entry = np.flatnonzero(_rounded(mat.data, moduli))
+        redo[:, np.searchsorted(mat.indptr, entry, side="right") - 1] = True
+    if low or high or rounded:
+        level, col = np.nonzero(redo)
+        if level.size:
+            out[level, col] = _scaled_columns(mat.indptr, mat.data if rounded else None,
+                                              moduli, w, level, col, dual)
+    return out
+
+
+def _scaled_columns(indptr, values, moduli, w, level, col, dual) -> np.ndarray:
+    """column_norms' values at (level[i], col[i]) from _scaled_terms, all
+    pairs in one batch, values the matrix's data where a modulus is
+    _rounded (else None); a value above the largest double is refused."""
+    k = indptr[col + 1] - indptr[col]
+    pos = runs(indptr[col], k)
+    terms, shift = _scaled_terms(moduli[pos], w[np.repeat(level, k), pos],
+                                 dual, None if values is None else values[pos],
+                                 np.cumsum(k) - k)
+    roots = np.sqrt(_segment_sums(terms, k))
+    if ((roots == np.inf) | (np.frexp(roots)[1] + shift > _MAX_EXPONENT)).any():
+        raise NormOverflowError(_OVERFLOW)
+    return np.ldexp(roots, shift)
 
 
 def _segment_sums(terms: np.ndarray, counts: np.ndarray,
@@ -399,13 +561,20 @@ def lp_norm(v: GradedVector, p: float) -> float:
         raise ValueError("p out of range, need 1 < p < inf")
     if not v.indices.size:
         return 0.0
-    moduli = np.abs(v.values)
-    total = _fsum(moduli ** p)
-    # underflow and overflow of |v_j|^p are silent: a sum in range lost
-    # nothing that shows; otherwise power the moduli scaled by the largest
-    if _LP_FLOOR <= total < math.inf:
-        return total ** (1.0 / p)
-    top = moduli.max()
-    if top == 0.0:
-        return 0.0
-    return top * _fsum((moduli / top) ** p) ** (1.0 / p)
+    moduli, top, _ = _moduli(v)
+    # power the moduli as they are when no power can overflow and the sum
+    # lost nothing to underflow; otherwise power them scaled by the largest,
+    # which also leaves out the rounding of 1 / p that total ** (1 / p)
+    # magnifies by |ln total| / p
+    try:
+        fits = top ** p * v.indices.size < _LP_CEIL
+    except OverflowError:
+        fits = False
+    if fits:
+        total = _fsum(moduli ** p)
+        if total >= _FLOOR or top == 0.0:
+            return total ** (1.0 / p)
+    norm = top * _fsum((moduli / top) ** p) ** (1.0 / p)
+    if norm == math.inf:
+        raise NormOverflowError(_OVERFLOW)
+    return norm

@@ -184,9 +184,13 @@ def _verify_entries(frame: FrameSystem, x_grading: WeightGrading,
     every entry's level and one the X norms at every distinct outer level.
     Within an entry a failing sample is reported before a slack violation.
     """
-    for f in samples:
-        check_support(frame, f)
     stacked = stack_columns(samples, frame.truncation)
+    # one walk over the samples: the first reaching past the truncation is
+    # refused by check_support
+    if stacked.indices.max(initial=-1) >= frame.truncation:
+        beyond = np.flatnonzero(stacked.indices >= frame.truncation)[0]
+        first = int(np.searchsorted(stacked.indptr, beyond, side="right")) - 1
+        check_support(frame, samples[first])
     # both held by their transposes: (U S)^T = S^T U^T
     coefficients = stacked @ frame.coefficient_rows().T
     mids = column_norms(coefficients, theta_grading, [m for m, *_ in entries])

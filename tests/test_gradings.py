@@ -12,6 +12,7 @@ from gradedframes.gradings import (
     DualWeighting,
     GradedVector,
     LevelError,
+    NormOverflowError,
     TruncationError,
     WeightGrading,
     column_norms,
@@ -607,15 +608,19 @@ class TestCertifiedSums:
             math.fsum([top, math.ldexp(1.0, 970)])
         assert segment_sums_outcome([1.0, top, math.ldexp(1.0, 970)], [1, 2]) \
             == fsum_outcome([top, math.ldexp(1.0, 970)])
-        # in column_norms: a square that overflows is inf, a finite sum of
-        # squares that overflows raises as graded_norm does
-        with np.errstate(over="ignore"):
-            assert column_norms(stack_columns([vec((1, 1e200))], 2), POWER,
-                                [0]).tolist() == [[inf]]
+        # in column_norms: a square or a sum of squares that would overflow
+        # is taken scaled, bit for bit as graded_norm takes it
+        assert column_norms(stack_columns([vec((1, 1e200))], 2), POWER,
+                            [0]).tolist() == [[1e200]]
         v = vec((1, 1e154), (2, 1e154))
-        with pytest.raises(OverflowError) as want:
+        want = graded_norm(v, POWER, 0)
+        assert want == pytest.approx(math.sqrt(2) * 1e154, rel=2.3e-16)
+        assert column_norms(stack_columns([v], 2), POWER, [0]).tolist() == [[want]]
+        # a norm above the largest double is refused by both, by name
+        v = vec((1, top), (2, top / 2))
+        with pytest.raises(NormOverflowError) as want:
             graded_norm(v, POWER, 0)
-        with pytest.raises(OverflowError) as got:
+        with pytest.raises(NormOverflowError) as got:
             column_norms(stack_columns([v], 2), POWER, [0])
         assert str(got.value) == str(want.value)
 
