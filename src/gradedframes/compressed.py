@@ -155,6 +155,13 @@ class Compressed:
         """Row of every stored entry."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
+    def first_row_reaching(self, limit: int) -> int | None:
+        """The first row that stores an index >= limit, or None."""
+        if self.indices.max(initial=-1) < limit:
+            return None
+        beyond = np.flatnonzero(self.indices >= limit)[0]
+        return int(np.searchsorted(self.indptr, beyond, side="right")) - 1
+
     def with_data(self, data) -> "Compressed":
         return Compressed(self.indptr, self.indices, data, self.shape)
 

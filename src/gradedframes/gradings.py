@@ -275,21 +275,17 @@ class WeightGrading:
         self._check_coordinate(int(idx.max(initial=0)))
         if idx.size and idx.min() < 1:
             raise ValueError("coordinates are 1-based")
-        return self._formula(level, idx)
-
-    def _check_coordinate(self, top: int):
-        if top > self.truncation:
-            raise TruncationError("coordinate %d beyond truncation %d"
-                                  % (top, self.truncation))
-
-    def _formula(self, level: int, idx: np.ndarray) -> np.ndarray:
-        """weight_values without its checks: level valid, idx in [1, truncation]."""
         if self.kind == "power":
             return idx.astype(float) ** int(level)
         if self.kind == "shifted_power":
             return (self.shift * idx).astype(float) ** int(level)
         a = np.asarray(self.alphas, dtype=float)[idx - 1]
         return np.exp(level * a)
+
+    def _check_coordinate(self, top: int):
+        if top > self.truncation:
+            raise TruncationError("coordinate %d beyond truncation %d"
+                                  % (top, self.truncation))
 
     def weights(self, level: int) -> np.ndarray:
         """Full weight table over j = 1..truncation (read-only, cached); a
@@ -441,22 +437,21 @@ def column_norms(mat: Compressed, grading, levels: Sequence[int]) -> np.ndarray:
     duplicate entries, coordinate r + 1 at index r: row i at levels[i].
     Refusals come as from one call per level, in order.  Every (level,
     column) pair's sum is math.fsum's, by _segment_sums, and its np.sqrt
-    math.sqrt's.  As in _norm, weights >= 1 and nondecreasing in j and in
-    the level bound every product by the largest modulus times the weight
-    at the largest level and row (the largest modulus when dual); past
-    _CEIL, the pairs with a product at or above it, those whose sum of
-    nonzero entries is below _FLOOR, and the columns with a _rounded entry
-    are summed from _scaled_terms: bit for bit graded_norm's."""
+    math.sqrt's.  Products are clamped to _CEIL, so no square or sum
+    overflows; a pair whose sum is at or above _CEIL^2 (it may hold a
+    clamped product), or below _FLOOR with a nonzero entry in its column,
+    and every pair of a column with a _rounded entry, is summed again from
+    _scaled_terms, in one batch.  Any other pair's largest product lies in
+    _scaled_terms' window, where it forms these very terms: every value is
+    graded_norm's, bit for bit."""
     dual = isinstance(grading, DualWeighting)
     base = grading.base if dual else grading
     levels = list(levels)
     if not levels:
         return np.zeros((0, mat.shape[0]))
     base._check_level(levels[0])
-    last = mat.indices.max(initial=-1)
-    if last >= base.truncation:
-        beyond = np.flatnonzero(mat.indices >= base.truncation)
-        col = int(np.searchsorted(mat.indptr, beyond[0], side="right")) - 1
+    col = mat.first_row_reaching(base.truncation)
+    if col is not None:
         rows = mat.indices[mat.indptr[col]:mat.indptr[col + 1]]
         raise TruncationError("coordinate %d beyond truncation %d"
                               % (int(rows.max()) + 1, base.truncation))
@@ -465,58 +460,40 @@ def column_norms(mat: Compressed, grading, levels: Sequence[int]) -> np.ndarray:
     w = np.array([_weight_table(base, level)[1].take(mat.indices)
                   for level in levels])
     moduli = np.abs(mat.data)
-    rounded = bool(mat.data.imag.any()) and _rounded(mat.data, moduli).any()
-    bound = moduli.max(initial=0.0).item()
-    if not dual:
-        bound *= _weight_table(base, max(levels))[0].item(last + 1)
-    high = not bound < _CEIL
-    if high:
-        with np.errstate(over="ignore"):
-            prods = _products(moduli, w, dual)
-        big = ~(prods < _CEIL)
-        prods[big] = _CEIL
-    else:
-        prods = _products(moduli, w, dual)
+    with np.errstate(over="ignore"):
+        prods = np.minimum(_products(moduli, w, dual), _CEIL)
     # level i's terms follow level i - 1's: one segment per (level, column)
     counts = np.diff(mat.indptr)
     sums = _segment_sums((prods ** 2).ravel(),
                          counts[None].repeat(len(levels), 0).ravel())
-    out = np.sqrt(sums).reshape(len(levels), counts.size)
-    redo = sums.reshape(out.shape) < _FLOOR
-    low = redo.any()
-    if low:
+    sums = sums.reshape(len(levels), counts.size)
+    out = np.sqrt(sums)
+    redo = sums >= _CEIL ** 2
+    low = sums < _FLOOR
+    if low.any():
         # a zero sum is exact where every entry of the column is zero
         full = np.flatnonzero(counts)
         tops = np.zeros(counts.size)
         tops[full] = np.maximum.reduceat(moduli, mat.indptr[full])
-        redo &= tops > 0.0
-    if high:
-        level, entry = np.nonzero(big)
-        redo[level, np.searchsorted(mat.indptr, entry, side="right") - 1] = True
-    if rounded:
+        redo |= low & (tops > 0.0)
+    values = None
+    if mat.data.imag.any():
         entry = np.flatnonzero(_rounded(mat.data, moduli))
-        redo[:, np.searchsorted(mat.indptr, entry, side="right") - 1] = True
-    if low or high or rounded:
-        level, col = np.nonzero(redo)
-        if level.size:
-            out[level, col] = _scaled_columns(mat.indptr, mat.data if rounded else None,
-                                              moduli, w, level, col, dual)
+        if entry.size:
+            values = mat.data
+            redo[:, np.searchsorted(mat.indptr, entry, side="right") - 1] = True
+    level, col = np.nonzero(redo)
+    if level.size:
+        k = counts[col]
+        pos = runs(mat.indptr[col], k)
+        terms, shift = _scaled_terms(moduli[pos], w[np.repeat(level, k), pos],
+                                     dual, None if values is None else values[pos],
+                                     np.cumsum(k) - k)
+        roots = np.sqrt(_segment_sums(terms, k))
+        if ((roots == np.inf) | (np.frexp(roots)[1] + shift > _MAX_EXPONENT)).any():
+            raise NormOverflowError(_OVERFLOW)
+        out[level, col] = np.ldexp(roots, shift)
     return out
-
-
-def _scaled_columns(indptr, values, moduli, w, level, col, dual) -> np.ndarray:
-    """column_norms' values at (level[i], col[i]) from _scaled_terms, all
-    pairs in one batch, values the matrix's data where a modulus is
-    _rounded (else None); a value above the largest double is refused."""
-    k = indptr[col + 1] - indptr[col]
-    pos = runs(indptr[col], k)
-    terms, shift = _scaled_terms(moduli[pos], w[np.repeat(level, k), pos],
-                                 dual, None if values is None else values[pos],
-                                 np.cumsum(k) - k)
-    roots = np.sqrt(_segment_sums(terms, k))
-    if ((roots == np.inf) | (np.frexp(roots)[1] + shift > _MAX_EXPONENT)).any():
-        raise NormOverflowError(_OVERFLOW)
-    return np.ldexp(roots, shift)
 
 
 def _segment_sums(terms: np.ndarray, counts: np.ndarray,

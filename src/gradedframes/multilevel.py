@@ -187,9 +187,8 @@ def _verify_entries(frame: FrameSystem, x_grading: WeightGrading,
     stacked = stack_columns(samples, frame.truncation)
     # one walk over the samples: the first reaching past the truncation is
     # refused by check_support
-    if stacked.indices.max(initial=-1) >= frame.truncation:
-        beyond = np.flatnonzero(stacked.indices >= frame.truncation)[0]
-        first = int(np.searchsorted(stacked.indptr, beyond, side="right")) - 1
+    first = stacked.first_row_reaching(frame.truncation)
+    if first is not None:
         check_support(frame, samples[first])
     # both held by their transposes: (U S)^T = S^T U^T
     coefficients = stacked @ frame.coefficient_rows().T

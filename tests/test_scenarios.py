@@ -59,6 +59,21 @@ def test_config_rejects_bad_values(kw):
         ScenarioConfig("exf1", **kw)
 
 
+@pytest.mark.parametrize("name, value", [("truncation", 4096.7), ("r", 2.5),
+                                         ("levels", 8.9), ("n_max", 32.2)])
+def test_config_refuses_non_integer_fields_by_name(name, value):
+    with pytest.raises(ValueError, match="^%s must be an integer, got %r$"
+                                         % (name, value)):
+        ScenarioConfig("exf1", **{name: value})
+
+
+def test_config_stores_integral_floats_as_int():
+    cfg = ScenarioConfig("exf1", truncation=4096.0, r=2.0, levels=8.0, n_max=32.0)
+    assert [type(getattr(cfg, k)) for k in ("truncation", "r", "levels", "n_max")] \
+        == [int] * 4
+    assert cfg.digest() == ScenarioConfig("exf1").digest()
+
+
 def test_config_digest_depends_on_values():
     a = ScenarioConfig("exf1", truncation=64)
     b = ScenarioConfig("exf1", truncation=128)
