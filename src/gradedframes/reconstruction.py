@@ -26,7 +26,7 @@ and dense frames take whole products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Optional, Sequence
 
@@ -133,6 +133,11 @@ class SequenceOperator:
         if (np.bincount(num.indices, minlength=self.in_dim) > 1).any():
             return None
         return num.indptr[:-1][np.diff(num.indptr) > 0]
+
+    @cached_property
+    def _one_nonzero_rows(self) -> bool:
+        """Whether no numerator row stores two nonzero entries."""
+        return bool(np.diff(self._rows[self.numerator.data != 0]).all())
 
     @property
     def in_dim(self) -> int:
@@ -243,6 +248,12 @@ class SequenceOperator:
             # orthogonal rows: the norm is the largest weighted row norm
             cols = self.numerator.indices
             terms = (np.abs(self._values.data) * ow[self._rows]) / iw[cols]
+            if self._one_nonzero_rows:
+                # hypot(0, x) = x; a NaN term (0 * inf) takes the reduceat,
+                # where hypot(NaN, inf) = inf
+                top = np.max(terms, initial=0.0)
+                if not np.isnan(top):
+                    return float(top)
             return float(np.max(np.hypot.reduceat(terms, starts), initial=0.0))
         if max(self.in_dim, self.out_dim) > DENSE_LIMIT:
             raise ValueError("operator too large for dense norm computation")
@@ -302,6 +313,8 @@ class SynthesisOp:
 
     rule: SequenceOperator
     bounds: ContinuityData
+    # (x_grading, theta_grading, plan) when synthesis_from_rule built bounds
+    _built_from: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not all(math.isfinite(c) for c in self.bounds.consts):
@@ -354,7 +367,9 @@ def _bound_table(rule: SequenceOperator, x_grading: WeightGrading,
 
 def synthesis_from_rule(rule: SequenceOperator, x_grading: WeightGrading,
                         theta_grading: WeightGrading, plan: IndexPlan) -> SynthesisOp:
-    return SynthesisOp(rule, _bound_table(rule, x_grading, theta_grading, plan))
+    op = SynthesisOp(rule, _bound_table(rule, x_grading, theta_grading, plan))
+    object.__setattr__(op, "_built_from", (x_grading, theta_grading, plan))
+    return op
 
 
 def build_V_from_dual(dual: DualSystem, x_grading: WeightGrading,
@@ -385,6 +400,8 @@ class ProjectionOp:
     rule: SequenceOperator
     continuity: tuple
     idempotence_defect: float
+    # (frame, row j of P per coordinate j) of projection_from_V's local fold
+    _fold: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.rule.in_dim != self.rule.out_dim:
@@ -483,19 +500,27 @@ def projection_from_V(frame: FrameSystem, op: SynthesisOp,
         prule = SequenceOperator(once[frame.reads], np.ones(m))
         norm_rule = SequenceOperator(once, np.ones(n))
         out_weights = [frame.reader_hypot(theta_grading, k) for k in range(len(weights))]
-        defect = _coordinate_defect(once) if _block_local(frame, once) \
-            else _idempotence_defect(prule)
+        fold = (frame, norm_rule.numerator) if _block_local(frame, once) else None
+        defect = _coordinate_defect(once) if fold else _idempotence_defect(prule)
     else:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large to compose a dense projection")
         g = frame.dense_matrix()
         vmat = rule.canonical_images.toarray().real.T
         prule = norm_rule = SequenceOperator.dense(g @ vmat)
-        out_weights = weights
+        out_weights, fold = weights, None
         defect = _idempotence_defect(prule)
     continuity = tuple(norm_rule.weighted_norm(o, w)
                        for o, w in zip(out_weights, weights))
-    return ProjectionOp(prule, continuity, defect)
+    proj = ProjectionOp(prule, continuity, defect)
+    object.__setattr__(proj, "_fold", fold)
+    return proj
+
+
+def _same_entries(a: Compressed, b: Compressed) -> bool:
+    """Whether a and b store the same rows, columns and values, array for array."""
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("indptr", "indices", "data"))
 
 
 def _rows_per_coordinate(frame: FrameSystem,
@@ -506,10 +531,8 @@ def _rows_per_coordinate(frame: FrameSystem,
         return None
     p = prule._values
     once = p[frame.reader_starts[:-1]]
-    seen = once[frame.reads]
-    same = all(np.array_equal(getattr(seen, a), getattr(p, a))
-               for a in ("indptr", "indices", "data"))
-    return once if same and _block_local(frame, once) else None
+    same = _same_entries(once[frame.reads], p) and _block_local(frame, once)
+    return once if same else None
 
 
 def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
@@ -518,18 +541,27 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
     """Solve analysis(x) = P(d) for x, coordinate by coordinate.
 
     A coordinate frame whose projection gives all readers of a coordinate
-    one row is solved in closed form, row j of V'' being that row over b_j,
-    so U V'' = P holds by construction; otherwise a least-squares solve is
-    checked against P as a whole and column by column.  Every entry of V''
-    must be finite, which is tested first, and V'' must be a left inverse
-    of the analysis map.
+    one row is solved in closed form, row j of V'' being that row over b_j
+    (as projection_from_V kept it when it folded P on this frame, else read
+    back from P), so U V'' = P holds by construction; otherwise a
+    least-squares solve is checked against P as a whole and column by
+    column.  Every entry of V'' must be finite, which is tested first, and
+    V'' must be a left inverse of the analysis map.
     """
+    return synthesis_from_rule(_recovered_rule(frame, proj, theta_grading),
+                               x_grading, theta_grading, plan)
+
+
+def _recovered_rule(frame: FrameSystem, proj: ProjectionOp,
+                    theta_grading: WeightGrading) -> SequenceOperator:
+    """The rule of V'', refused as V_from_projection refuses it."""
     prule = proj.rule
     m = frame.functional_count
     if (prule.in_dim, prule.out_dim) != (m, m):
         raise ValueError("projection maps %d coefficients to %d, the frame has "
                          "%d functionals" % (prule.in_dim, prule.out_dim, m))
-    rows = _rows_per_coordinate(frame, prule)
+    fold = proj._fold
+    rows = fold[1] if fold and fold[0] is frame else _rows_per_coordinate(frame, prule)
     if rows is None:
         if m > DENSE_LIMIT:
             raise ValueError("truncation too large for a dense solve")
@@ -569,7 +601,7 @@ def V_from_projection(frame: FrameSystem, proj: ProjectionOp,
     if j is not None:
         raise ValueError("recovered operator is not a left inverse "
                          "at coordinate %d" % j)
-    return synthesis_from_rule(rule, x_grading, theta_grading, plan)
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -781,11 +813,16 @@ def verify_equivalences(frame: FrameSystem, op: SynthesisOp,
     and must be idempotent; V'' is recovered from P, which V_from_projection
     refuses unless V'' is finite, U V'' = P and V'' is a left inverse.  The
     round trip passes when the per-level bound tables of V and V'' agree
-    within relative tolerance.
+    within relative tolerance.  V's table, built by synthesis_from_rule from
+    these gradings and plan, stands for that of a V'' with V's arrays.
     """
     proj = projection_from_V(frame, op, theta_grading)
-    op2 = V_from_projection(frame, proj, x_grading, theta_grading, plan)
-    ref, got = tables = (op.bounds.consts, op2.bounds.consts)
+    rule = _recovered_rule(frame, proj, theta_grading)
+    same = (op._built_from == (x_grading, theta_grading, plan)
+            and _same_entries(rule.numerator, op.rule.numerator)
+            and np.array_equal(rule.divisor, op.rule.divisor))
+    ref, got = tables = (op.bounds.consts, op.bounds.consts if same else
+                         _bound_table(rule, x_grading, theta_grading, plan).consts)
     notes = tuple("bound table mismatch at level %d" % k
                   for k in range(plan.budget + 1)
                   if abs(got[k] - ref[k]) > BOUND_MATCH_TOL * max(ref[k], 1e-300))

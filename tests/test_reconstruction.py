@@ -27,6 +27,7 @@ from gradedframes.multilevel import (
     verify_pre_f_frame,
     verify_selected_chain,
 )
+from gradedframes import reconstruction
 from gradedframes.reconstruction import (
     DualSystem,
     ProjectionOp,
@@ -195,6 +196,50 @@ def test_orthogonal_rows_of_unequal_length_norm():
     # no column holds two entries, so the norm is the largest row norm
     rule = SequenceOperator(np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]]), np.ones(2))
     assert rule.weighted_norm(np.ones(2), np.ones(3)) == 5.0
+
+
+def hypot_row_norm(rule, ow, iw):
+    """The largest weighted row norm by hypot over each row, as the
+    orthogonal-rows norm reads it whatever the rows store."""
+    terms = (np.abs(rule._values.data) * ow[rule._rows]) / iw[rule.numerator.indices]
+    return float(np.max(np.hypot.reduceat(terms, rule._orthogonal_rows), initial=0.0))
+
+
+# zero and every binade step of 32 from 2^-1074 to 2^1000
+MAGNITUDES = np.append(0.0, np.ldexp(1.0 + np.arange(65) / 67.0,
+                                     np.arange(-1074, 1001, 32)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: SequenceOperator.pair_collapse(0.0, v, np.ones(v.size)),
+    lambda v: SequenceOperator.pair_collapse(-v, 0.0, np.linspace(0.5, 4.0, v.size)),
+    lambda v: SequenceOperator.diagonal(v, np.linspace(1.0, 3.0, v.size)),
+], ids=["pair_collapse_0_1", "pair_collapse_1_0", "diagonal"])
+def test_one_nonzero_rows_take_the_hypot_norm_bit_for_bit(make):
+    # each magnitude in a row of its own, then all of them together
+    for v in [*MAGNITUDES[:, None], MAGNITUDES]:
+        rule = make(v)
+        assert rule._one_nonzero_rows
+        for ow, iw in ((np.ones(rule.out_dim), np.ones(rule.in_dim)),
+                       (np.linspace(0.75, 1.5, rule.out_dim),
+                        np.linspace(1.25, 0.5, rule.in_dim))):
+            got, want = rule.weighted_norm(ow, iw), hypot_row_norm(rule, ow, iw)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_rows_with_two_nonzeros_keep_the_hypot():
+    rule = SequenceOperator.pair_collapse(3.0, 4.0, np.ones(3))
+    assert not rule._one_nonzero_rows
+    assert rule.weighted_norm(np.ones(3), np.ones(6)) == 5.0
+
+
+def test_an_infinite_weight_on_a_stored_zero_reads_as_the_hypot_does():
+    # 0 * inf is NaN, and hypot(NaN, inf) = inf; the largest term would be NaN
+    rule = SequenceOperator.pair_collapse(0.0, 1.0, np.ones(2))
+    ow = np.array([1.0, np.inf])
+    with np.errstate(invalid="ignore"):
+        assert rule.weighted_norm(ow, np.ones(4)) == hypot_row_norm(rule, ow, np.ones(4))
+        assert rule.weighted_norm(ow, np.ones(4)) == np.inf
 
 
 def test_pair_collapse_norm_matches_dense_svd():
@@ -835,6 +880,36 @@ def test_equivalences_flag_a_wrong_bound_table_level():
     assert not report.passed
     assert report.notes == ("bound table mismatch at level 1",)
     assert report.bound_tables == (tuple(consts), op.bounds.consts)
+
+
+def test_equivalences_flag_the_table_of_another_plan():
+    frame, x, theta, plan, op = exf1_setup(16, 2, 2)
+    # V'' = V here, bit for bit, so only the plan can tell the tables apart
+    other = IndexPlan((0, 1, 3), plan.upper_levels, plan.lower_consts,
+                      plan.upper_consts)
+    report = verify_equivalences(frame, op, x, theta, other)
+    assert not report.passed
+    assert report.notes == ("bound table mismatch at level 2",)
+    assert report.bound_tables == (op.bounds.consts,
+                                   synthesis_from_rule(op.rule, x, theta,
+                                                       other).bounds.consts)
+
+
+def test_equivalences_reuse_only_a_table_built_from_their_inputs(monkeypatch):
+    frame, x, theta, plan, op = exf1_setup(16, 2, 2)
+    calls = Counter()
+    table = reconstruction._bound_table
+
+    def counted(*args):
+        calls["tables"] += 1
+        return table(*args)
+
+    monkeypatch.setattr(reconstruction, "_bound_table", counted)
+    assert verify_equivalences(frame, op, x, theta, plan).passed
+    assert calls["tables"] == 0
+    # a hand-built op never stands for V'', even with V's own table
+    verify_equivalences(frame, SynthesisOp(op.rule, op.bounds), x, theta, plan)
+    assert calls["tables"] == 1
 
 
 def test_equivalences_from_projection_even_selection():

@@ -822,3 +822,48 @@ def test_rules_that_are_not_block_local_keep_the_general_path(monkeypatch):
         assert got == outcome(lambda: ref_V_from_projection(frame, proj, x, theta,
                                                             plan()), synthesis_sig)
         assert got[0] == "error" and got[2].startswith(refusal)
+
+
+def kept_rows_cases():
+    """name -> (coordinate frame, rule): every rule case on a coordinate
+    frame, and a mixed-reader rule."""
+    cases = {"%s-%s" % (f, r): (FRAMES[f], rules_for(f, FRAMES[f])[r])
+             for f, r in RULE_CASES if isinstance(FRAMES[f], CoordinateFrame)}
+    cases["mixed"] = (MIXED, reader_rule(
+        MIXED, [[1.0], [2.0, -1.0], [1 / 3, 1 / 3, 1 / 3], [-0.0, 1.0]]))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(kept_rows_cases()))
+def test_kept_rows_are_the_rows_read_back_from_P(name):
+    frame, rule = kept_rows_cases()[name]
+    _, theta = gradings(frame)
+    op = SynthesisOp(rule, ContinuityData((0,), (1.0,)))
+    try:
+        proj = projection_from_V(frame, op, theta)
+    except ValueError:
+        return  # a refused projection keeps nothing
+    want = _rows_per_coordinate(frame, proj.rule)
+    if proj._fold is None:
+        assert want is None
+    else:
+        held, kept = proj._fold
+        assert held is frame and want is not None and kept.shape == want.shape
+        for k in ("indptr", "indices", "data"):
+            assert bits(getattr(kept, k)) == bits(getattr(want, k))
+
+
+def test_kept_rows_serve_only_the_frame_they_were_folded_on():
+    # same functional count, other readers: P's rows are read back for it
+    rule = kept_rows_cases()["mixed"][1]
+    other = CoordinateFrame(np.repeat(np.arange(4), 2), MIXED.b)
+    x, theta = gradings(MIXED)
+    proj = projection_from_V(MIXED, SynthesisOp(rule, ContinuityData((0,), (1.0,))),
+                             theta)
+    bare = ProjectionOp(proj.rule, proj.continuity, proj.idempotence_defect)
+    assert proj._fold is not None and bare._fold is None
+    for frame in (MIXED, other):
+        assert outcome(lambda: V_from_projection(frame, proj, x, theta, plan()),
+                       synthesis_sig) \
+            == outcome(lambda: V_from_projection(frame, bare, x, theta, plan()),
+                       synthesis_sig)
