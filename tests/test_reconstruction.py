@@ -205,9 +205,9 @@ def hypot_row_norm(rule, ow, iw):
     return float(np.max(np.hypot.reduceat(terms, rule._orthogonal_rows), initial=0.0))
 
 
-# zero and every binade step of 32 from 2^-1074 to 2^1000
+# zero and 65 magnitudes from 2^-1074 to 2^1000, each with its own mantissa
 MAGNITUDES = np.append(0.0, np.ldexp(1.0 + np.arange(65) / 67.0,
-                                     np.arange(-1074, 1001, 32)))
+                                     np.linspace(-1074, 1000, 65).round().astype(int)))
 
 
 @pytest.mark.parametrize("make", [
