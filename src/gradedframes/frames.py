@@ -105,7 +105,7 @@ class CoordinateFrame(FrameSystem):
             raise ValueError("reads must lie in [0, %d)" % b.size)
         counts = np.bincount(reads, minlength=b.size)
         if np.any(counts == 0):
-            raise ValueError("coordinate %d has no reader" % np.argmin(counts))
+            raise ValueError("coordinate %d has no reader" % (np.argmin(counts) + 1))
         object.__setattr__(self, "reads", _readonly(reads, np.int64))
         object.__setattr__(self, "b", b)
 

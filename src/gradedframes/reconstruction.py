@@ -59,6 +59,14 @@ IDEMPOTENCE_TOL = 1e-12
 BOUND_MATCH_TOL = 1e-9
 
 
+def _coefficients(arr, name: str, n: int) -> np.ndarray:
+    """A real scalar or vector of length 1 or n, as a length-n vector."""
+    a = _real(arr, name)
+    if a.ndim > 1 or a.size not in (1, n):
+        raise ValueError("%s has length %d, expected 1 or %d" % (name, a.size, n))
+    return np.broadcast_to(a, (n,))
+
+
 @dataclass(frozen=True, eq=False)
 class SequenceOperator:
     """Linear map out = (M @ x) / d between truncated coordinate spaces.
@@ -115,7 +123,7 @@ class SequenceOperator:
 
     @cached_property
     def canonical_images(self) -> Compressed:
-        """apply_columns of the identity: row i holds the image of e_{i+1},
+        """Row i holds the image of e_{i+1}, as apply() gives it with its
         zero entries dropped, read from the numerator's columns directly."""
         cols = self._columns
         keep = cols.data != 0
@@ -161,8 +169,7 @@ class SequenceOperator:
     def diagonal(mult, div) -> "SequenceOperator":
         """out_j = in_j * mult_j / div_j."""
         n = max(np.size(mult), np.size(div))
-        m = np.broadcast_to(_real(mult, "mult"), (n,))
-        d = np.broadcast_to(_real(div, "div"), (n,))
+        m, d = _coefficients(mult, "mult", n), _coefficients(div, "div", n)
         return SequenceOperator(Compressed(np.arange(n + 1), np.arange(n), m, (n, n)), d)
 
     @staticmethod
@@ -170,8 +177,7 @@ class SequenceOperator:
         """out_j = (co_odd_j in_{2j-1} + co_even_j in_{2j}) / div_j."""
         d = _real(div, "div")
         n = d.size
-        o = np.broadcast_to(_real(co_odd, "co_odd"), (n,))
-        e = np.broadcast_to(_real(co_even, "co_even"), (n,))
+        o, e = _coefficients(co_odd, "co_odd", n), _coefficients(co_even, "co_even", n)
         return SequenceOperator(
             Compressed(np.arange(0, 2 * n + 1, 2), np.arange(2 * n),
                        np.stack([o, e], axis=1).ravel(), (n, 2 * n)), d)
@@ -202,30 +208,6 @@ class SequenceOperator:
     def apply(self, v: GradedVector) -> GradedVector:
         _, out, values = gather(self._columns, v.indices - 1, v.values, self.divisor, None)
         return GradedVector(out + 1, values)
-
-    def apply_columns(self, x) -> Compressed:
-        """Apply to every column of a sparse matrix at once.
-
-        x is a dense array or a Compressed holding the matrix by its
-        transpose (column c is row c), and so is the result.  The numerator
-        product is formed first, its zero sums are dropped and each row of
-        it is then divided by its divisor, so for x = I column j holds the
-        values apply() gives for the canonical vector e_{j+1}.  A column
-        whose support exceeds the input dimension is refused as apply()
-        refuses it.
-        """
-        if not isinstance(x, Compressed):
-            x = Compressed.from_dense(np.asarray(x).T)
-        col = x.first_row_reaching(self.in_dim)
-        if col is not None:
-            top = x.indices[x.indptr[col]:x.indptr[col + 1]].max() + 1
-            raise ValueError("input support %d exceeds dimension %d" % (top, self.in_dim))
-        col, out, values = gather(self._columns, x.indices, x.data, None, None, x.rows())
-        keep = values != 0
-        col, out, values = col[keep], out[keep], values[keep].astype(np.complex128)
-        if self.divisor is not None:
-            values = exact_div(values, self.divisor[out])
-        return Compressed.from_triplets(col, out, values, (x.shape[0], self.out_dim))
 
     def transpose_apply(self, g: GradedVector) -> GradedVector:
         """Apply the transpose, (M_ij g_i) / d_i entry by entry, for
@@ -414,19 +396,6 @@ class ProjectionOp:
         return self.rule.apply(d)
 
 
-def _mismatched_columns(a: Compressed, b: Compressed, tol: float) -> np.ndarray:
-    """Sorted columns where np.isclose(a, b, rtol=tol, atol=tol) fails, for
-    two matrices held by their transposes.
-
-    Entries are compared on the union of the two sparsity patterns; every
-    other entry is zero in both.  The row counts may differ.
-    """
-    rows = max(a.shape[1], b.shape[1])
-    union, va, vb = union_values(a.rows() * rows + a.indices, a.data,
-                                 b.rows() * rows + b.indices, b.data)
-    return np.unique(union[~np.isclose(va, vb, rtol=tol, atol=tol)] // rows)
-
-
 def _block_local(frame: FrameSystem, num: Compressed) -> bool:
     """Whether frame is a coordinate frame and every stored entry of row j of
     num reads a functional of coordinate j; the round trip then checks per
@@ -443,14 +412,19 @@ def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optiona
         back = _sums(rule._rows, frame.b[rule._rows] * num.data, frame.truncation)
         if rule.divisor is not None:
             back = exact_div(back, rule.divisor)
-        bad = np.flatnonzero(~np.isclose(back, 1.0, rtol=LEFT_INVERSE_TOL,
-                                         atol=LEFT_INVERSE_TOL))
+        bad = ~np.isclose(back, 1.0, rtol=LEFT_INVERSE_TOL, atol=LEFT_INVERSE_TOL)
     else:
-        # column j of U is row j of its transpose
-        back = rule.apply_columns(frame.coefficient_rows().T)
-        bad = _mismatched_columns(back, Compressed.identity(frame.truncation),
-                                  LEFT_INVERSE_TOL)
-    return int(bad[0]) + 1 if bad.size else None
+        # row j of (V U)^T = U^T V^T holds V U e_j, which fails on an entry
+        # away from I or on no diagonal; a zero sum counts as no entry, since
+        # its quotient by a NaN divisor would fail
+        back = frame.coefficient_rows().T @ rule._columns
+        rows, cols, kept = back.rows(), back.indices, back.data != 0
+        values = back.data if rule.divisor is None \
+            else exact_div(back.data, rule.divisor[cols])
+        bad = np.bincount(rows[kept & (rows == cols)], minlength=frame.truncation) == 0
+        bad[rows[kept & ~np.isclose(values, rows == cols, rtol=LEFT_INVERSE_TOL,
+                                    atol=LEFT_INVERSE_TOL)]] = True
+    return int(bad.argmax()) + 1 if bad.any() else None
 
 
 def _idempotence_defect(rule: SequenceOperator) -> float:

@@ -88,9 +88,11 @@ def test_coordinate_frame_rejects_unsorted_reads():
         CoordinateFrame(np.array([0, 1, 0]), np.ones(2))
 
 
-def test_coordinate_frame_rejects_unread_coordinate():
-    with pytest.raises(ValueError, match="coordinate 1 has no reader"):
-        CoordinateFrame(np.array([0, 0, 2]), np.ones(3))
+@pytest.mark.parametrize("reads,coordinate", [([0, 0, 2], 2), ([1, 1, 2], 1)])
+def test_coordinate_frame_rejects_unread_coordinate(reads, coordinate):
+    # coordinates count from 1, as in the weight message
+    with pytest.raises(ValueError, match="^coordinate %d has no reader$" % coordinate):
+        CoordinateFrame(np.array(reads), np.ones(3))
 
 
 @pytest.mark.parametrize("reads", [[0, 1, 2], [-1, 0, 1]])

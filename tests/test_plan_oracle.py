@@ -355,3 +355,37 @@ def test_chain_gates_reversed_entries_the_plan_bounds_refuse():
     report = verify_selected_chain(frame, x, theta, selection, _samples(5))
     assert report.passed
     assert any(c.optimal_lower > c.optimal_upper for c in report.levels)
+
+
+def _tight_upper_plan(below):
+    """ROADMAP item 2's repro: a 256-coordinate diagonal frame, b_j = 1 on odd
+    j and j^2 on even j, a shift-2 plan whose every upper constant sits below
+    the optimal one, and the samples e_1..e_6."""
+    n = 256
+    j = np.arange(1, n + 1).astype(float)
+    frame = DiagonalFrame(np.where(j % 2 == 1, 1.0, j ** 2))
+    x = WeightGrading("power", 9, n)
+    theta = WeightGrading("power", 7, n)
+    base = IndexPlan.shifted(7, 2, lower_const=0.5)
+    samples = [GradedVector.canonical(i) for i in range(1, 7)]
+    optimal = [c.optimal_upper for c in verify_pre_f_frame(frame, x, theta, base,
+                                                           samples).levels]
+    plan = IndexPlan(base.lower_levels, base.upper_levels, base.lower_consts,
+                     tuple(b - below for b in optimal))
+    return verify_pre_f_frame(frame, x, theta, plan, samples), plan
+
+
+def test_upper_constants_2e_12_below_optimal_fail_on_e_1():
+    report, plan = _tight_upper_plan(2e-12)
+    assert not report.passed
+    assert report.first_violation == (0, 0, "upper", 1.0, plan.upper_consts[0])
+
+
+@pytest.mark.xfail(strict=True, reason="REL_SLACK = 1e-12 passes a sample whose mid "
+                   "norm exceeds its upper bound by 5e-13 (ROADMAP item 2)")
+def test_upper_constants_5e_13_below_optimal_fail_on_e_1():
+    # e_1's mid norm 1.0 is above its upper bound 0.9999999999995
+    report, plan = _tight_upper_plan(5e-13)
+    assert plan.upper_consts[0] == 1.0 - 5e-13
+    assert not report.passed
+    assert report.first_violation == (0, 0, "upper", 1.0, plan.upper_consts[0])

@@ -126,6 +126,31 @@ def test_complex_coefficients_are_refused_not_made_real(build, name):
         build(np.array([1.0, 2.0 + 1.0j]))
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: SequenceOperator.diagonal(np.ones(3), np.ones(4)),
+     "mult has length 3, expected 1 or 4"),
+    (lambda: SequenceOperator.diagonal(np.ones(4), np.ones(3)),
+     "div has length 3, expected 1 or 4"),
+    (lambda: SequenceOperator.pair_collapse(np.ones(3), 1.0, np.ones(4)),
+     "co_odd has length 3, expected 1 or 4"),
+    (lambda: SequenceOperator.pair_collapse(1.0, np.ones(5), np.ones(4)),
+     "co_even has length 5, expected 1 or 4"),
+    (lambda: SequenceOperator.pair_mix(np.ones(3), 1.0, 2),
+     "co_odd has length 3, expected 1 or 2"),
+], ids=["diagonal-mult", "diagonal-div", "pair-odd", "pair-even", "pair-mix"])
+def test_coefficients_of_the_wrong_length_are_refused_by_name(build, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        build()
+
+
+def test_coefficients_of_length_1_broadcast():
+    ref = SequenceOperator.pair_collapse(2.0, 3.0, np.ones(3))
+    got = SequenceOperator.pair_collapse([2.0], np.array([3.0]), np.ones(3))
+    assert np.array_equal(got.numerator.toarray(), ref.numerator.toarray())
+    assert np.array_equal(SequenceOperator.diagonal([2.0], np.ones(3)).numerator.data,
+                          np.full(3, 2.0))
+
+
 def test_identity_and_zero_apply():
     v = GradedVector.from_pairs({1: 1.0, 3: -2.0})
     assert SequenceOperator.identity(4).apply(v) == v
@@ -475,7 +500,7 @@ def test_projection_unequal_reader_weights_is_not_folded():
     rule = SequenceOperator(np.array([[0.2, 0.4]]), np.ones(1))
     op = SynthesisOp(rule, ContinuityData((0,), (1.0,)))
     proj = projection_from_V(frame, op, power_grading(1, 2))
-    assert np.allclose(proj.rule.apply_columns(np.eye(2)).toarray().real,
+    assert np.allclose(proj.rule._values.toarray().real,
                        [[0.2, 0.4], [0.4, 0.8]], rtol=0.0, atol=1e-15)
 
 
@@ -1007,10 +1032,25 @@ def assert_same_arrays(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def applied_images(rule):
+    """Row i holds apply(e_{i+1}) with its zero entries dropped, one
+    canonical vector at a time."""
+    rows, cols, values = [], [], []
+    for i in range(rule.in_dim):
+        col = rule.apply(GradedVector.canonical(i + 1))
+        keep = col.values != 0
+        rows += [i] * int(keep.sum())
+        cols += list(col.indices[keep] - 1)
+        values += list(col.values[keep])
+    return Compressed.from_triplets(rows, np.array(cols, dtype=np.int64),
+                                    np.array(values, dtype=np.complex128),
+                                    (rule.in_dim, rule.out_dim))
+
+
 @pytest.mark.parametrize("name", list(invariant_cases()))
 def test_every_dual_is_its_rules_canonical_images(name):
     frame, x, theta, plan, op, refusal = invariant_cases()[name]
-    images = op.rule.apply_columns(Compressed.identity(op.rule.in_dim))
+    images = applied_images(op.rule)
     assert_same_arrays(op.dual.matrix, images)
     assert_same_arrays(op.rule.canonical_images, images)
     assert op.dual.truncation == op.rule.out_dim
@@ -1020,8 +1060,7 @@ def test_every_dual_is_its_rules_canonical_images(name):
         report = verify_equivalences(frame, op, x, theta, plan)
         assert report.passed, report.notes
         prule = report.projection.rule
-        assert_same_arrays(prule.canonical_images,
-                           prule.apply_columns(Compressed.identity(prule.in_dim)))
+        assert_same_arrays(prule.canonical_images, applied_images(prule))
     else:
         with pytest.raises(ValueError, match=refusal):
             verify_equivalences(frame, op, x, theta, plan)

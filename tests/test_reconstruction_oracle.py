@@ -492,6 +492,92 @@ def test_perturbed_rule_names_smallest_failing_coordinate():
         projection_from_V(frame, op, theta)
 
 
+# -- boundary of the general V U check --------------------------------------------
+#
+# On DenseFrame(I_3), V U = V, and column j of V is the image of e_j.  The check
+# is np.isclose(V U, I, rtol=tol, atol=tol): a diagonal entry may be off by 2 tol,
+# an off-diagonal one by tol.
+
+EYE3 = DenseFrame(np.eye(3))
+TOL = LEFT_INVERSE_TOL
+POW2 = np.array([2.0, 4.0, 0.5])
+
+
+def eye3_rule(entries, divisor):
+    """Rule whose V U on EYE3 is I with the (row, column) -> value entries
+    changed; with a divisor of powers of two the numerator holds each row
+    times it, so every quotient is the given entry exactly."""
+    m = np.eye(3)
+    for (i, j), v in entries.items():
+        m[i, j] = v
+    if divisor is None:
+        return SequenceOperator(m)
+    return SequenceOperator(m * divisor[:, None], divisor)
+
+
+EYE3_CASES = {
+    "diagonal_up_1.9": ({(1, 1): 1 + 1.9 * TOL}, None),
+    "diagonal_down_1.9": ({(1, 1): 1 - 1.9 * TOL}, None),
+    "diagonal_up_2.1": ({(1, 1): 1 + 2.1 * TOL}, 2),
+    "diagonal_down_2.1": ({(1, 1): 1 - 2.1 * TOL}, 2),
+    "off_diagonal_0.9": ({(0, 2): 0.9 * TOL, (2, 0): -0.9 * TOL}, None),
+    "off_diagonal_1.1": ({(0, 2): 1.1 * TOL}, 3),
+    "off_diagonal_minus_1.1": ({(2, 0): -1.1 * TOL}, 1),
+    "diagonal_nan": ({(1, 1): np.nan}, 2),
+    "off_diagonal_nan": ({(0, 2): np.nan}, 3),
+    "diagonal_inf": ({(1, 1): np.inf}, 2),
+    "off_diagonal_minus_inf": ({(2, 0): -np.inf}, 1),
+    "smallest_of_two": ({(2, 2): 1 + 2.1 * TOL, (0, 1): 1.1 * TOL}, 2),
+    "smallest_of_three": ({(0, 2): np.inf, (1, 1): 0.5, (2, 0): 2.1 * TOL}, 1),
+}
+
+
+def eye3_refusal(rule):
+    op = SynthesisOp(rule, ContinuityData((0,), (1.0,)))
+    with pytest.raises(ValueError) as err:
+        projection_from_V(EYE3, op, gradings(EYE3)[1])
+    return str(err.value)
+
+
+@pytest.mark.parametrize("divisor", [None, POW2], ids=["bare", "divided"])
+@pytest.mark.parametrize("name", list(EYE3_CASES))
+def test_general_left_inverse_check_boundary(name, divisor):
+    entries, want = EYE3_CASES[name]
+    rule = eye3_rule(entries, divisor)
+    assert not _block_local(EYE3, rule.numerator)
+    assert _left_inverse_failure(EYE3, rule) == want
+    if want is not None:
+        assert eye3_refusal(rule) == "reconstruction is not a left inverse at coordinate %d" % want
+
+
+@pytest.mark.parametrize("divisor", [None, POW2], ids=["bare", "divided"])
+def test_general_left_inverse_check_fails_a_missing_diagonal(divisor):
+    # the numerator stores nothing for e_1, alone or beside a later failure
+    rule = SequenceOperator(np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                            divisor)
+    assert rule.numerator.nnz == 2
+    assert _left_inverse_failure(EYE3, rule) == 1
+    assert eye3_refusal(rule) == "reconstruction is not a left inverse at coordinate 1"
+    later = SequenceOperator(np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]]),
+                             divisor)
+    assert _left_inverse_failure(EYE3, later) == 1
+
+
+def test_general_left_inverse_check_on_stored_zeros():
+    # a stored zero on the diagonal fails as a missing entry does; one off
+    # the diagonal passes, even where its row's divisor is NaN and the
+    # coordinate of that row fails
+    def rule(data, divisor):
+        return SequenceOperator(Compressed(
+            [0, 2, 3, 5], [0, 2, 1, 0, 2], data, (3, 3)), divisor)
+
+    assert _left_inverse_failure(EYE3, rule([0.0, 0.0, 1.0, 0.0, 1.0], None)) == 1
+    assert _left_inverse_failure(EYE3, rule([1.0, 0.0, 1.0, 0.0, 1.0], None)) is None
+    assert _left_inverse_failure(EYE3, rule([2.0, 0.0, 4.0, 0.0, 0.5], POW2)) is None
+    nan_row = np.array([2.0, 4.0, np.nan])
+    assert _left_inverse_failure(EYE3, rule([2.0, 0.0, 4.0, 0.0, 1.0], nan_row)) == 3
+
+
 def test_detect_rule_on_hand_built_duals():
     n = 4
     cases = [
@@ -512,16 +598,6 @@ def test_detect_rule_on_hand_built_duals():
     for vectors in cases:
         dual = DualSystem.from_vectors(vectors, n)
         assert rule_sig(_detect_rule(dual)) == rule_sig(ref_detect_rule(vectors, n))
-
-
-def test_apply_columns_refuses_support_like_apply():
-    rule = SequenceOperator.diagonal(np.ones(3), 2.0)
-    with pytest.raises(ValueError) as ref:
-        for i in range(1, 6):
-            rule.apply(GradedVector.canonical(i))
-    with pytest.raises(ValueError) as got:
-        rule.apply_columns(np.eye(5))
-    assert str(got.value) == str(ref.value)
 
 
 # -- per-coordinate checks against the general path ------------------------------
@@ -746,17 +822,16 @@ def test_dense_solve_names_a_non_finite_entry():
 
 
 def counting_general_calls(monkeypatch):
-    """Count whole products, apply_columns calls and every read of
-    canonical_images, which is then built anew on each read."""
+    """Count whole products and every read of canonical_images, which is
+    then built anew on each read."""
     calls = Counter()
-    for cls, name in ((Compressed, "__matmul__"), (SequenceOperator, "apply_columns")):
-        orig = getattr(cls, name)
+    product = Compressed.__matmul__
 
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls["__matmul__"] += 1
+        return product(*args, **kwargs)
 
-        monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(Compressed, "__matmul__", counted)
     images = SequenceOperator.canonical_images.func
 
     def counted_images(self):
@@ -794,13 +869,14 @@ def test_rules_that_are_not_block_local_keep_the_general_path(monkeypatch):
             np.concatenate((np.ones(N - 1), values, [1.0])), (N, N)), diag.b)
 
     calls = counting_general_calls(monkeypatch)
-    for rule, general in ((shifted(np.zeros(N - 1)), {"apply_columns", "__matmul__"}),
-                          (shifted(np.full(N - 1, 0.5)), {"apply_columns"})):
+    # V U and P P for the zero shift; V U alone refuses the 0.5 shift
+    for rule, general in ((shifted(np.zeros(N - 1)), Counter(__matmul__=2)),
+                          (shifted(np.full(N - 1, 0.5)), Counter(__matmul__=1))):
         assert not _block_local(diag, rule.numerator)
         op = SynthesisOp(rule, ContinuityData((0,), (1.0,)))
         calls.clear()
         got = outcome(lambda: projection_from_V(diag, op, theta), projection_sig)
-        assert set(calls) == general
+        assert calls == general
         assert got == outcome(lambda: ref_projection_from_V(diag, op, theta),
                               projection_sig)
     # the pair_mix projection on a diagonal frame mixes two coordinates; the
@@ -808,9 +884,9 @@ def test_rules_that_are_not_block_local_keep_the_general_path(monkeypatch):
     # refuses before either check
     for frame, prule, general, refusal in (
             (diag, SequenceOperator.pair_mix(0.0, 1.0, N // 2),
-             {"apply_columns", "__matmul__", "canonical_images"},
+             Counter(__matmul__=2, canonical_images=2),
              "recovered operator is not a left inverse"),
-            (block, SequenceOperator.identity(2 * N), {"canonical_images"},
+            (block, SequenceOperator.identity(2 * N), Counter(canonical_images=1),
              "projection output leaves the analysis range (")):
         assert _rows_per_coordinate(frame, prule) is None
         x, theta = gradings(frame)
@@ -818,7 +894,7 @@ def test_rules_that_are_not_block_local_keep_the_general_path(monkeypatch):
         calls.clear()
         got = outcome(lambda: V_from_projection(frame, proj, x, theta, plan()),
                       synthesis_sig)
-        assert set(calls) == general
+        assert calls == general
         assert got == outcome(lambda: ref_V_from_projection(frame, proj, x, theta,
                                                             plan()), synthesis_sig)
         assert got[0] == "error" and got[2].startswith(refusal)

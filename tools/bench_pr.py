@@ -9,7 +9,8 @@ program whose last two output lines (metadata, result) are read; nothing
 under gfbench/ is imported.  The file holds per-workload medians of each
 end-to-end metric over the seeds, attempted/failed/correct per seed with the
 run's failure map (`op:check` -> count, from the metadata line), the src/
-line count and the tier-1 wall time; the label names the measured change.
+line count in total and by module and the tier-1 wall time; the label names
+the measured change.
 per_layer.scenarios, per_layer.levels and per_layer.expansion each hold, as
 gfbench prints it, the metrics dict of one traced run of that workload
 (`--trace 1`, the first seed): span calls, busy and self time per layer and
@@ -140,12 +141,13 @@ def main(argv=None):
                            "unit": metrics[m]["unit"]} for m in metrics},
             "runs": [{k: r[k] for k in ("seed", "correct", "attempted", "failed",
                                         "failures", "metrics")} for r in runs]}
-    src = sum(len(p.read_text().splitlines())
-              for p in sorted((ROOT / "src").rglob("*.py")))
+    src = {p.relative_to(ROOT / "src").as_posix(): len(p.read_text().splitlines())
+           for p in sorted((ROOT / "src").rglob("*.py"))}
     report = {"label": args.label, "git_head": sha, "dirty": dirty, "seeds": args.seeds,
               "seconds": args.seconds, "python": sys.version.split()[0],
               "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count(), "src_lines": src, "cold_start": cold_start(),
+              else os.cpu_count(), "src_lines": sum(src.values()),
+              "src_lines_by_module": src, "cold_start": cold_start(),
               "tier1": tier1(), "workloads": workloads,
               "per_layer": {name: gfbench(name, args.seeds[0], args.seconds,
                                           trace=1)["metrics"]
