@@ -38,7 +38,6 @@ from .multilevel import (
     verify_selected_chain,
 )
 from .reconstruction import (
-    DualSystem,
     ProjectionOp,
     SequenceOperator,
     SynthesisOp,
@@ -67,7 +66,7 @@ __all__ = [
     "ContinuityData", "IndexPlan", "SelectionResult", "StrictnessVerdict",
     "classify_strictness", "select_subsequence", "verify_pre_f_frame",
     "verify_selected_chain",
-    "DualSystem", "ProjectionOp", "SequenceOperator", "SynthesisOp",
+    "ProjectionOp", "SequenceOperator", "SynthesisOp",
     "V_from_projection", "build_V_from_dual", "build_dual_from_V",
     "projection_from_V", "synthesis_from_rule", "synthesize",
     "verify_dual_expansion", "verify_equivalences", "verify_expansion",

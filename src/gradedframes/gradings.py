@@ -230,6 +230,11 @@ class WeightGrading:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown weight kind %r" % (self.kind,))
+        for name in ("levels", "truncation"):
+            value = getattr(self, name)
+            if int(value) != value:
+                raise ValueError("%s must be an integer, got %r" % (name, value))
+            object.__setattr__(self, name, int(value))
         if self.levels < 0:
             raise ValueError("level budget must be nonnegative")
         if self.truncation < 1:
@@ -243,6 +248,9 @@ class WeightGrading:
             a = np.asarray(self.alphas, dtype=float)
             if a.size < self.truncation:
                 raise ValueError("alpha table shorter than truncation")
+            bad = np.flatnonzero(~np.isfinite(a))
+            if bad.size:
+                raise ValueError("alpha %d is not finite" % (bad[0] + 1))
             if a[0] < 0:
                 raise ValueError("alpha table must be nonnegative")
             if np.any(np.diff(a) < 0):
@@ -540,9 +548,9 @@ def lp_norm(v: GradedVector, p: float) -> float:
         return 0.0
     moduli, top, _ = _moduli(v)
     # power the moduli as they are when no power can overflow and the sum
-    # lost nothing to underflow; otherwise power them scaled by the largest,
-    # which also leaves out the rounding of 1 / p that total ** (1 / p)
-    # magnifies by |ln total| / p
+    # lost nothing to underflow, else scaled by the largest; the root of the
+    # sum over top ** p, in [1, size], magnifies the rounding of 1 / p by at
+    # most ln(size) / p, where a root of the sum itself did by |ln total| / p
     try:
         fits = top ** p * v.indices.size < _LP_CEIL
     except OverflowError:
@@ -550,7 +558,7 @@ def lp_norm(v: GradedVector, p: float) -> float:
     if fits:
         total = _fsum(moduli ** p)
         if total >= _FLOOR or top == 0.0:
-            return total ** (1.0 / p)
+            return top * (total / top ** p) ** (1.0 / p) if top else 0.0
     norm = top * _fsum((moduli / top) ** p) ** (1.0 / p)
     if norm == math.inf:
         raise NormOverflowError(_OVERFLOW)

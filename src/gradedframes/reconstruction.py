@@ -3,10 +3,10 @@
 The analysis map U sends a coordinate vector to its frame coefficients.  A
 reconstruction operator V is a concrete left inverse of U at truncation.
 Every operator here is one sparse numerator M with an optional row divisor d,
-out = (M @ x) / d.  From V the module derives the dual system f_i = V(e_i),
-the synthesis operator d -> sum d_i f_i with its per-level bound table, and
-the projection P = U V onto the coefficient range of U, and verifies the
-expansion identities with their tail bounds.
+out = (M @ x) / d.  From V the module derives the dual system f_i = V(e_i)
+(V's canonical_images, row i holding f_{i+1}), the synthesis operator
+d -> sum d_i f_i with its per-level bound table, and the projection P = U V
+onto the range of U, and verifies the expansion identities and tail bounds.
 
 A rule with a divisor sums its products first and divides once per output.
 For dyadic data and integer weights the reconstruction quotient (b f) / b
@@ -98,6 +98,9 @@ class SequenceOperator:
                 raise ValueError("divisor must have length %d" % num.shape[0])
             if (d == 0).any():
                 raise ValueError("zero divisor")
+            bad = np.flatnonzero(~np.isfinite(d))
+            if bad.size:
+                raise ValueError("divisor entry %d is not finite" % (bad[0] + 1))
             d.setflags(write=False)
         for arr in (num.data, num.indices, num.indptr):
             arr.setflags(write=False)
@@ -131,7 +134,10 @@ class SequenceOperator:
         values = cols.data[keep].astype(np.complex128)
         if self.divisor is not None:
             values = exact_div(values, self.divisor[out])
-        return Compressed.from_triplets(cols.rows()[keep], out, values, cols.shape)
+        images = Compressed.from_triplets(cols.rows()[keep], out, values, cols.shape)
+        for arr in (images.data, images.indices, images.indptr):
+            arr.setflags(write=False)
+        return images
 
     @cached_property
     def _orthogonal_rows(self) -> Optional[np.ndarray]:
@@ -190,11 +196,6 @@ class SequenceOperator:
                                 np.ones(2 * pairs))
 
     @staticmethod
-    def from_columns(vectors: Sequence[GradedVector], out_dim: int) -> "SequenceOperator":
-        return SequenceOperator(_stack_columns(vectors, out_dim,
-                                               "column %d exceeds output dimension").T)
-
-    @staticmethod
     def dense(matrix) -> "SequenceOperator":
         m = _real(matrix, "matrix")
         if m.ndim != 2 or 0 in m.shape:
@@ -244,54 +245,12 @@ class SequenceOperator:
 
 
 # ---------------------------------------------------------------------------
-# dual systems and synthesis
-
-
-def _stack_columns(vectors: Sequence[GradedVector], rows: int,
-                   message: str) -> Compressed:
-    """stack_columns, whose result row i holds vectors[i]; message names a
-    column whose support exceeds the row count."""
-    for i, f in enumerate(vectors):
-        if f.max_index > rows:
-            raise ValueError(message % (i + 1))
-    return stack_columns(vectors, rows)
-
-
-@dataclass(frozen=True, eq=False)
-class DualSystem:
-    """Reconstruction family f_i = V(e_i), stored as column i of a sparse
-    truncation x functional-count matrix held by its transpose: row i of
-    matrix holds f_{i+1}."""
-
-    matrix: Compressed
-
-    def __post_init__(self):
-        mat = self.matrix.canonical()
-        object.__setattr__(self, "matrix", mat.with_data(mat.data.astype(np.complex128)))
-
-    @staticmethod
-    def from_vectors(vectors: Sequence[GradedVector], truncation: int) -> "DualSystem":
-        return DualSystem(_stack_columns(vectors, truncation,
-                                         "dual vector %d exceeds truncation"))
-
-    @property
-    def truncation(self) -> int:
-        return self.matrix.shape[1]
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    def __getitem__(self, i: int) -> GradedVector:
-        """Dual vector f_{i+1}; positions count from 0 as in a sequence."""
-        i = range(len(self))[i]
-        lo, hi = self.matrix.indptr[i], self.matrix.indptr[i + 1]
-        return GradedVector(self.matrix.indices[lo:hi] + 1, self.matrix.data[lo:hi])
+# synthesis
 
 
 @dataclass(frozen=True, eq=False)
 class SynthesisOp:
-    """Reconstruction rule with its per-level bound table; its dual system
-    is the rule's canonical images, built on first use."""
+    """Reconstruction rule with its per-level bound table."""
 
     rule: SequenceOperator
     bounds: ContinuityData
@@ -302,26 +261,25 @@ class SynthesisOp:
         if not all(math.isfinite(c) for c in self.bounds.consts):
             raise ValueError("synthesis bound table contains non-finite entries")
 
-    @cached_property
-    def dual(self) -> DualSystem:
-        return build_dual_from_V(self.rule)
+
+def build_dual_from_V(rule: SequenceOperator) -> Compressed:
+    """The dual vectors f_i = V(e_i): the rule's canonical images."""
+    return rule.canonical_images
 
 
-def build_dual_from_V(rule: SequenceOperator) -> DualSystem:
-    """Dual vectors are the images of the canonical coefficient vectors."""
-    return DualSystem(rule.canonical_images)
-
-
-def _detect_rule(dual: DualSystem) -> SequenceOperator:
+def _detect_rule(dual: Compressed) -> SequenceOperator:
     """Structured rule reproducing the dual as its canonical images.
 
     For m = k n functionals every nonzero dual vector f_i must be one real
     entry at coordinate ceil(i/k): the rule of a frame whose coordinates all
     have k readers, such as the diagonal (k = 1) and block (k = 2) frames.
     """
-    m = len(dual)
-    n = dual.truncation
-    mat = dual.matrix.eliminate_zeros()
+    m, n = dual.shape
+    beyond = dual.rows()[dual.indices >= n]
+    if beyond.size:
+        raise ValueError("dual vector %d exceeds truncation" % (beyond[0] + 1))
+    dual = dual.with_data(dual.data.astype(np.complex128)).canonical()
+    mat = dual.eliminate_zeros()
     counts = np.diff(mat.indptr)
     if m % n == 0 and (counts <= 1).all() and (mat.data.imag == 0).all():
         # one entry per nonempty column, so rows and cols align entrywise
@@ -332,7 +290,7 @@ def _detect_rule(dual: DualSystem) -> SequenceOperator:
             coeff[cols] = mat.data.real
             return SequenceOperator(Compressed.from_triplets(owner, np.arange(m), coeff,
                                                              (n, m)), np.ones(n))
-    return SequenceOperator(dual.matrix.T)
+    return SequenceOperator(dual.T)
 
 
 def _bound_table(rule: SequenceOperator, x_grading: WeightGrading,
@@ -354,9 +312,10 @@ def synthesis_from_rule(rule: SequenceOperator, x_grading: WeightGrading,
     return op
 
 
-def build_V_from_dual(dual: DualSystem, x_grading: WeightGrading,
+def build_V_from_dual(dual: Compressed, x_grading: WeightGrading,
                       theta_grading: WeightGrading, plan: IndexPlan) -> SynthesisOp:
-    """Reconstruction operator whose canonical images are the given dual."""
+    """Reconstruction operator whose canonical images are the given dual,
+    a functional-count x truncation matrix whose row i holds f_{i+1}."""
     return synthesis_from_rule(_detect_rule(dual), x_grading, theta_grading, plan)
 
 
@@ -414,16 +373,15 @@ def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optiona
             back = exact_div(back, rule.divisor)
         bad = ~np.isclose(back, 1.0, rtol=LEFT_INVERSE_TOL, atol=LEFT_INVERSE_TOL)
     else:
-        # row j of (V U)^T = U^T V^T holds V U e_j, which fails on an entry
-        # away from I or on no diagonal; a zero sum counts as no entry, since
-        # its quotient by a NaN divisor would fail
+        # row j of (V U)^T = U^T V^T holds V U e_j, which fails on a stored
+        # entry away from I or on no diagonal entry
         back = frame.coefficient_rows().T @ rule._columns
-        rows, cols, kept = back.rows(), back.indices, back.data != 0
+        rows, cols = back.rows(), back.indices
         values = back.data if rule.divisor is None \
             else exact_div(back.data, rule.divisor[cols])
-        bad = np.bincount(rows[kept & (rows == cols)], minlength=frame.truncation) == 0
-        bad[rows[kept & ~np.isclose(values, rows == cols, rtol=LEFT_INVERSE_TOL,
-                                    atol=LEFT_INVERSE_TOL)]] = True
+        bad = np.bincount(rows[rows == cols], minlength=frame.truncation) == 0
+        bad[rows[~np.isclose(values, rows == cols, rtol=LEFT_INVERSE_TOL,
+                             atol=LEFT_INVERSE_TOL)]] = True
     return int(bad.argmax()) + 1 if bad.any() else None
 
 

@@ -34,6 +34,7 @@ from gradedframes.gradings import (
     column_norms,
     dual_norm,
     graded_norm,
+    stack_columns,
 )
 from gradedframes.multilevel import IndexPlan
 from gradedframes.reconstruction import (
@@ -484,7 +485,7 @@ def test_first_grid_point_to_fail_names_the_refusal():
     plan = PLANS["loose"]
     cols = [GradedVector([20], [1.0]), GradedVector([30], [1.0])] \
         + [GradedVector.zero()] * (N - 2)
-    op = synthesis_from_rule(SequenceOperator.from_columns(cols, 30), x, theta, plan)
+    op = synthesis_from_rule(SequenceOperator(stack_columns(cols, 30).T), x, theta, plan)
     f = [GradedVector([1, 2], [1.0, 1.0])]
     for grid, top in (((2, 1), 30), ((1, 2), 20)):
         got = _both(lambda: verify_expansion(frame, op, short, theta, plan, f, grid),

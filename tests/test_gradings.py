@@ -74,6 +74,29 @@ class TestWeightFamilies:
             WeightGrading("exponential", levels=2, truncation=8,
                           alphas=(0.0, 2.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0))
 
+    @pytest.mark.parametrize("alphas,message", [
+        ((0.0, math.nan, 1.0), "alpha 2 is not finite"),
+        ((math.nan, 0.5, 1.0), "alpha 1 is not finite"),
+        ((0.0, 0.5, math.inf), "alpha 3 is not finite"),
+        ((0.0, 0.5, 1.0, math.inf), "alpha 4 is not finite"),
+    ])
+    def test_non_finite_alpha_refused_by_name(self, alphas, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            WeightGrading("exponential", 2, 3, alphas=alphas)
+
+    @pytest.mark.parametrize("field,value", [("levels", 2.5), ("truncation", 10.5)])
+    def test_non_integer_levels_or_truncation_refused_by_name(self, field, value):
+        args = {"levels": 2, "truncation": 16, field: value}
+        with pytest.raises(ValueError, match="^%s must be an integer, got %r$"
+                           % (field, value)):
+            WeightGrading("power", **args)
+
+    def test_integral_levels_and_truncation_stored_as_int(self):
+        g = WeightGrading("power", np.int64(3), 16.0)
+        assert type(g.levels) is int and type(g.truncation) is int
+        same = WeightGrading("power", 3, 16)
+        assert g == same and hash(g) == hash(same)
+
     @pytest.mark.parametrize("kind,levels,truncation,extra", [
         ("power", 127, 256, {}),
         ("shifted_power", 127, 128, {"shift": 2}),

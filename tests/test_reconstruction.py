@@ -18,6 +18,7 @@ from gradedframes.gradings import (
     TruncationError,
     WeightGrading,
     graded_norm,
+    stack_columns,
 )
 from gradedframes.multilevel import (
     ContinuityData,
@@ -29,7 +30,6 @@ from gradedframes.multilevel import (
 )
 from gradedframes import reconstruction
 from gradedframes.reconstruction import (
-    DualSystem,
     ProjectionOp,
     SequenceOperator,
     SynthesisOp,
@@ -46,6 +46,12 @@ from gradedframes.reconstruction import (
 
 SQRT2 = 1.4142135623730951
 GOLDEN = 1.618033988749895
+
+
+def dual_vector(dual, i):
+    """f_{i+1}, row i of a dual matrix, as a GradedVector."""
+    lo, hi = dual.indptr[i:i + 2]
+    return GradedVector(dual.indices[lo:hi] + 1, dual.data[lo:hi])
 
 
 def alternating_diag(n, r):
@@ -197,7 +203,7 @@ def test_transpose_of_pair_collapse_spreads_pairs():
 def test_columns_matches_matrix_product():
     cols = (GradedVector.from_pairs({1: 1.0, 2: 1.0}),
             GradedVector.canonical(2, -1.0))
-    rule = SequenceOperator.from_columns(cols, 2)
+    rule = SequenceOperator(stack_columns(cols, 2).T)
     out = rule.apply(GradedVector.from_dense([2.0, 3.0]))
     assert out.allclose(GradedVector.from_dense([2.0, -1.0]), 1e-15)
 
@@ -321,10 +327,10 @@ def test_weighted_norm_refuses_a_large_operator_with_shared_inputs():
 def test_dual_from_even_selection_rule():
     frame = pair_block(3, 1)
     dual = build_dual_from_V(even_pick_rule(frame))
-    assert len(dual) == 6
-    assert not np.any(dual[0].values)
-    assert dual[1] == GradedVector.canonical(1)
-    assert dual[3] == GradedVector.canonical(2, 1.0 / frame.b_pair[1])
+    assert dual.shape[0] == 6
+    assert not np.any(dual_vector(dual, 0).values)
+    assert dual_vector(dual, 1) == GradedVector.canonical(1)
+    assert dual_vector(dual, 3) == GradedVector.canonical(2, 1.0 / frame.b_pair[1])
 
 
 def test_build_V_from_canonical_dual_is_identity_table():
@@ -332,7 +338,7 @@ def test_build_V_from_canonical_dual_is_identity_table():
     x = power_grading(4, n)
     theta = power_grading(4, n)
     plan = IndexPlan.shifted(3, 0)
-    dual = DualSystem.from_vectors(
+    dual = stack_columns(
         tuple(GradedVector.canonical(i) for i in range(1, n + 1)), n)
     op = build_V_from_dual(dual, x, theta, plan)
     assert np.array_equal(op.rule.numerator.toarray(), np.eye(n))
@@ -345,7 +351,7 @@ def test_build_V_from_doubled_dual_doubles_bounds():
     x = power_grading(4, n)
     theta = power_grading(4, n)
     plan = IndexPlan.shifted(3, 0)
-    dual = DualSystem.from_vectors(
+    dual = stack_columns(
         tuple(GradedVector.canonical(i, 2.0) for i in range(1, n + 1)), n)
     op = build_V_from_dual(dual, x, theta, plan)
     assert op.bounds.consts == (2.0, 2.0, 2.0, 2.0)
@@ -364,14 +370,14 @@ def test_build_V_detects_pair_structure():
     assert np.array_equal(op.rule.divisor, np.ones(4))
     for i in range(1, 9):
         assert op.rule.apply(GradedVector.canonical(i)) \
-            .allclose(dual[i - 1], 1e-15)
+            .allclose(dual_vector(dual, i - 1), 1e-15)
 
 
 def test_build_V_falls_back_to_columns():
     n = 4
     vecs = [GradedVector.canonical(i) for i in range(1, n + 1)]
     vecs[0] = GradedVector.from_pairs({1: 1.0, 2: 0.5})
-    op = build_V_from_dual(DualSystem.from_vectors(tuple(vecs), n),
+    op = build_V_from_dual(stack_columns(tuple(vecs), n),
                            power_grading(2, n), power_grading(2, n),
                            IndexPlan.shifted(1, 0))
     assert op.rule.divisor is None
@@ -380,8 +386,11 @@ def test_build_V_falls_back_to_columns():
 
 
 def test_dual_vector_beyond_truncation_rejected():
-    with pytest.raises(ValueError):
-        DualSystem.from_vectors((GradedVector.canonical(5),), 4)
+    n = 4
+    dual = stack_columns((GradedVector.canonical(1), GradedVector.canonical(5)), n)
+    with pytest.raises(ValueError, match="^dual vector 2 exceeds truncation$"):
+        build_V_from_dual(dual, power_grading(2, n), power_grading(2, n),
+                          IndexPlan.shifted(1, 0))
 
 
 def test_synthesize_prefix_bounds():
@@ -593,7 +602,7 @@ def test_equivalences_keep_the_rule_of_a_uniform_threefold_frame():
     x, theta, plan = power_grading(2, n), power_grading(2, 3 * n), IndexPlan.shifted(1, 0)
     rule = reader_average_rule(frame)
     op = synthesis_from_rule(rule, x, theta, plan)
-    rebuilt = build_V_from_dual(op.dual, x, theta, plan)
+    rebuilt = build_V_from_dual(op.rule.canonical_images, x, theta, plan)
     assert rebuilt.rule.divisor is not None
     report = verify_equivalences(frame, op, x, theta, plan)
     assert report.passed, report.notes
@@ -961,8 +970,8 @@ def test_equivalences_average_projection_recovers_equal_pair_dual():
     proj = ProjectionOp(SequenceOperator.pair_mix(0.5, 0.5, n), (1.0,), 0.0)
     op = V_from_projection(frame, proj, x, theta, plan)
     for j in range(1, n + 1):
-        odd = op.dual[2 * j - 2]
-        even = op.dual[2 * j - 1]
+        odd = dual_vector(op.rule.canonical_images, 2 * j - 2)
+        even = dual_vector(op.rule.canonical_images, 2 * j - 1)
         assert odd == even
         assert odd == GradedVector.canonical(j, 0.5 / frame.b_pair[j - 1])
     report = verify_equivalences(frame, op, x, theta, plan)
@@ -975,7 +984,7 @@ def test_equivalences_from_dual_identity():
     x = power_grading(3, n)
     theta = power_grading(3, n)
     plan = IndexPlan.shifted(2, 0)
-    dual = DualSystem.from_vectors(
+    dual = stack_columns(
         tuple(GradedVector.canonical(i) for i in range(1, n + 1)), n)
     report = verify_equivalences(frame, build_V_from_dual(dual, x, theta, plan),
                                  x, theta, plan)
@@ -1002,7 +1011,7 @@ def invariant_cases():
         return (*setting, synthesis_from_rule(rule, *setting[1:]), refusal)
 
     def from_dual(vectors, refusal=None):
-        dual = DualSystem.from_vectors(vectors, 4)
+        dual = stack_columns(vectors, 4)
         return (*unit, build_V_from_dual(dual, *unit[1:]), refusal)
 
     def from_projection(setting, prule):
@@ -1051,9 +1060,9 @@ def applied_images(rule):
 def test_every_dual_is_its_rules_canonical_images(name):
     frame, x, theta, plan, op, refusal = invariant_cases()[name]
     images = applied_images(op.rule)
-    assert_same_arrays(op.dual.matrix, images)
+    assert_same_arrays(build_dual_from_V(op.rule), images)
     assert_same_arrays(op.rule.canonical_images, images)
-    assert op.dual.truncation == op.rule.out_dim
+    assert op.rule.canonical_images.shape == (op.rule.in_dim, op.rule.out_dim)
     if name == "dual-complex":
         assert op.rule.divisor is None
     if refusal is None:

@@ -23,13 +23,18 @@ from gradedframes.frames import (
     DiagonalFrame,
     analyze,
 )
-from gradedframes.gradings import GradedVector, WeightGrading, column_norms, graded_norm
+from gradedframes.gradings import (
+    GradedVector,
+    WeightGrading,
+    column_norms,
+    graded_norm,
+    stack_columns,
+)
 from gradedframes.multilevel import ContinuityData, IndexPlan
 from gradedframes.reconstruction import (
     BOUND_MATCH_TOL,
     LEFT_INVERSE_TOL,
     RANGE_TOL,
-    DualSystem,
     EquivalenceReport,
     ProjectionOp,
     SequenceOperator,
@@ -94,14 +99,14 @@ def ref_detect_rule(vectors, n):
                 break
         if ok:
             return SequenceOperator.pair_collapse(odd, even, np.ones(n))
-    return SequenceOperator.from_columns(vectors, n)
+    return SequenceOperator(stack_columns(vectors, n).T)
 
 
 def ref_synthesis(rule, x, theta, plan):
     """Rule, per-canonical dual and bound table, built beside SynthesisOp so
     that its dual is an independent reference."""
     return SimpleNamespace(
-        rule=rule, dual=DualSystem.from_vectors(ref_build_dual(rule), rule.out_dim),
+        rule=rule, dual=stack_columns(ref_build_dual(rule), rule.out_dim),
         bounds=_bound_table(rule, x, theta, plan))
 
 
@@ -279,9 +284,18 @@ def rule_sig(rule):
     return (rule.in_dim, rule.out_dim, bits(rule.numerator), bits(rule.divisor))
 
 
+def dual_vector(dual, i):
+    """f_{i+1}, row i of a dual matrix, as a GradedVector."""
+    lo, hi = dual.indptr[i:i + 2]
+    return GradedVector(dual.indices[lo:hi] + 1, dual.data[lo:hi])
+
+
 def synthesis_sig(op):
-    dual = [op.dual[i] for i in range(len(op.dual))]
-    return (rule_sig(op.rule), dense_columns(dual, op.dual.truncation),
+    """The reference carries its own per-canonical dual; a SynthesisOp's is
+    its rule's canonical images."""
+    dual = op.dual if isinstance(op, SimpleNamespace) else op.rule.canonical_images
+    m, n = dual.shape
+    return (rule_sig(op.rule), dense_columns([dual_vector(dual, i) for i in range(m)], n),
             op.bounds.consts)
 
 
@@ -340,9 +354,9 @@ def perturbed(values, coords, delta=1e-6):
 
 def columns_of(matrix):
     mat = np.asarray(matrix, dtype=float)
-    return SequenceOperator.from_columns(
+    return SequenceOperator(stack_columns(
         [GradedVector.from_dense(mat[:, i]).trim() for i in range(mat.shape[1])],
-        mat.shape[0])
+        mat.shape[0]).T)
 
 
 def rules_for(name, frame):
@@ -427,8 +441,8 @@ def test_dual_and_detected_rule_match_reference(frame_name, rule_name):
     rule = rules_for(frame_name, frame)[rule_name]
     ref = ref_build_dual(rule)
     dual = build_dual_from_V(rule)
-    assert len(dual) == len(ref) and dual.truncation == rule.out_dim
-    assert dense_columns([dual[i] for i in range(len(dual))], rule.out_dim) \
+    assert dual.shape == (len(ref), rule.out_dim)
+    assert dense_columns([dual_vector(dual, i) for i in range(len(ref))], rule.out_dim) \
         == dense_columns(ref, rule.out_dim)
     assert rule_sig(_detect_rule(dual)) == rule_sig(ref_detect_rule(ref, rule.out_dim))
 
@@ -455,7 +469,7 @@ def test_round_trip_from_dual_matches_reference(frame_name, rule_name):
     rule = rules_for(frame_name, frame)[rule_name]
     x, theta = gradings(frame)
     vectors = ref_build_dual(rule)
-    dual = DualSystem.from_vectors(vectors, rule.out_dim)
+    dual = stack_columns(vectors, rule.out_dim)
     assert outcome(lambda: build_V_from_dual(dual, x, theta, plan()), synthesis_sig) \
         == outcome(lambda: ref_V_from_dual(vectors, rule.out_dim, x, theta, plan()),
                    synthesis_sig)
@@ -565,8 +579,8 @@ def test_general_left_inverse_check_fails_a_missing_diagonal(divisor):
 
 def test_general_left_inverse_check_on_stored_zeros():
     # a stored zero on the diagonal fails as a missing entry does; one off
-    # the diagonal passes, even where its row's divisor is NaN and the
-    # coordinate of that row fails
+    # the diagonal passes; a NaN divisor, whose quotients would fail every
+    # stored zero of its row, is refused when the rule is built
     def rule(data, divisor):
         return SequenceOperator(Compressed(
             [0, 2, 3, 5], [0, 2, 1, 0, 2], data, (3, 3)), divisor)
@@ -575,7 +589,16 @@ def test_general_left_inverse_check_on_stored_zeros():
     assert _left_inverse_failure(EYE3, rule([1.0, 0.0, 1.0, 0.0, 1.0], None)) is None
     assert _left_inverse_failure(EYE3, rule([2.0, 0.0, 4.0, 0.0, 0.5], POW2)) is None
     nan_row = np.array([2.0, 4.0, np.nan])
-    assert _left_inverse_failure(EYE3, rule([2.0, 0.0, 4.0, 0.0, 1.0], nan_row)) == 3
+    with pytest.raises(ValueError, match="^divisor entry 3 is not finite$"):
+        rule([2.0, 0.0, 4.0, 0.0, 1.0], nan_row)
+
+
+@pytest.mark.parametrize("divisor,first", [
+    ([1.0, np.nan, 2.0], 2), ([np.inf, 1.0, 1.0], 1), ([1.0, 2.0, -np.inf], 3),
+    ([1.0, np.nan, np.inf], 2)])
+def test_non_finite_divisor_refused_by_name(divisor, first):
+    with pytest.raises(ValueError, match="^divisor entry %d is not finite$" % first):
+        SequenceOperator(np.eye(3), np.array(divisor))
 
 
 def test_detect_rule_on_hand_built_duals():
@@ -596,7 +619,7 @@ def test_detect_rule_on_hand_built_duals():
         [GradedVector.canonical((i + 1) // 2 + (i == 3), 1.0) for i in range(1, 2 * n + 1)],
     ]
     for vectors in cases:
-        dual = DualSystem.from_vectors(vectors, n)
+        dual = stack_columns(vectors, n)
         assert rule_sig(_detect_rule(dual)) == rule_sig(ref_detect_rule(vectors, n))
 
 
@@ -698,7 +721,7 @@ def test_mixed_reader_projection_takes_the_coordinate_defect(monkeypatch):
 def left_inverse_cases():
     """name -> (coordinate frame, block-local rule, first failing coordinate)."""
     diag, block = FRAMES["diagonal"], FRAMES["block"]
-    complex_dual = DualSystem.from_vectors(
+    complex_dual = stack_columns(
         [GradedVector.canonical(i, 1j if i == 2 else 1.0) for i in range(1, 5)], 4)
     return {
         "diagonal": (diag, SequenceOperator.diagonal(np.ones(N), diag.b), None),

@@ -172,7 +172,7 @@ def test_exf2_verdicts_truncation_invariant():
 
 def test_exf2_round_trip_builds_each_witness_once(monkeypatch):
     # every module that binds a function gets the counting wrapper, so calls
-    # inside reconstruction (SynthesisOp.dual, verify_equivalences) count too;
+    # inside reconstruction (verify_equivalences) count too;
     # the round trip recovers V'' with _recovered_rule, the body of
     # V_from_projection
     calls = Counter()
