@@ -153,7 +153,7 @@ class Compressed:
 
     def rows(self) -> np.ndarray:
         """Row of every stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.repeat(np.arange(self.shape[0]), self.indptr[1:] - self.indptr[:-1])
 
     def first_row_reaching(self, limit: int) -> int | None:
         """The first row that stores an index >= limit, or None."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -69,6 +68,10 @@ class FrameSystem:
     def coefficient_rows(self) -> Compressed:
         raise NotImplementedError
 
+    def coefficient_columns(self) -> Compressed:
+        """coefficient_rows().T: row j lists the readers of coordinate j + 1."""
+        return self.coefficient_rows().T
+
     def dense_matrix(self) -> np.ndarray:
         return self.coefficient_rows().toarray()
 
@@ -108,11 +111,9 @@ class CoordinateFrame(FrameSystem):
             raise ValueError("coordinate %d has no reader" % (np.argmin(counts) + 1))
         object.__setattr__(self, "reads", _readonly(reads, np.int64))
         object.__setattr__(self, "b", b)
-
-    @cached_property
-    def reader_starts(self) -> np.ndarray:
-        """First reader of every coordinate, then the functional count."""
-        return np.searchsorted(self.reads, np.arange(self.b.size + 1))
+        # first reader of every coordinate, then the functional count
+        starts = _readonly(np.append(0, np.cumsum(counts)), np.int64)
+        object.__setattr__(self, "reader_starts", starts)
 
     def reader_hypot(self, theta: WeightGrading, level: int) -> np.ndarray:
         """Per coordinate, the hypot of its readers' Θ weights at level, built
@@ -140,6 +141,11 @@ class CoordinateFrame(FrameSystem):
         m = self.functional_count
         return Compressed(np.arange(m + 1), self.reads, self.b[self.reads],
                           (m, self.truncation))
+
+    def coefficient_columns(self) -> Compressed:
+        m = self.functional_count
+        return Compressed(self.reader_starts, np.arange(m), self.b[self.reads],
+                          (self.truncation, m))
 
 
 class DiagonalFrame(CoordinateFrame):

@@ -63,6 +63,9 @@ _LIFT = 600
 # frexp's exponent of the doubles below 2^1024
 _MAX_EXPONENT = 1024
 _OVERFLOW = "norm exceeds the largest double"
+# _segment_sums sends this many segments or fewer straight to math.fsum, whose
+# loop beats the certified path's fixed 20 us there up to 128 terms a segment
+_FSUM_SEGMENTS = 8
 
 
 def _fsum(terms: np.ndarray) -> float:
@@ -279,16 +282,20 @@ class WeightGrading:
     def weight_values(self, level: int, indices: np.ndarray) -> np.ndarray:
         """Weights w_level(j) at the given 1-based coordinates."""
         self._check_level(level)
+        return self._weights_at(int(level), indices)
+
+    def _weights_at(self, level, indices) -> np.ndarray:
+        """weight_values without its level check, at an int or a column of levels."""
         idx = _coordinates(indices)
         self._check_coordinate(int(idx.max(initial=0)))
         if idx.size and idx.min() < 1:
             raise ValueError("coordinates are 1-based")
-        if self.kind == "power":
-            return idx.astype(float) ** int(level)
-        if self.kind == "shifted_power":
-            return (self.shift * idx).astype(float) ** int(level)
-        a = np.asarray(self.alphas, dtype=float)[idx - 1]
-        return np.exp(level * a)
+        if self.kind == "exponential":
+            return np.exp(level * np.asarray(self.alphas, dtype=float)[idx - 1])
+        x = (self.shift * idx if self.kind == "shifted_power" else idx).astype(float)
+        # x ** 2 squares; pow, which a column of levels may take, can round it apart
+        return x ** level if np.ndim(level) == 0 \
+            else np.where(level == 2, x * x, x ** level)
 
     def _check_coordinate(self, top: int):
         if top > self.truncation:
@@ -471,7 +478,7 @@ def column_norms(mat: Compressed, grading, levels: Sequence[int]) -> np.ndarray:
     with np.errstate(over="ignore"):
         prods = np.minimum(_products(moduli, w, dual), _CEIL)
     # level i's terms follow level i - 1's: one segment per (level, column)
-    counts = np.diff(mat.indptr)
+    counts = mat.indptr[1:] - mat.indptr[:-1]
     sums = _segment_sums((prods ** 2).ravel(),
                          counts[None].repeat(len(levels), 0).ravel())
     sums = sums.reshape(len(levels), counts.size)
@@ -516,20 +523,22 @@ def _segment_sums(terms: np.ndarray, counts: np.ndarray,
     from r (exact in double, or 0 for the least gap), compared in acc.
     Every other sum (empty, non-finite, overflowing, r the largest double,
     near a tie) goes to math.fsum, as almost every multi-term one does where
-    long double is double (MSVC, Apple arm64)."""
+    long double is double (MSVC, Apple arm64), and so do all the sums of at
+    most _FSUM_SEGMENTS segments."""
     sums = np.zeros(counts.size)
-    full = np.flatnonzero(counts)
+    rest = np.flatnonzero(counts)
     starts = np.cumsum(counts) - counts
-    big = np.add.reduceat(terms.astype(acc), starts[full])
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = big.astype(float)
-        delta = big - r
-        e = big * ((counts[full] + 1) * float(np.finfo(acc).eps))
-        up = (np.nextafter(r, np.inf) - r) / 2
-        down = (r - np.nextafter(r, -np.inf)) / 2
-        keep = (r < np.finfo(float).max) & (e < up - delta) & (e < down + delta)
-    sums[full[keep]] = r[keep]
-    rest = full[~keep]
+    if counts.size > _FSUM_SEGMENTS:
+        big = np.add.reduceat(terms.astype(acc), starts[rest])
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = big.astype(float)
+            delta = big - r
+            e = big * ((counts[rest] + 1) * float(np.finfo(acc).eps))
+            up = (np.nextafter(r, np.inf) - r) / 2
+            down = (r - np.nextafter(r, -np.inf)) / 2
+            keep = (r < np.finfo(float).max) & (e < up - delta) & (e < down + delta)
+        sums[rest[keep]] = r[keep]
+        rest = rest[~keep]
     for i, a, k in zip(rest.tolist(), starts[rest].tolist(), counts[rest].tolist()):
         sums[i] = math.fsum(terms[a:a + k].tolist())
     return sums

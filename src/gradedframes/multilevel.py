@@ -191,7 +191,7 @@ def _verify_entries(frame: FrameSystem, x_grading: WeightGrading,
     if first is not None:
         check_support(frame, samples[first])
     # both held by their transposes: (U S)^T = S^T U^T
-    coefficients = stacked @ frame.coefficient_rows().T
+    coefficients = stacked @ frame.coefficient_columns()
     mids = column_norms(coefficients, theta_grading, [m for m, *_ in entries])
     x_levels = dict.fromkeys(level for _, s, t, _, _ in entries for level in (s, t))
     outer = dict(zip(x_levels, column_norms(stacked, x_grading, x_levels)))
@@ -363,8 +363,11 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
     family per candidate.  Uncertifiable tails yield Undetermined.
 
     A candidate reads only each parity class's tail points and witness head
-    (first four members), with X weights and tail log spacings taken once
-    per call; the admitted candidate alone forms its whole ratio sequence.
+    (first four members).  The X weights of every candidate at those
+    coordinates come from one power per call, their ratios from one
+    division per level, and the tail log spacings once per call; the
+    admitted candidate alone forms its whole ratio sequence, and witnesses
+    are built only for a level that ends NotStrict.
     """
     budget = theta_grading.levels
     if n_max is None:
@@ -374,27 +377,28 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
     if n_max > x_grading.levels:
         raise LevelError("candidate bound %d beyond X level budget %d"
                          % (n_max, x_grading.levels))
-    classes = []     # (head coordinates, tail coordinates or None, their logs)
+    coords = []      # every class's head, then its tail, back to back
+    classes = []     # (head's slice of coords, tail's, the tail's logs or [])
     for cls in _parity_classes(frame.truncation):
         pos = _tail_positions(cls.size)
-        tail = None if pos is None else cls[pos].tolist()
-        classes.append((cls[:4].tolist(), tail, tail and _log_spacings(tail)))
-    coords = [j for head, tail, _ in classes for j in head + (tail or [])]
+        head = slice(len(coords), len(coords) + min(cls.size, 4))
+        tail = [] if pos is None else cls[pos].tolist()
+        coords += cls[:4].tolist() + tail
+        logs = tail and _log_spacings(tail)
+        classes.append((head, slice(head.stop, len(coords)), logs))
     read = np.array(coords)
-    rows = {}        # candidate n -> X weights at `read`, built on first use
     certificates = []
     for s in range(budget + 1):
         size = _functional_sizes(frame, theta_grading, s)
-        size_read = size[read - 1]
-        witnesses = []
-        for n in range(n_max + 1):
-            if n not in rows:
-                rows[n] = x_grading.weight_values(n, read)
-            ratio = dict(zip(coords, (size_read / rows[n]).tolist()))
+        if s == 0:       # every candidate's, after level 0's sizes as before
+            weights = x_grading._weights_at(np.arange(n_max + 1)[:, None], read)
+        quotients = (size[read - 1] / weights).tolist()
+        broken = []      # (candidate, mode, slope, head) of each breaking family
+        for n, ratio in enumerate(quotients):
             slopes = []
             for head, tail, logs in classes:
-                certified, slope = (False, 0.0) if tail is None else _tail_slope(
-                    logs, [ratio[j] for j in tail])
+                certified, slope = (False, 0.0) if not logs else _tail_slope(
+                    logs, ratio[tail])
                 if not certified:
                     return StrictnessVerdict(
                         "Undetermined", n_max=n_max,
@@ -410,15 +414,14 @@ def classify_strictness(frame: FrameSystem, x_grading: WeightGrading,
                 break
             # the breaking family of this candidate, should no candidate admit
             if fall and not (n <= s and grow):
-                mode, (slope, head) = "lower_vanishing", min(fall, key=lambda t: t[0])
+                broken.append((n, "lower_vanishing") + min(fall, key=lambda t: t[0]))
             else:
-                mode, (slope, head) = "upper_unbounded", max(grow, key=lambda t: t[0])
-            witnesses.append(RatioWitness(s, n, mode, tuple(head),
-                                          tuple(ratio[j] for j in head),
-                                          float(slope)))
+                broken.append((n, "upper_unbounded") + max(grow, key=lambda t: t[0]))
         else:
-            return StrictnessVerdict("NotStrict", witnesses=tuple(witnesses),
-                                     n_max=n_max)
+            return StrictnessVerdict("NotStrict", witnesses=tuple(
+                RatioWitness(s, n, mode, tuple(coords[head]),
+                             tuple(quotients[n][head]), float(slope))
+                for n, mode, slope, head in broken), n_max=n_max)
     return StrictnessVerdict("Strict", certificates=tuple(certificates),
                              n_max=n_max)
 

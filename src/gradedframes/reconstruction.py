@@ -85,6 +85,11 @@ class SequenceOperator:
         num = self.numerator
         if not isinstance(num, Compressed):
             num = Compressed.from_dense(np.atleast_2d(num))
+        # before canonical(), whose row-major keys would move such an entry
+        cols, width = num.indices, num.shape[1]
+        if cols.size and (cols.min() < 0 or cols.max() >= width):
+            raise ValueError("numerator column index %d outside [0, %d)"
+                             % (cols[(cols < 0) | (cols >= width)][0], width))
         num = num.canonical()
         # private read-only copies: the caller may still write to its arrays
         num = Compressed(np.array(num.indptr), np.array(num.indices),
@@ -363,6 +368,11 @@ def _block_local(frame: FrameSystem, num: Compressed) -> bool:
             and np.array_equal(frame.reads[num.indices], num.rows()))
 
 
+def _far(values: np.ndarray, target) -> np.ndarray:
+    """np.isclose's complement at rtol = atol = LEFT_INVERSE_TOL, targets finite >= 0."""
+    return ~(np.abs(values - target) <= LEFT_INVERSE_TOL + LEFT_INVERSE_TOL * target)
+
+
 def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optional[int]:
     """Smallest coordinate j with V(U e_j) != e_j beyond LEFT_INVERSE_TOL."""
     num = rule.numerator
@@ -371,17 +381,16 @@ def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optiona
         back = _sums(rule._rows, frame.b[rule._rows] * num.data, frame.truncation)
         if rule.divisor is not None:
             back = exact_div(back, rule.divisor)
-        bad = ~np.isclose(back, 1.0, rtol=LEFT_INVERSE_TOL, atol=LEFT_INVERSE_TOL)
+        bad = _far(back, 1.0)
     else:
         # row j of (V U)^T = U^T V^T holds V U e_j, which fails on a stored
         # entry away from I or on no diagonal entry
-        back = frame.coefficient_rows().T @ rule._columns
+        back = frame.coefficient_columns() @ rule._columns
         rows, cols = back.rows(), back.indices
         values = back.data if rule.divisor is None \
             else exact_div(back.data, rule.divisor[cols])
         bad = np.bincount(rows[rows == cols], minlength=frame.truncation) == 0
-        bad[rows[~np.isclose(values, rows == cols, rtol=LEFT_INVERSE_TOL,
-                             atol=LEFT_INVERSE_TOL)]] = True
+        bad[rows[_far(values, rows == cols)]] = True
     return int(bad.argmax()) + 1 if bad.any() else None
 
 
@@ -522,7 +531,7 @@ def _recovered_rule(frame: FrameSystem, proj: ProjectionOp,
                              "(relative residual %.3g)" % (resid / scale))
         # U V must reproduce P column by column; both are held by their
         # transposes, (U V)^T = V^T U^T
-        residual = rule.canonical_images @ frame.coefficient_rows().T - target
+        residual = rule.canonical_images @ frame.coefficient_columns() - target
         scale = np.maximum(column_norms(target, theta_grading, (0,))[0], 1.0)
         bad = np.flatnonzero(column_norms(residual, theta_grading, (0,))[0]
                              > RANGE_TOL * scale)

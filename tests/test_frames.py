@@ -83,6 +83,20 @@ def test_counts():
     assert DenseFrame(np.eye(3)).functional_count == 3
 
 
+@pytest.mark.parametrize("frame", [
+    DiagonalFrame([1.0, 4.0, 0.5, 3.0]),
+    BlockFrame([2.0, 1.0, 8.0]),
+    CoordinateFrame(np.array([0, 0, 0, 1, 2, 2]), [1.0, 2.0, 0.25]),
+    DenseFrame([[1.0, 0.0, 2.0], [0.0, -1.0, 0.0], [3.0, 0.5, 0.0]]),
+], ids=["diagonal", "block", "uneven", "dense"])
+def test_coefficient_columns_are_the_transposed_rows(frame):
+    got, want = frame.coefficient_columns(), frame.coefficient_rows().T
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_coordinate_frame_rejects_unsorted_reads():
     with pytest.raises(ValueError, match="nondecreasing"):
         CoordinateFrame(np.array([0, 1, 0]), np.ones(2))

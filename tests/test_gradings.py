@@ -134,6 +134,24 @@ class TestWeightFamilies:
                                match=r"^level 2\.5 out of range \[0, 12\]$"):
                 read(2.5)
 
+    @pytest.mark.parametrize("grading", [
+        WeightGrading("power", 32, 4096),
+        WeightGrading("shifted_power", 32, 4096, shift=3),
+        # x * x passes 2^53 here, where pow and squaring can round apart
+        WeightGrading("shifted_power", 20, 4096, shift=10 ** 9 + 7),
+        WeightGrading("exponential", 32, 4096,
+                      alphas=tuple(np.log1p(np.arange(4096.0)) / 4)),
+    ], ids=["power", "shifted_power", "large_shift", "exponential"])
+    def test_one_power_weight_rows_are_weight_values(self, grading):
+        # classify_strictness builds every candidate's weights in one power
+        levels = np.arange(grading.levels + 1)[:, None]
+        read = np.array([1, 3, 5, 7, 2049, 3073, 4095, 2, 4, 6, 8, 2050, 3074, 4096])
+        for idx in (read, np.arange(1, grading.truncation + 1)):
+            rows = grading._weights_at(levels, idx)
+            assert rows.shape == (levels.size, idx.size)
+            for level, row in enumerate(rows):
+                assert row.tobytes() == grading.weight_values(level, idx).tobytes()
+
     def test_weight_values_refuse_non_integer_coordinates(self):
         # weight_values(1, [2.5]) once returned the weight at coordinate 2
         g = WeightGrading("power", 3, 8)
@@ -615,6 +633,31 @@ class TestCertifiedSums:
         terms = [t for seg in segments for t in seg]
         counts = [len(seg) for seg in segments]
         assert segment_sums_outcome(terms, counts) == fsum_segments(segments)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_segment_sums_match_fsum_on_both_sides_of_the_gate(self, offset):
+        # up to _FSUM_SEGMENTS segments go to math.fsum one by one; more take
+        # the certified long-double sums first
+        tiny, top = math.ldexp(1.0, -1074), np.finfo(float).max
+        pool = [[], [1.0, math.ldexp(1.0, -53)], [tiny] * 3, [0.1, 0.2, 0.3],
+                [1.0, math.ldexp(1.0, -53), math.ldexp(1.0, -120)], [tiny, 1.0, tiny],
+                [top / 2, top / 2], [], [2.5], [tiny]]
+        segments = [pool[i % len(pool)] for i in range(gradings._FSUM_SEGMENTS + offset)]
+        terms = [t for seg in segments for t in seg]
+        counts = [len(seg) for seg in segments]
+        with fsum_calls() as calls:
+            got = segment_sums_outcome(terms, counts)
+        assert [x.hex() for x in got] == [x.hex() for x in fsum_segments(segments)]
+        filled = len([seg for seg in segments if seg])
+        if offset <= 0:
+            assert len(calls) == filled
+        elif np.finfo(np.longdouble).eps < 2.0 ** -52:
+            assert len(calls) < filled
+        # a sum at the tie above the largest double: fsum refuses it
+        over = segments[:-1] + [[top, math.ldexp(1.0, 970)]]
+        assert fsum_segments(over)[0] is OverflowError
+        assert segment_sums_outcome([t for seg in over for t in seg],
+                                    [len(seg) for seg in over]) == fsum_segments(over)
 
     def test_non_finite_and_overflowing_sums_pinned(self):
         top = np.finfo(float).max

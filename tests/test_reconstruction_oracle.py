@@ -7,6 +7,7 @@ messages, for operators from every constructor and every frame form at a
 small size.
 """
 
+import math
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -44,6 +45,7 @@ from gradedframes.reconstruction import (
     _bound_table,
     _coordinate_defect,
     _detect_rule,
+    _far,
     _idempotence_defect,
     _left_inverse_failure,
     _rows_per_coordinate,
@@ -521,7 +523,7 @@ def eye3_rule(entries, divisor):
     """Rule whose V U on EYE3 is I with the (row, column) -> value entries
     changed; with a divisor of powers of two the numerator holds each row
     times it, so every quotient is the given entry exactly."""
-    m = np.eye(3)
+    m = np.eye(3, dtype=np.result_type(float, *entries.values()))
     for (i, j), v in entries.items():
         m[i, j] = v
     if divisor is None:
@@ -543,6 +545,12 @@ EYE3_CASES = {
     "off_diagonal_minus_inf": ({(2, 0): -np.inf}, 1),
     "smallest_of_two": ({(2, 2): 1 + 2.1 * TOL, (0, 1): 1.1 * TOL}, 2),
     "smallest_of_three": ({(0, 2): np.inf, (1, 1): 0.5, (2, 0): 2.1 * TOL}, 1),
+    # complex entries are judged by their modulus
+    "diagonal_complex_1.4": ({(1, 1): 1 + 1.4j * TOL}, None),
+    "diagonal_complex_1.5_1.5": ({(1, 1): 1 + 1.5 * TOL + 1.5j * TOL}, 2),
+    "off_diagonal_complex_0.7": ({(0, 2): 0.7 * TOL + 0.7j * TOL}, None),
+    "off_diagonal_complex_0.8": ({(0, 2): 0.8 * TOL - 0.8j * TOL}, 3),
+    "diagonal_complex_nan": ({(1, 1): complex(1.0, np.nan)}, 2),
 }
 
 
@@ -599,6 +607,32 @@ def test_general_left_inverse_check_on_stored_zeros():
 def test_non_finite_divisor_refused_by_name(divisor, first):
     with pytest.raises(ValueError, match="^divisor entry %d is not finite$" % first):
         SequenceOperator(np.eye(3), np.array(divisor))
+
+
+@pytest.mark.parametrize("target", ["one", "identity"])
+def test_left_inverse_comparison_is_isclose(target):
+    # np.isclose(values, target, rtol=TOL, atol=TOL) on both branches'
+    # targets: 1 for the per-coordinate sums, the identity's entries for
+    # the general product's, which keeps stored zero sums
+    up = np.nextafter(1 + 2 * TOL, np.inf)
+    real = np.array([1.0, 0.0, -0.0, math.ldexp(1.0, -1074), 1 + 2 * TOL, up,
+                     1 - 2 * TOL, TOL, np.nextafter(TOL, np.inf), -TOL, 0.5,
+                     np.nan, np.inf, -np.inf])
+    mixed = np.array([complex(v, w) for v in real
+                      for w in (0.0, TOL, -1.5 * TOL, np.nan, np.inf, -np.inf)])
+    for values in (real, mixed):
+        goal = 1.0 if target == "one" else np.arange(values.size) % 3 == 0
+        want = ~np.isclose(values, goal, rtol=LEFT_INVERSE_TOL, atol=LEFT_INVERSE_TOL)
+        assert np.array_equal(_far(values, goal), want)
+
+
+@pytest.mark.parametrize("indices,first", [([4, 0], 4), ([0, 3], 3), ([-1, 0], -1)])
+def test_numerator_column_outside_the_input_refused_by_name(indices, first):
+    # an index past the input once took the row-major key of another entry:
+    # [4, 0] in a 2 x 3 numerator became the entry (1, 1)
+    with pytest.raises(ValueError,
+                       match=r"^numerator column index %d outside \[0, 3\)$" % first):
+        SequenceOperator(Compressed([0, 1, 2], indices, [1.0, 2.0], (2, 3)))
 
 
 def test_detect_rule_on_hand_built_duals():

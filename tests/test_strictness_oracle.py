@@ -265,20 +265,21 @@ def test_negative_candidate_bound_is_refused():
 # -- work -------------------------------------------------------------------------
 
 def _x_reads(monkeypatch, x):
-    """Record the length of every weight_values call on the grading x.  Full
-    tables are read through the weight cache, emptied first so that the first
-    read of each table costs one call whatever ran before."""
+    """Record the shape of every weight array built for the grading x.
+    Full tables are read through the weight cache, emptied first so that
+    the first read of each table costs one build whatever ran before."""
     _weight_table.cache_clear()
-    lengths = []
-    original = WeightGrading.weight_values
+    shapes = []
+    original = WeightGrading._weights_at
 
     def counting(self, level, indices):
+        out = original(self, level, indices)
         if self is x:
-            lengths.append(np.asarray(indices).size)
-        return original(self, level, indices)
+            shapes.append(out.shape)
+        return out
 
-    monkeypatch.setattr(WeightGrading, "weight_values", counting)
-    return lengths
+    monkeypatch.setattr(WeightGrading, "_weights_at", counting)
+    return shapes
 
 
 @pytest.mark.parametrize("shape,r_odd,r_even,verdict", [
@@ -291,14 +292,11 @@ def test_full_ratio_sequence_only_for_the_certificate(monkeypatch, shape, r_odd,
                                                       r_even, verdict):
     truncation = 4096
     frame, x, theta = _case(shape, truncation, r_odd, r_even)
-    lengths = _x_reads(monkeypatch, x)
+    shapes = _x_reads(monkeypatch, x)
     got = classify_strictness(frame, x, theta, 32)
     assert got.verdict == verdict
-    full = [size for size in lengths if size == truncation]
-    assert len(full) == len(got.certificates) <= BUDGET + 1
-    # one short row per candidate reached, shared by every mid level
-    scanned = (max(c.admissible_level for c in got.certificates) + 1
-               if verdict == "Strict" else 33)
-    short = [size for size in lengths if size < truncation]
-    assert len(short) == scanned
-    assert all(size == 14 for size in short)
+    # one build of every candidate's weights at the 14 coordinates read,
+    # shared by every mid level, then one full-length read per certificate
+    assert shapes[0] == (33, 14)
+    assert shapes[1:] == [(truncation,)] * len(got.certificates)
+    assert len(got.certificates) <= BUDGET + 1
