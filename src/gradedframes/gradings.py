@@ -63,9 +63,11 @@ _LIFT = 600
 # frexp's exponent of the doubles below 2^1024
 _MAX_EXPONENT = 1024
 _OVERFLOW = "norm exceeds the largest double"
-# _segment_sums sends this many segments or fewer straight to math.fsum, whose
-# loop beats the certified path's fixed 20 us there up to 128 terms a segment
+# _segment_sums sends at most _FSUM_SEGMENTS segments of at most _FSUM_TERMS
+# terms in all straight to math.fsum, whose loop beats the certified path's
+# fixed 20 us there; at 8 segments of 256 terms the certified path wins
 _FSUM_SEGMENTS = 8
+_FSUM_TERMS = 1024
 
 
 def _fsum(terms: np.ndarray) -> float:
@@ -294,8 +296,7 @@ class WeightGrading:
             return np.exp(level * np.asarray(self.alphas, dtype=float)[idx - 1])
         x = (self.shift * idx if self.kind == "shifted_power" else idx).astype(float)
         # x ** 2 squares; pow, which a column of levels may take, can round it apart
-        return x ** level if np.ndim(level) == 0 \
-            else np.where(level == 2, x * x, x ** level)
+        return np.where(level == 2, x * x, x ** level)
 
     def _check_coordinate(self, top: int):
         if top > self.truncation:
@@ -524,11 +525,11 @@ def _segment_sums(terms: np.ndarray, counts: np.ndarray,
     Every other sum (empty, non-finite, overflowing, r the largest double,
     near a tie) goes to math.fsum, as almost every multi-term one does where
     long double is double (MSVC, Apple arm64), and so do all the sums of at
-    most _FSUM_SEGMENTS segments."""
+    most _FSUM_SEGMENTS segments and _FSUM_TERMS terms."""
     sums = np.zeros(counts.size)
     rest = np.flatnonzero(counts)
     starts = np.cumsum(counts) - counts
-    if counts.size > _FSUM_SEGMENTS:
+    if counts.size > _FSUM_SEGMENTS or terms.size > _FSUM_TERMS:
         big = np.add.reduceat(terms.astype(acc), starts[rest])
         with np.errstate(over="ignore", invalid="ignore"):
             r = big.astype(float)

@@ -368,11 +368,6 @@ def _block_local(frame: FrameSystem, num: Compressed) -> bool:
             and np.array_equal(frame.reads[num.indices], num.rows()))
 
 
-def _far(values: np.ndarray, target) -> np.ndarray:
-    """np.isclose's complement at rtol = atol = LEFT_INVERSE_TOL, targets finite >= 0."""
-    return ~(np.abs(values - target) <= LEFT_INVERSE_TOL + LEFT_INVERSE_TOL * target)
-
-
 def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optional[int]:
     """Smallest coordinate j with V(U e_j) != e_j beyond LEFT_INVERSE_TOL."""
     num = rule.numerator
@@ -381,7 +376,7 @@ def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optiona
         back = _sums(rule._rows, frame.b[rule._rows] * num.data, frame.truncation)
         if rule.divisor is not None:
             back = exact_div(back, rule.divisor)
-        bad = _far(back, 1.0)
+        bad = ~np.isclose(back, 1.0, rtol=LEFT_INVERSE_TOL, atol=LEFT_INVERSE_TOL)
     else:
         # row j of (V U)^T = U^T V^T holds V U e_j, which fails on a stored
         # entry away from I or on no diagonal entry
@@ -390,7 +385,8 @@ def _left_inverse_failure(frame: FrameSystem, rule: SequenceOperator) -> Optiona
         values = back.data if rule.divisor is None \
             else exact_div(back.data, rule.divisor[cols])
         bad = np.bincount(rows[rows == cols], minlength=frame.truncation) == 0
-        bad[rows[_far(values, rows == cols)]] = True
+        bad[rows[~np.isclose(values, rows == cols, rtol=LEFT_INVERSE_TOL,
+                             atol=LEFT_INVERSE_TOL)]] = True
     return int(bad.argmax()) + 1 if bad.any() else None
 
 

@@ -659,6 +659,24 @@ class TestCertifiedSums:
         assert segment_sums_outcome([t for seg in over for t in seg],
                                     [len(seg) for seg in over]) == fsum_segments(over)
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_segment_sums_gate_on_the_term_count(self, extra):
+        # a few long segments past _FSUM_TERMS terms in all take the certified
+        # long-double sums first, as more segments do
+        rng = np.random.default_rng(5)
+        counts = [0, 200, 200, 200, 200, gradings._FSUM_TERMS - 800 + extra]
+        terms = rng.random(sum(counts)) ** 4
+        terms[::97] = math.ldexp(1.0, -1074)
+        starts = np.cumsum(counts) - counts
+        segments = [terms[a:a + k].tolist() for a, k in zip(starts, counts)]
+        with fsum_calls() as calls:
+            got = segment_sums_outcome(terms, counts)
+        assert [x.hex() for x in got] == [x.hex() for x in fsum_segments(segments)]
+        if not extra:
+            assert len(calls) == 5
+        elif np.finfo(np.longdouble).eps < 2.0 ** -52:
+            assert len(calls) < 5
+
     def test_non_finite_and_overflowing_sums_pinned(self):
         top = np.finfo(float).max
         inf, nan = float("inf"), float("nan")

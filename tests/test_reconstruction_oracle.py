@@ -7,7 +7,6 @@ messages, for operators from every constructor and every frame form at a
 small size.
 """
 
-import math
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -45,7 +44,6 @@ from gradedframes.reconstruction import (
     _bound_table,
     _coordinate_defect,
     _detect_rule,
-    _far,
     _idempotence_defect,
     _left_inverse_failure,
     _rows_per_coordinate,
@@ -607,23 +605,6 @@ def test_general_left_inverse_check_on_stored_zeros():
 def test_non_finite_divisor_refused_by_name(divisor, first):
     with pytest.raises(ValueError, match="^divisor entry %d is not finite$" % first):
         SequenceOperator(np.eye(3), np.array(divisor))
-
-
-@pytest.mark.parametrize("target", ["one", "identity"])
-def test_left_inverse_comparison_is_isclose(target):
-    # np.isclose(values, target, rtol=TOL, atol=TOL) on both branches'
-    # targets: 1 for the per-coordinate sums, the identity's entries for
-    # the general product's, which keeps stored zero sums
-    up = np.nextafter(1 + 2 * TOL, np.inf)
-    real = np.array([1.0, 0.0, -0.0, math.ldexp(1.0, -1074), 1 + 2 * TOL, up,
-                     1 - 2 * TOL, TOL, np.nextafter(TOL, np.inf), -TOL, 0.5,
-                     np.nan, np.inf, -np.inf])
-    mixed = np.array([complex(v, w) for v in real
-                      for w in (0.0, TOL, -1.5 * TOL, np.nan, np.inf, -np.inf)])
-    for values in (real, mixed):
-        goal = 1.0 if target == "one" else np.arange(values.size) % 3 == 0
-        want = ~np.isclose(values, goal, rtol=LEFT_INVERSE_TOL, atol=LEFT_INVERSE_TOL)
-        assert np.array_equal(_far(values, goal), want)
 
 
 @pytest.mark.parametrize("indices,first", [([4, 0], 4), ([0, 3], 3), ([-1, 0], -1)])
