@@ -42,11 +42,8 @@ from .reconstruction import (
     SequenceOperator,
     SynthesisOp,
     V_from_projection,
-    build_V_from_dual,
-    build_dual_from_V,
     projection_from_V,
     synthesis_from_rule,
-    synthesize,
     verify_dual_expansion,
     verify_equivalences,
     verify_expansion,
@@ -67,8 +64,7 @@ __all__ = [
     "classify_strictness", "select_subsequence", "verify_pre_f_frame",
     "verify_selected_chain",
     "ProjectionOp", "SequenceOperator", "SynthesisOp",
-    "V_from_projection", "build_V_from_dual", "build_dual_from_V",
-    "projection_from_V", "synthesis_from_rule", "synthesize",
+    "V_from_projection", "projection_from_V", "synthesis_from_rule",
     "verify_dual_expansion", "verify_equivalences", "verify_expansion",
     "ReportRow", "ScenarioConfig", "ScenarioResult", "run_scenario",
     "emit_report", "load_report",

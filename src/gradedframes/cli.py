@@ -37,10 +37,7 @@ from pathlib import Path
 from .frames import FrameFormError
 from .gradings import LevelError, NormOverflowError
 from .reportio import ReportFormatError, emit_report, load_report
-from .scenarios import SCENARIOS, ScenarioConfig, run_scenario
-
-_INT_KEYS = ("r", "truncation", "levels", "n_max")
-_FLOAT_KEYS = ("p", "q")
+from .scenarios import PARAMS, SCENARIOS, ScenarioConfig, run_scenario
 
 
 class ConfigError(ValueError):
@@ -61,29 +58,22 @@ def _read_ini(path: str) -> dict:
 
 
 def _build_config(args) -> ScenarioConfig:
-    values = {}
+    section, args.ini_report = {}, {}
     if args.config:
         ini = _read_ini(args.config)
-        section = ini["scenario"]
+        section, args.ini_report = ini["scenario"], ini["report"]
         if "name" in section and section["name"] not in SCENARIOS:
             raise ConfigError("unknown scenario %r in config" % section["name"])
         if section.get("name", args.scenario) != args.scenario:
             raise ConfigError("config names scenario %r but %r was requested"
                               % (section["name"], args.scenario))
-        for key in _INT_KEYS + _FLOAT_KEYS:
-            if key in section:
-                values[key] = section[key]
-        args.ini_report = ini["report"]
-    else:
-        args.ini_report = {}
-    for key in _INT_KEYS + _FLOAT_KEYS:
+    values = {key: section[key] for key in PARAMS if key in section}
+    for key in PARAMS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     try:
-        for key in list(values):
-            values[key] = float(values[key]) if key in _FLOAT_KEYS \
-                else int(values[key])
+        values = {key: PARAMS[key](value) for key, value in values.items()}
         return ScenarioConfig(args.scenario, **values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

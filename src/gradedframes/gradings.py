@@ -68,6 +68,9 @@ _OVERFLOW = "norm exceeds the largest double"
 # fixed 20 us there; at 8 segments of 256 terms the certified path wins
 _FSUM_SEGMENTS = 8
 _FSUM_TERMS = 1024
+# accumulator of _segment_sums' certified path; where long double is
+# double, its eps is double's and almost no sum is certified
+_ACC = np.longdouble
 
 
 def _fsum(terms: np.ndarray) -> float:
@@ -512,16 +515,15 @@ def column_norms(mat: Compressed, grading, levels: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _segment_sums(terms: np.ndarray, counts: np.ndarray,
-                  acc=np.longdouble) -> np.ndarray:
+def _segment_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """math.fsum of each back-to-back segment of counts[i] terms >= 0, bit
-    for bit, from one np.add.reduceat in acc.  A sum S of k >= 1 doubles in
+    for bit, from one np.add.reduceat in _ACC.  A sum S of k >= 1 doubles in
     any order is within (k-1)(eps/2) S (1 + O(k eps)) of the exact sum
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2;
     no partial sum under- or overflows long double), so within e = (k+1)
     eps S; r = double(S) is the correctly rounded sum when, with delta =
     S - r exact, delta + e and e - delta are below half the gaps up and down
-    from r (exact in double, or 0 for the least gap), compared in acc.
+    from r (exact in double, or 0 for the least gap), compared in _ACC.
     Every other sum (empty, non-finite, overflowing, r the largest double,
     near a tie) goes to math.fsum, as almost every multi-term one does where
     long double is double (MSVC, Apple arm64), and so do all the sums of at
@@ -530,11 +532,11 @@ def _segment_sums(terms: np.ndarray, counts: np.ndarray,
     rest = np.flatnonzero(counts)
     starts = np.cumsum(counts) - counts
     if counts.size > _FSUM_SEGMENTS or terms.size > _FSUM_TERMS:
-        big = np.add.reduceat(terms.astype(acc), starts[rest])
+        big = np.add.reduceat(terms.astype(_ACC), starts[rest])
         with np.errstate(over="ignore", invalid="ignore"):
             r = big.astype(float)
             delta = big - r
-            e = big * ((counts[rest] + 1) * float(np.finfo(acc).eps))
+            e = big * ((counts[rest] + 1) * float(np.finfo(_ACC).eps))
             up = (np.nextafter(r, np.inf) - r) / 2
             down = (r - np.nextafter(r, -np.inf)) / 2
             keep = (r < np.finfo(float).max) & (e < up - delta) & (e < down + delta)

@@ -85,8 +85,19 @@ class SequenceOperator:
         num = self.numerator
         if not isinstance(num, Compressed):
             num = Compressed.from_dense(np.atleast_2d(num))
-        # before canonical(), whose row-major keys would move such an entry
-        cols, width = num.indices, num.shape[1]
+        # before canonical(), which reads rows from indptr and whose
+        # row-major keys would move such an entry
+        ptr, cols, width = num.indptr, num.indices, num.shape[1]
+        if ptr.shape != (num.shape[0] + 1,):
+            raise ValueError("numerator indptr has length %d, expected %d"
+                             % (ptr.size, num.shape[0] + 1))
+        if ptr[0] != 0:
+            raise ValueError("numerator indptr starts at %d, expected 0" % ptr[0])
+        if (ptr[1:] < ptr[:-1]).any():
+            raise ValueError("numerator indptr decreases")
+        if ptr[-1] != cols.size:
+            raise ValueError("numerator indptr ends at %d, expected nnz %d"
+                             % (ptr[-1], cols.size))
         if cols.size and (cols.min() < 0 or cols.max() >= width):
             raise ValueError("numerator column index %d outside [0, %d)"
                              % (cols[(cols < 0) | (cols >= width)][0], width))

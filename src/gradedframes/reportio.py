@@ -10,20 +10,19 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import Optional, get_type_hints
 
 from .scenarios import ReportRow, ScenarioResult, fmt_sig
 
 SCHEMA_VERSION = 1
 
-COLUMNS = ("scenario", "kind", "label", "level", "lower_level", "upper_level",
-           "plan_lower", "plan_upper", "optimal_lower", "optimal_upper",
-           "witness_lower", "witness_upper", "verdict", "detail", "residuals",
-           "config_hash")
-
-_INT_COLUMNS = {"level", "lower_level", "upper_level"}
-_FLOAT_COLUMNS = {"plan_lower", "plan_upper", "optimal_lower", "optimal_upper"}
+# ReportRow's fields, in order, are the columns; its optional int and float
+# fields are the numeric ones, empty when None
+COLUMNS = tuple(f.name for f in fields(ReportRow))
+_HINTS = get_type_hints(ReportRow)
+_INT_COLUMNS = {col for col in COLUMNS if _HINTS[col] == Optional[int]}
+_FLOAT_COLUMNS = {col for col in COLUMNS if _HINTS[col] == Optional[float]}
 
 
 class ReportFormatError(ValueError):
@@ -40,30 +39,15 @@ def _cell(value, column: str) -> str:
 
 def round_row(row: ReportRow) -> ReportRow:
     """Row with float payloads rounded to the serialized precision."""
-    changes = {}
-    for col in _FLOAT_COLUMNS:
-        v = getattr(row, col)
-        if v is not None:
-            changes[col] = float(fmt_sig(v))
-    if not changes:
-        return row
-    data = {col: getattr(row, col) for col in COLUMNS}
-    data.update(changes)
-    return ReportRow(**data)
-
-
-def _config_echo(result: ScenarioResult) -> list:
-    items = []
-    for key, value in result.config.as_dict().items():
-        items.append("%s=%s" % (key, fmt_sig(value)
-                                if isinstance(value, float) else value))
-    return items
+    changes = {col: float(fmt_sig(v)) for col in _FLOAT_COLUMNS
+               if (v := getattr(row, col)) is not None}
+    return replace(row, **changes) if changes else row
 
 
 def to_csv(result: ScenarioResult) -> str:
     buf = io.StringIO()
     buf.write("# schema_version=%d\n" % SCHEMA_VERSION)
-    buf.write("# config %s\n" % " ".join(_config_echo(result)))
+    buf.write("# config %s\n" % " ".join(result.config.key_values()))
     buf.write("# sha256=%s\n" % result.config.digest())
     buf.write("# passed=%s\n" % ("true" if result.passed else "false"))
     writer = csv.writer(buf, lineterminator="\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -65,7 +65,7 @@ class ScenarioConfig:
                              % (self.scenario, ", ".join(SCENARIOS)))
         # integral values are stored as int; any other is refused by name,
         # not truncated
-        for name in ("r", "truncation", "levels", "n_max"):
+        for name in (key for key, kind in PARAMS.items() if kind is int):
             value = getattr(self, name)
             if int(value) != value:
                 raise ValueError("%s must be an integer, got %r" % (name, value))
@@ -82,21 +82,27 @@ class ScenarioConfig:
             raise ValueError("exponents must satisfy 1 < p < 2 < q")
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "q", float(self.q))
-        parts = []
-        for key, value in sorted(self.as_dict().items()):
-            if isinstance(value, float):
-                parts.append("%s=%s" % (key, fmt_sig(value)))
-            else:
-                parts.append("%s=%s" % (key, value))
         # hashed once here, since every report row carries the digest
+        pairs = sorted(self.key_values(), key=lambda kv: kv.partition("=")[0])
         object.__setattr__(self, "_digest", hashlib.sha256(
-            ";".join(parts).encode("ascii")).hexdigest())
+            ";".join(pairs).encode("ascii")).hexdigest())
 
     def as_dict(self) -> dict:
         return asdict(self)
 
+    def key_values(self) -> list:
+        """`key=value` of every field in field order, floats written as every
+        report writes them."""
+        return ["%s=%s" % (key, fmt_sig(value) if isinstance(value, float) else value)
+                for key, value in self.as_dict().items()]
+
     def digest(self) -> str:
         return self._digest
+
+
+# every run parameter but the scenario name, with the type of its default
+PARAMS = {f.name: type(f.default) for f in fields(ScenarioConfig)
+          if f.default is not MISSING}
 
 
 @dataclass(frozen=True)

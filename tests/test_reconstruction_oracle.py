@@ -616,6 +616,17 @@ def test_numerator_column_outside_the_input_refused_by_name(indices, first):
         SequenceOperator(Compressed([0, 1, 2], indices, [1.0, 2.0], (2, 3)))
 
 
+@pytest.mark.parametrize("indptr,message", [
+    ([0, 1, 1], "ends at 1, expected nnz 2"), ([0, 1], "has length 2, expected 3"),
+    ([0, 2, 1], "decreases"), ([0, 1, 3], "ends at 3, expected nnz 2"),
+    ([1, 1, 2], "starts at 1, expected 0")])
+def test_numerator_indptr_refused_by_name(indptr, message):
+    # [0, 1, 1] was built as [[1, 2, 0], [0, 0, 0]] and [0, 1] accepted for
+    # 2 rows; [0, 2, 1] and [0, 1, 3] failed inside numpy
+    with pytest.raises(ValueError, match="^numerator indptr %s$" % message):
+        SequenceOperator(Compressed(indptr, [0, 1], [1.0, 2.0], (2, 3)))
+
+
 def test_detect_rule_on_hand_built_duals():
     n = 4
     cases = [
